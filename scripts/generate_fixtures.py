@@ -12,6 +12,7 @@ import numpy as np
 
 from tensyl import reference_problems as ref
 from tensyl import tensor as tc
+from tensyl.fileio import tensor_to_obj
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "tensyl" / "data"
 
@@ -39,14 +40,6 @@ def loop_sylvester_rhs(a, c, x):
     return tc.from_array(D, 2)
 
 
-def tensor_obj(tensor):
-    return {
-        "row_extents": list(tensor.row_extents),
-        "col_extents": list(tensor.col_extents),
-        "data": tensor.data.tolist(),
-    }
-
-
 def main():
     a = ref.operator_a()
     c = ref.operator_c()
@@ -54,14 +47,14 @@ def main():
     d = loop_sylvester_rhs(a, c, x_star)
 
     DATA_DIR.mkdir(parents=True, exist_ok=True)
-    base = {"A": tensor_obj(a), "C": tensor_obj(c), "D": tensor_obj(d)}
+    base = {"A": tensor_to_obj(a), "C": tensor_to_obj(c), "D": tensor_to_obj(d)}
 
     with open(DATA_DIR / "reference_problem.json", "w", encoding="utf-8") as handle:
-        json.dump({**base, "X_star": tensor_obj(x_star)}, handle)
+        json.dump({**base, "X_star": tensor_to_obj(x_star)}, handle)
         handle.write("\n")
 
     with open(DATA_DIR / "nearness_problem.json", "w", encoding="utf-8") as handle:
-        json.dump({**base, "X0": tensor_obj(ref.nearness_start())}, handle)
+        json.dump({**base, "X0": tensor_to_obj(ref.nearness_start())}, handle)
         handle.write("\n")
 
     print(f"wrote fixtures to {DATA_DIR}")

@@ -6,7 +6,6 @@ solutions and the tensor nearness problem), and an independent dense
 unfolding oracle for cross-validation.
 """
 
-from .backend import active_backend, set_backend
 from .oracle import OracleResult, SizeCapError, min_norm_lstsq, oracle_solve, unfold_system
 from .solver import (
     NumericalBreakdownError,

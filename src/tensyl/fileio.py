@@ -9,6 +9,8 @@ round-trip at full double precision through the shortest-repr rendering.
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .solver import SolveOptions, SylvesterProblem
 from .tensor import DenseTensor, DimensionError
 
@@ -25,7 +27,8 @@ class ProblemFile:
     x_star: DenseTensor | None = None
 
 
-def _tensor_to_obj(tensor):
+def tensor_to_obj(tensor):
+    """The JSON object of a tensor file."""
     return {
         "row_extents": list(tensor.row_extents),
         "col_extents": list(tensor.col_extents),
@@ -33,21 +36,28 @@ def _tensor_to_obj(tensor):
     }
 
 
-def _tensor_from_obj(obj, where):
+def tensor_from_obj(obj, where):
+    """The tensor a JSON object describes; ``where`` names it in errors."""
     if not isinstance(obj, dict):
         raise FileFormatError(f"{where}: expected an object, got {type(obj).__name__}")
     for key in ("row_extents", "col_extents", "data"):
         if key not in obj:
             raise FileFormatError(f"{where}: missing field {key!r}")
     try:
-        return DenseTensor(obj["row_extents"], obj["col_extents"], obj["data"])
+        tensor = DenseTensor(obj["row_extents"], obj["col_extents"], obj["data"])
     except (DimensionError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(tensor.data))
+    if bad.size:
+        raise FileFormatError(
+            f"{where}: field 'data' entry {bad[0]} is {tensor.data[bad[0]]}, not a finite number"
+        )
+    return tensor
 
 
 def write_tensor(tensor, path):
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_tensor_to_obj(tensor), handle)
+        json.dump(tensor_to_obj(tensor), handle)
         handle.write("\n")
 
 
@@ -57,17 +67,17 @@ def read_tensor(path):
             obj = json.load(handle)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return _tensor_from_obj(obj, str(path))
+    return tensor_from_obj(obj, str(path))
 
 
 def write_problem(path, problem, x0=None, options=None, x_star=None):
     obj = {
-        "A": _tensor_to_obj(problem.A),
-        "C": _tensor_to_obj(problem.C),
-        "D": _tensor_to_obj(problem.D),
+        "A": tensor_to_obj(problem.A),
+        "C": tensor_to_obj(problem.C),
+        "D": tensor_to_obj(problem.D),
     }
     if x0 is not None:
-        obj["X0"] = _tensor_to_obj(x0)
+        obj["X0"] = tensor_to_obj(x0)
     if options is not None:
         obj["options"] = {
             "epsilon": options.epsilon,
@@ -75,7 +85,7 @@ def write_problem(path, problem, x0=None, options=None, x_star=None):
             "k_max": options.k_max,
         }
     if x_star is not None:
-        obj["X_star"] = _tensor_to_obj(x_star)
+        obj["X_star"] = tensor_to_obj(x_star)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(obj, handle)
         handle.write("\n")
@@ -92,15 +102,15 @@ def read_problem(path):
     for key in ("A", "C", "D"):
         if key not in obj:
             raise FileFormatError(f"{path}: missing field {key!r}")
-    a = _tensor_from_obj(obj["A"], f"{path}: A")
-    c = _tensor_from_obj(obj["C"], f"{path}: C")
-    d = _tensor_from_obj(obj["D"], f"{path}: D")
+    a = tensor_from_obj(obj["A"], f"{path}: A")
+    c = tensor_from_obj(obj["C"], f"{path}: C")
+    d = tensor_from_obj(obj["D"], f"{path}: D")
     try:
         problem = SylvesterProblem(a, c, d)
     except DimensionError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    x0 = _tensor_from_obj(obj["X0"], f"{path}: X0") if "X0" in obj else None
-    x_star = _tensor_from_obj(obj["X_star"], f"{path}: X_star") if "X_star" in obj else None
+    x0 = tensor_from_obj(obj["X0"], f"{path}: X0") if "X0" in obj else None
+    x_star = tensor_from_obj(obj["X_star"], f"{path}: X_star") if "X_star" in obj else None
     options = None
     if "options" in obj:
         block = obj["options"]

@@ -12,7 +12,7 @@ from importlib import resources
 import numpy as np
 
 from . import tensor as tc
-from .fileio import ProblemFile, _tensor_from_obj
+from .fileio import ProblemFile, tensor_from_obj
 from .solver import SolveOptions, SylvesterProblem
 
 # A in R^{4x3x4x3}: slice (k, l) -> the 4x3 matrix A(:, :, k, l).
@@ -225,11 +225,11 @@ def nearness_reference_distance():
 def _load_bundled(name):
     with resources.files("tensyl.data").joinpath(name).open(encoding="utf-8") as handle:
         obj = json.load(handle)
-    a = _tensor_from_obj(obj["A"], name)
-    c = _tensor_from_obj(obj["C"], name)
-    d = _tensor_from_obj(obj["D"], name)
-    x0 = _tensor_from_obj(obj["X0"], name) if "X0" in obj else None
-    x_star = _tensor_from_obj(obj["X_star"], name) if "X_star" in obj else None
+    a = tensor_from_obj(obj["A"], name)
+    c = tensor_from_obj(obj["C"], name)
+    d = tensor_from_obj(obj["D"], name)
+    x0 = tensor_from_obj(obj["X0"], name) if "X0" in obj else None
+    x_star = tensor_from_obj(obj["X_star"], name) if "X_star" in obj else None
     return ProblemFile(SylvesterProblem(a, c, d), x0, SolveOptions(), x_star)
 
 

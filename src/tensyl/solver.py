@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from . import tensor as tc
 from .tensor import DenseTensor, DimensionError
 
@@ -103,24 +105,48 @@ class SolveOutcome:
         return self.residual_history[-1]
 
 
+def _unfold(t):
+    """The m x n psi unfolding of ``t`` as a view of its data."""
+    return t.data.reshape((t.m, t.n), order="F")
+
+
+def _fold(like, mat):
+    """A tensor with the split of ``like`` holding a copy of ``mat``."""
+    return DenseTensor(like.row_extents, like.col_extents, mat.ravel(order="F"))
+
+
+def _sylvester(a, c, x, out=None, tmp=None):
+    """a x + x c on unfoldings, into ``out`` with scratch ``tmp`` when given.
+
+    The adjoint is _sylvester(a.T, c.T, ...).
+    """
+    out = np.matmul(a, x, out=out)
+    out += np.matmul(x, c, out=tmp)
+    return out
+
+
+def _check_operands(A, C, X):
+    if not (
+        A.row_extents == A.col_extents == X.row_extents
+        and C.row_extents == C.col_extents == X.col_extents
+    ):
+        raise DimensionError(
+            f"operator splits {A.row_extents} x {A.col_extents} and "
+            f"{C.row_extents} x {C.col_extents} do not fit "
+            f"{X.row_extents} x {X.col_extents}"
+        )
+
+
 def apply_operator(A, C, X):
     """A *_M X + X *_N C."""
-    m_modes = len(A.row_extents)
-    n_modes = len(C.row_extents)
-    return tc.add(
-        tc.einstein_product(A, X, m_modes),
-        tc.einstein_product(X, C, n_modes),
-    )
+    _check_operands(A, C, X)
+    return _fold(X, _sylvester(_unfold(A), _unfold(C), _unfold(X)))
 
 
 def apply_adjoint(A, C, R):
     """A^T *_M R + R *_N C^T, the adjoint of apply_operator."""
-    m_modes = len(A.row_extents)
-    n_modes = len(C.row_extents)
-    return tc.add(
-        tc.einstein_product(tc.transpose(A), R, m_modes),
-        tc.einstein_product(R, tc.transpose(C), n_modes),
-    )
+    _check_operands(A, C, R)
+    return _fold(R, _sylvester(_unfold(A).T, _unfold(C).T, _unfold(R)))
 
 
 def _check_finite(value, what, k):
@@ -131,9 +157,11 @@ def _check_finite(value, what, k):
 def solve(problem, x1, opts=None, trace_cb=None):
     """Run the iteration from initial iterate ``x1``.
 
-    ``trace_cb``, when given, receives a SolverState at the top of every
-    iteration (before the update producing X^(k+1)); the test suite uses it
-    to record residual/direction sequences.
+    The iteration runs on the psi unfoldings in buffers allocated once per
+    solve; tensors are built only for the returned solution and, when
+    ``trace_cb`` is given, for the SolverState it receives at the top of
+    every iteration (before the update producing X^(k+1)).  The test suite
+    uses it to record residual/direction sequences.
     """
     opts = opts or SolveOptions()
     A, C, D = problem.A, problem.C, problem.D
@@ -142,25 +170,29 @@ def solve(problem, x1, opts=None, trace_cb=None):
             f"initial iterate split {x1.row_extents} x {x1.col_extents} "
             f"does not match D"
         )
+    a, c, d = _unfold(A), _unfold(C), _unfold(D)
+    at, ct = a.T, c.T  # the adjoint's operands, as views
+    norm = np.linalg.norm
 
-    threshold = opts.epsilon * (tc.fro_norm(D) if opts.relative else 1.0)
+    threshold = opts.epsilon * (float(norm(d)) if opts.relative else 1.0)
 
-    X = x1
-    R = tc.subtract(D, apply_operator(A, C, X))
-    res = tc.fro_norm(R)
+    x = np.array(_unfold(x1), order="F")
+    r, p, s1, s2 = (np.empty_like(x) for _ in range(4))
+    np.subtract(d, _sylvester(a, c, x, s1, s2), out=r)  # R = D - (AX + XC)
+    res = float(norm(r))
     history = [res]
     if res < threshold:
-        return SolveOutcome(Status.CONVERGED, X, history, 0)
+        return SolveOutcome(Status.CONVERGED, _fold(D, x), history, 0)
 
-    P = apply_adjoint(A, C, R)
-    p_first = tc.fro_norm(P)
+    _sylvester(at, ct, r, p, s2)
+    p_first = float(norm(p))
     res_first = res
 
     k = 1
     while k <= opts.k_max:
-        p_norm = tc.fro_norm(P)
+        p_norm = float(norm(p))
         if trace_cb is not None:
-            trace_cb(SolverState(k, X, R, P, res * res))
+            trace_cb(SolverState(k, _fold(D, x), _fold(D, r), _fold(D, p), res * res))
         # Dimensionless zero-direction test.  The direction shrinks in
         # proportion to the residual on a consistent equation, so the floor
         # tracks the current residual level; a direction far below it while
@@ -168,30 +200,33 @@ def solve(problem, x1, opts=None, trace_cb=None):
         dir_floor = opts.epsilon_p * max(1.0, p_first * (res / res_first))
         if p_norm <= dir_floor:
             # Nonzero residual with vanishing direction: no solution exists.
-            return SolveOutcome(Status.INCONSISTENT, X, history, k - 1)
+            return SolveOutcome(Status.INCONSISTENT, _fold(D, x), history, k - 1)
         alpha = (res * res) / (p_norm * p_norm)
         _check_finite(alpha, "step length alpha", k)
-        X = tc.add(X, tc.scale(alpha, P))
-        R_new = tc.subtract(D, apply_operator(A, C, X))
-        res_new = tc.fro_norm(R_new)
+        x += np.multiply(p, alpha, out=s1)
+        np.subtract(d, _sylvester(a, c, x, s1, s2), out=r)
+        res_new = float(norm(r))
         _check_finite(res_new, "residual norm", k)
         history.append(res_new)
         if res_new < threshold:
-            return SolveOutcome(Status.CONVERGED, X, history, k)
+            return SolveOutcome(Status.CONVERGED, _fold(D, x), history, k)
         if res_new > opts.divergence_factor * res_first:
             # On a consistent equation the residual never grows from a zero
             # start (finite-termination theory; confirmed empirically), while
             # an unsolvable one makes the step length blow up as the
             # direction degenerates.  Sustained divergence is therefore a
             # numerical inconsistency certificate.
-            return SolveOutcome(Status.INCONSISTENT, X, history, k)
+            return SolveOutcome(Status.INCONSISTENT, _fold(D, x), history, k)
         beta = (res_new * res_new) / (res * res)
         _check_finite(beta, "conjugation coefficient beta", k)
-        P = tc.add(apply_adjoint(A, C, R_new), tc.scale(beta, P))
-        R, res = R_new, res_new
+        # P <- beta P + (A^T R + R C^T), the two products summed first: the
+        # rounding order decides the iteration counts of the reference problems
+        p *= beta
+        p += _sylvester(at, ct, r, s1, s2)
+        res = res_new
         k += 1
 
-    return SolveOutcome(Status.ITERATION_LIMIT, X, history, opts.k_max)
+    return SolveOutcome(Status.ITERATION_LIMIT, _fold(D, x), history, opts.k_max)
 
 
 def solve_min_norm(problem, opts=None, trace_cb=None):

@@ -12,8 +12,6 @@ from math import prod
 
 import numpy as np
 
-from . import backend
-
 
 class DimensionError(ValueError):
     """Shapes or indices incompatible with the requested operation."""
@@ -202,8 +200,7 @@ def einstein_product(a, b, num_contracted):
     p = prod(shared)
     left = a.data.reshape((prod(lead), p), order="F")
     right = b.data.reshape((p, prod(trail)), order="F")
-    out = backend.matmul(left, right)
-    return DenseTensor(lead, trail, out.ravel(order="F"))
+    return DenseTensor(lead, trail, (left @ right).ravel(order="F"))
 
 
 def transpose(a):

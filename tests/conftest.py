@@ -7,11 +7,13 @@ cross-check rather than a tautology.
 """
 
 import itertools
+import json
 from math import prod
 
 import numpy as np
 import pytest
 
+from tensyl import fileio
 from tensyl import tensor as tc
 from tensyl.instances import random_consistent
 from tensyl.solver import SylvesterProblem
@@ -50,6 +52,14 @@ def random_tensor(rng, row_extents, col_extents, scale=1.0):
     return tc.DenseTensor(
         tuple(row_extents), tuple(col_extents), scale * rng.uniform(-1.0, 1.0, size)
     )
+
+
+def write_with_bad_entry(path, problem, token):
+    """A problem file whose D has the JSON number ``token`` as its second entry."""
+    fileio.write_problem(path, problem)
+    obj = json.loads(path.read_text())
+    obj["D"]["data"][1] = "@bad@"
+    path.write_text(json.dumps(obj).replace('"@bad@"', token))
 
 
 def scaled_consistent(seed, row_extents, col_extents, factor=1.0, shift=2.0):

@@ -10,7 +10,7 @@ from tensyl import tensor as tc
 from tensyl.cli import main
 from tensyl.instances import random_consistent, random_inconsistent
 
-from conftest import random_tensor
+from conftest import random_tensor, write_with_bad_entry
 
 
 @pytest.fixture
@@ -86,6 +86,19 @@ class TestSolve:
         code = main(["solve", str(tmp_path / "nope.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_entry_rejected(self, tmp_path, capsys, token):
+        rng = np.random.default_rng(3)
+        problem, _ = random_consistent(rng, (2,), (3,))
+        path = tmp_path / "p.json"
+        write_with_bad_entry(path, problem, token)
+        code = main(["solve", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "D: field 'data' entry 1" in err
+        assert "not a finite number" in err
+        assert not (tmp_path / "p_solution.json").exists()
 
     def test_options_override(self, consistent_file, capsys):
         code = main(["solve", str(consistent_file), "--epsilon", "1e-2", "--quiet"])

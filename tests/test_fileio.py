@@ -11,7 +11,7 @@ from tensyl.fileio import FileFormatError
 from tensyl.instances import random_consistent
 from tensyl.solver import SolveOptions
 
-from conftest import random_tensor
+from conftest import random_tensor, write_with_bad_entry
 
 
 class TestTensorFiles:
@@ -113,6 +113,28 @@ class TestProblemFiles:
         path.write_text(json.dumps(obj))
         with pytest.raises(FileFormatError):
             fileio.read_problem(path)
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_problem_file_rejected(self, rng, tmp_path, token):
+        problem, _ = random_consistent(rng, (2,), (3,))
+        path = tmp_path / "p.json"
+        write_with_bad_entry(path, problem, token)
+        with pytest.raises(FileFormatError, match=r"D: field 'data' entry 1 is .*not a finite number"):
+            fileio.read_problem(path)
+
+    def test_tensor_file_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"row_extents": [2], "col_extents": [1], "data": [1.0, NaN]}')
+        with pytest.raises(FileFormatError, match="not a finite number"):
+            fileio.read_tensor(path)
+
+    def test_object_pair_round_trips(self, rng):
+        t = random_tensor(rng, (2, 3), (2,))
+        back = fileio.tensor_from_obj(fileio.tensor_to_obj(t), "t")
+        assert back.same_split(t)
+        assert np.array_equal(back.data, t.data)
 
 
 class TestResidualCsv:

@@ -198,3 +198,93 @@ class TestMinNormAndNearness:
         other = solve(problem, _uniform_tensor(rng, (2, 2), (3,)))
         assert other.status == Status.CONVERGED
         assert distance <= tc.fro_norm(tc.subtract(other.solution, x0)) + 1e-8
+
+
+def textbook_solve(problem, opts):
+    """The iteration written out on tensors with the public operator pair.
+
+    Returns ``(status, solution, iterations)``; every test and update is the
+    one the library's ``solve`` makes, from the zero iterate.
+    """
+    A, C, D = problem.A, problem.C, problem.D
+    X = tc.zeros_like(D)
+    R = tc.subtract(D, apply_operator(A, C, X))
+    res = tc.fro_norm(R)
+    if res < opts.epsilon:
+        return Status.CONVERGED, X, 0
+    P = apply_adjoint(A, C, R)
+    p_first, res_first = tc.fro_norm(P), res
+    for k in range(1, opts.k_max + 1):
+        p_norm = tc.fro_norm(P)
+        if p_norm <= opts.epsilon_p * max(1.0, p_first * (res / res_first)):
+            return Status.INCONSISTENT, X, k - 1
+        X = tc.add(X, tc.scale(res * res / (p_norm * p_norm), P))
+        R = tc.subtract(D, apply_operator(A, C, X))
+        res_new = tc.fro_norm(R)
+        if res_new < opts.epsilon:
+            return Status.CONVERGED, X, k
+        if res_new > opts.divergence_factor * res_first:
+            return Status.INCONSISTENT, X, k
+        P = tc.add(apply_adjoint(A, C, R), tc.scale(res_new * res_new / (res * res), P))
+        res = res_new
+    return Status.ITERATION_LIMIT, X, opts.k_max
+
+
+class TestInPlaceCore:
+    """The solver updates work buffers in place; nothing may leak out of them."""
+
+    def test_inputs_unchanged(self, rng):
+        problem, _ = random_consistent(rng, (2, 2), (3,), shift=2.0)
+        x1 = random_tensor(rng, (2, 2), (3,))
+        before = [t.data.copy() for t in (problem.A, problem.C, problem.D, x1)]
+        outcome = solve(problem, x1)
+        assert outcome.status == Status.CONVERGED
+        after = [t.data for t in (problem.A, problem.C, problem.D, x1)]
+        for old, new in zip(before, after):
+            assert old.tobytes() == new.tobytes()
+
+    def test_solution_is_read_only_and_owns_its_data(self, rng):
+        problem, x_true = random_consistent(rng, (2,), (3,), shift=3.0)
+        x1 = random_tensor(rng, (2,), (3,))
+        for start in (x1, x_true):  # the second converges at iteration 0
+            outcome = solve(problem, start)
+            assert outcome.status == Status.CONVERGED
+            assert not outcome.solution.data.flags.writeable
+            assert not np.shares_memory(outcome.solution.data, start.data)
+        assert outcome.iterations == 0
+
+    def test_trace_states_are_independent_snapshots(self, rng):
+        problem, _ = random_consistent(rng, (2, 2), (3,), shift=2.0)
+        states = []
+        outcome = solve_min_norm(problem, trace_cb=states.append)
+        assert len(states) == outcome.iterations >= 3
+        for prev, cur in zip(states, states[1:]):
+            for name in ("X", "R", "P"):
+                assert not np.shares_memory(getattr(prev, name).data, getattr(cur, name).data)
+            assert not np.array_equal(prev.R.data, cur.R.data)
+            assert not np.array_equal(prev.P.data, cur.P.data)
+        assert not np.any(states[0].X.data)
+
+    @pytest.mark.parametrize(
+        "kind, split, k_max, status",
+        [
+            ("consistent", ((2, 2), (3,)), 1000, Status.CONVERGED),
+            # at seed 5, (2, 2) x (3,) stops on the divergence test and
+            # (2,) x (3,) on the vanishing direction
+            ("inconsistent", ((2, 2), (3,)), 1000, Status.INCONSISTENT),
+            ("inconsistent", ((2,), (3,)), 1000, Status.INCONSISTENT),
+            ("consistent", ((2, 2), (3,)), 2, Status.ITERATION_LIMIT),
+        ],
+    )
+    def test_matches_textbook_loop(self, kind, split, k_max, status):
+        rng = np.random.default_rng(5)
+        if kind == "consistent":
+            problem, _ = random_consistent(rng, *split, shift=2.0)
+        else:
+            problem = random_inconsistent(rng, *split)
+        opts = SolveOptions(k_max=k_max)
+        want_status, want, want_iterations = textbook_solve(problem, opts)
+        outcome = solve_min_norm(problem, opts)
+        assert outcome.status == want_status == status
+        assert outcome.iterations == want_iterations
+        assert tc.fro_norm(tc.subtract(outcome.solution, want)) <= 1e-12 * tc.fro_norm(want)
