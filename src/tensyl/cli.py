@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, instances, reference_problems, tensor as tc
-from .oracle import SizeCapError, oracle_solve
+from .oracle import oracle_solve
 from .solver import (
     NumericalBreakdownError,
     SolveOptions,
@@ -136,8 +136,6 @@ def _cmd_oracle(args):
     try:
         loaded = fileio.read_problem(args.problem)
         result = oracle_solve(loaded.problem)
-    except SizeCapError as exc:
-        return _fail(str(exc))
     except (OSError, ValueError, ArithmeticError) as exc:
         return _fail(str(exc))
     out_path = args.out or _default_path(args.problem, "_oracle_solution.json")
@@ -165,8 +163,6 @@ def _cmd_verify(args):
         opts = _merge_options(loaded.options, args)
         outcome = solve_min_norm(loaded.problem, opts)
         result = oracle_solve(loaded.problem)
-    except SizeCapError as exc:
-        return _fail(str(exc))
     except (OSError, ValueError, ArithmeticError) as exc:
         return _fail(str(exc))
     solver_consistent = outcome.status == Status.CONVERGED

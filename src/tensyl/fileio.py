@@ -27,8 +27,17 @@ class ProblemFile:
     x_star: DenseTensor | None = None
 
 
-def tensor_to_obj(tensor):
-    """The JSON object of a tensor file."""
+def _check_finite(tensor, where):
+    bad = np.flatnonzero(~np.isfinite(tensor.data))
+    if bad.size:
+        raise FileFormatError(
+            f"{where}: field 'data' entry {bad[0]} is {tensor.data[bad[0]]}, not a finite number"
+        )
+
+
+def tensor_to_obj(tensor, where="tensor"):
+    """The JSON object of a tensor file; ``where`` names it in errors."""
+    _check_finite(tensor, where)
     return {
         "row_extents": list(tensor.row_extents),
         "col_extents": list(tensor.col_extents),
@@ -47,17 +56,14 @@ def tensor_from_obj(obj, where):
         tensor = DenseTensor(obj["row_extents"], obj["col_extents"], obj["data"])
     except (DimensionError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
-    bad = np.flatnonzero(~np.isfinite(tensor.data))
-    if bad.size:
-        raise FileFormatError(
-            f"{where}: field 'data' entry {bad[0]} is {tensor.data[bad[0]]}, not a finite number"
-        )
+    _check_finite(tensor, where)
     return tensor
 
 
 def write_tensor(tensor, path):
+    obj = tensor_to_obj(tensor, str(path))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(tensor_to_obj(tensor), handle)
+        json.dump(obj, handle)
         handle.write("\n")
 
 
@@ -72,12 +78,12 @@ def read_tensor(path):
 
 def write_problem(path, problem, x0=None, options=None, x_star=None):
     obj = {
-        "A": tensor_to_obj(problem.A),
-        "C": tensor_to_obj(problem.C),
-        "D": tensor_to_obj(problem.D),
+        "A": tensor_to_obj(problem.A, f"{path}: A"),
+        "C": tensor_to_obj(problem.C, f"{path}: C"),
+        "D": tensor_to_obj(problem.D, f"{path}: D"),
     }
     if x0 is not None:
-        obj["X0"] = tensor_to_obj(x0)
+        obj["X0"] = tensor_to_obj(x0, f"{path}: X0")
     if options is not None:
         obj["options"] = {
             "epsilon": options.epsilon,
@@ -85,7 +91,7 @@ def write_problem(path, problem, x0=None, options=None, x_star=None):
             "k_max": options.k_max,
         }
     if x_star is not None:
-        obj["X_star"] = tensor_to_obj(x_star)
+        obj["X_star"] = tensor_to_obj(x_star, f"{path}: X_star")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(obj, handle)
         handle.write("\n")

@@ -4,10 +4,9 @@ The tensor equation A *_M X + X *_N C = D unfolds through psi to the
 matrix Sylvester equation psi(A) Xm + Xm psi(C) = psi(D), whose Kronecker
 lift is K x = d with K = I_n (x) psi(A) + psi(C)^T (x) I_m and d the
 column-major vectorization of psi(D).  The minimum-norm least-squares
-solution of that system is computed by an in-repo rank-revealing
-factorization (column-pivoted Householder QR followed by a complete
-orthogonal reduction), keeping this route fully independent of the
-iterative solver.
+solution of that system comes from LAPACK's SVD-based least squares
+through numpy (``numpy.linalg.lstsq``): a direct dense solve that shares
+no code with the iterative solver.
 """
 
 from dataclasses import dataclass
@@ -56,82 +55,12 @@ def unfold_system(problem, size_cap=DEFAULT_SIZE_CAP):
     return UnfoldedSystem(K, rhs, m, n)
 
 
-def _apply_reflector(v, block):
-    # block <- (I - 2 v v^T) block, in place
-    block -= 2.0 * np.outer(v, v @ block)
+def min_norm_lstsq(K, rhs):
+    """Minimum-2-norm solution of min ||K x - rhs||; returns (x, residual, rank).
 
-
-def _householder_vector(x):
-    # Reflector zeroing x[1:]; returns (unit v, resulting leading entry).
-    norm_x = np.linalg.norm(x)
-    if norm_x == 0.0:
-        return None, 0.0
-    v = x.copy()
-    sign = 1.0 if x[0] >= 0 else -1.0
-    v[0] += sign * norm_x
-    v /= np.linalg.norm(v)
-    return v, -sign * norm_x
-
-
-def qr_column_pivot(A):
-    """Column-pivoted Householder QR.
-
-    Returns ``(reflectors, R, piv)`` with ``A[:, piv]`` factored as Q R,
-    Q given implicitly by the list of (column, unit-vector) reflectors.
-    """
-    R = np.array(A, dtype=np.float64)
-    m, n = R.shape
-    piv = np.arange(n)
-    reflectors = []
-    for j in range(min(m, n)):
-        norms = np.linalg.norm(R[j:, j:], axis=0)
-        pick = j + int(np.argmax(norms))
-        if pick != j:
-            R[:, [j, pick]] = R[:, [pick, j]]
-            piv[[j, pick]] = piv[[pick, j]]
-        v, lead = _householder_vector(R[j:, j])
-        if v is None:
-            continue
-        _apply_reflector(v, R[j:, j:])
-        R[j, j] = lead
-        R[j + 1 :, j] = 0.0
-        reflectors.append((j, v))
-    return reflectors, R, piv
-
-
-def _apply_q_transpose(reflectors, b):
-    y = np.array(b, dtype=np.float64)
-    for j, v in reflectors:
-        y[j:] -= 2.0 * v * (v @ y[j:])
-    return y
-
-
-def _qr_plain(A):
-    # Unpivoted economy QR: A (m x n, m >= n) = Q R with Q m x n.
-    R = np.array(A, dtype=np.float64)
-    m, n = R.shape
-    reflectors = []
-    for j in range(n):
-        v, lead = _householder_vector(R[j:, j])
-        if v is None:
-            continue
-        _apply_reflector(v, R[j:, j:])
-        R[j, j] = lead
-        R[j + 1 :, j] = 0.0
-        reflectors.append((j, v))
-    Q = np.eye(m, n)
-    for j, v in reversed(reflectors):
-        _apply_reflector(v, Q[j:, :])
-    return Q, R[:n, :]
-
-
-def min_norm_lstsq(K, rhs, rank_tol=DEFAULT_RANK_TOL):
-    """Minimum-2-norm solution of min ||K x - rhs||.
-
-    Rank-revealing route: column-pivoted QR of K determines the numerical
-    rank r (diagonal magnitudes above ``rank_tol`` times the largest);
-    a complete orthogonal reduction of the leading r rows then gives the
-    minimum-norm solution of the truncated triangular system.
+    LAPACK's SVD-based least squares (gelsd): the numerical rank counts the
+    singular values above ``DEFAULT_RANK_TOL`` times the largest, and the
+    smaller ones are treated as zero.
     """
     K = np.asarray(K, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64).reshape(-1)
@@ -139,48 +68,28 @@ def min_norm_lstsq(K, rhs, rank_tol=DEFAULT_RANK_TOL):
         raise DimensionError("empty system matrix")
     if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
         raise ArithmeticError("non-finite entries in the unfolded system")
-    m, n = K.shape
-    if rhs.size != m:
-        raise DimensionError(f"rhs length {rhs.size} does not match {m} rows")
-
-    reflectors, R, piv = qr_column_pivot(K)
-    diag = np.abs(np.diag(R[: min(m, n), : min(m, n)]))
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(diag > rank_tol * diag[0]))
-
-    qtb = _apply_q_transpose(reflectors, rhs)
-    x = np.zeros(n)
-    if rank > 0:
-        # R1 (r x n) = T^T Z with Z orthonormal rows: QR of R1^T.
-        Z_t, T = _qr_plain(R[:rank, :].T)  # Z_t: n x r, T: r x r upper
-        # Solve T^T y = (Q^T rhs)[:r] (forward substitution on a lower matrix).
-        y = np.zeros(rank)
-        Tt = T.T
-        for i in range(rank):
-            y[i] = (qtb[i] - Tt[i, :i] @ y[:i]) / Tt[i, i]
-        x_perm = Z_t @ y
-        x[piv] = x_perm
+    if rhs.size != K.shape[0]:
+        raise DimensionError(f"rhs length {rhs.size} does not match {K.shape[0]} rows")
+    x, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=DEFAULT_RANK_TOL)
     residual = float(np.linalg.norm(K @ x - rhs))
-    return x, residual, rank
+    return x, residual, int(rank)
 
 
-def row_space_projection(K, v, rank_tol=DEFAULT_RANK_TOL):
+def row_space_projection(K, v):
     """Orthogonal projection of ``v`` onto the row space of ``K``.
 
     Uses the pseudoinverse identity P_row = K^+ K, realized as the
     minimum-norm solution of K x = K v.
     """
-    x, _, _ = min_norm_lstsq(K, np.asarray(K) @ np.asarray(v), rank_tol)
+    x, _, _ = min_norm_lstsq(K, np.asarray(K) @ np.asarray(v))
     return x
 
 
-def oracle_solve(problem, rank_tol=DEFAULT_RANK_TOL, size_cap=DEFAULT_SIZE_CAP):
+def oracle_solve(problem, size_cap=DEFAULT_SIZE_CAP):
     """Consistency verdict and min-norm solution from the dense unfolding."""
     system = unfold_system(problem, size_cap)
-    x, residual, rank = min_norm_lstsq(system.K, system.rhs, rank_tol)
-    tol = rank_tol * float(np.linalg.norm(system.rhs)) * system.m * system.n
+    x, residual, rank = min_norm_lstsq(system.K, system.rhs)
+    tol = DEFAULT_RANK_TOL * float(np.linalg.norm(system.rhs)) * system.m * system.n
     solution = tc.psi_inverse(
         x.reshape((system.m, system.n), order="F"),
         problem.D.row_extents,

@@ -18,6 +18,9 @@ import numpy as np
 from . import tensor as tc
 from .tensor import DenseTensor, DimensionError
 
+# A residual this many times the first one certifies inconsistency (see solve).
+DIVERGENCE_FACTOR = 1.0e6
+
 
 class NumericalBreakdownError(ArithmeticError):
     """A step scalar became NaN/Inf; carries the offending iteration."""
@@ -71,7 +74,6 @@ class SolveOptions:
     epsilon_p: float = 1.0e-12
     k_max: int = 1000
     relative: bool = False  # off by default: absolute residual test
-    divergence_factor: float = 1.0e6
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -210,7 +212,7 @@ def solve(problem, x1, opts=None, trace_cb=None):
         history.append(res_new)
         if res_new < threshold:
             return SolveOutcome(Status.CONVERGED, _fold(D, x), history, k)
-        if res_new > opts.divergence_factor * res_first:
+        if res_new > DIVERGENCE_FACTOR * res_first:
             # On a consistent equation the residual never grows from a zero
             # start (finite-termination theory; confirmed empirically), while
             # an unsolvable one makes the step length blow up as the

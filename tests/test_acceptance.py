@@ -76,7 +76,7 @@ def _report(name, ok, detail=""):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernel():
-    # Compile the jitted contraction kernel before any timed run.
+    # Warm numpy and BLAS with one small solve before any timed run.
     problem, _ = scaled_consistent(0, (2,), (2,))
     solve_min_norm(problem)
 

@@ -9,7 +9,7 @@ from tensyl import fileio
 from tensyl import tensor as tc
 from tensyl.fileio import FileFormatError
 from tensyl.instances import random_consistent
-from tensyl.solver import SolveOptions
+from tensyl.solver import SolveOptions, SylvesterProblem
 
 from conftest import random_tensor, write_with_bad_entry
 
@@ -129,6 +129,27 @@ class TestNonFiniteNumbers:
         path.write_text('{"row_extents": [2], "col_extents": [1], "data": [1.0, NaN]}')
         with pytest.raises(FileFormatError, match="not a finite number"):
             fileio.read_tensor(path)
+
+    def test_tensor_writer_refuses_and_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        bad = tc.DenseTensor((2,), (1,), [1.0, float("nan")])
+        with pytest.raises(FileFormatError, match=r"t\.json: field 'data' entry 1 is nan, not a finite number"):
+            fileio.write_tensor(bad, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field", ["D", "X0"])
+    def test_problem_writer_refuses_and_leaves_no_file(self, rng, tmp_path, field):
+        problem, _ = random_consistent(rng, (2,), (3,))
+        data = np.array(problem.D.data)
+        data[4] = float("inf")
+        bad = tc.DenseTensor(problem.D.row_extents, problem.D.col_extents, data)
+        path = tmp_path / "p.json"
+        with pytest.raises(FileFormatError, match=rf"{field}: field 'data' entry 4 is inf, not a finite number"):
+            if field == "D":
+                fileio.write_problem(path, SylvesterProblem(problem.A, problem.C, bad))
+            else:
+                fileio.write_problem(path, problem, x0=bad)
+        assert not path.exists()
 
     def test_object_pair_round_trips(self, rng):
         t = random_tensor(rng, (2, 3), (2,))

@@ -1,4 +1,4 @@
-"""Dense unfolding oracle: factorization, min-norm least squares, verdicts."""
+"""Dense unfolding oracle: min-norm least squares, unfolding, verdicts."""
 
 import numpy as np
 import pytest
@@ -6,46 +6,17 @@ import pytest
 from tensyl import tensor as tc
 from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.oracle import (
+    DEFAULT_RANK_TOL,
     SizeCapError,
     min_norm_lstsq,
     oracle_solve,
-    qr_column_pivot,
     row_space_projection,
     unfold_system,
 )
-from tensyl.solver import SylvesterProblem, apply_operator
+from tensyl.solver import Status, SylvesterProblem, apply_operator, solve_min_norm
 from tensyl.tensor import DimensionError
 
 from conftest import random_tensor
-
-
-def _assemble_q(reflectors, m):
-    Q = np.eye(m)
-    for j, v in reversed(reflectors):
-        Q[j:, :] -= 2.0 * np.outer(v, v @ Q[j:, :])
-    return Q
-
-
-class TestQRColumnPivot:
-    @pytest.mark.parametrize("shape", [(5, 5), (7, 4), (4, 7)])
-    def test_reconstruction(self, rng, shape):
-        A = rng.uniform(-1, 1, shape)
-        reflectors, R, piv = qr_column_pivot(A)
-        Q = _assemble_q(reflectors, shape[0])
-        assert np.allclose(Q @ R, A[:, piv], atol=1e-12)
-        assert np.allclose(Q.T @ Q, np.eye(shape[0]), atol=1e-12)
-
-    def test_diagonal_decreasing(self, rng):
-        A = rng.uniform(-1, 1, (6, 6))
-        _, R, _ = qr_column_pivot(A)
-        diag = np.abs(np.diag(R))
-        assert np.all(diag[:-1] >= diag[1:] - 1e-12)
-
-    def test_reveals_rank(self, rng):
-        A = rng.uniform(-1, 1, (6, 3)) @ rng.uniform(-1, 1, (3, 6))
-        _, R, _ = qr_column_pivot(A)
-        diag = np.abs(np.diag(R))
-        assert np.sum(diag > 1e-10 * diag[0]) == 3
 
 
 class TestMinNormLstsq:
@@ -86,6 +57,24 @@ class TestMinNormLstsq:
             min_norm_lstsq(np.eye(3), np.zeros(2))
         with pytest.raises(ArithmeticError):
             min_norm_lstsq(np.full((2, 2), np.nan), np.zeros(2))
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0e6, 1.0e-6])
+    def test_rank_rule_counts_singular_values_above_tolerance(self, rng, scale):
+        # Prescribed singular values; the cut is DEFAULT_RANK_TOL times the
+        # largest, so 1.01 and 0.99 times the cut fall on either side of it.
+        cut = DEFAULT_RANK_TOL
+        s = scale * np.array([1.0, 0.5, 1e-3, 1e-9, 1.01 * cut, 0.99 * cut, 1e-11, 0.0])
+        u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        v, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        K = u @ np.diag(s) @ v.T
+        b = rng.standard_normal(8)
+        x, residual, rank = min_norm_lstsq(K, b)
+        assert rank == 5
+        # The dropped directions carry only rounding, rotated by about
+        # eps / (0.02 * cut) = 1e-4 between the two values at the cut;
+        # keeping the 0.99 one would put a component of the size of ||x|| there.
+        assert np.linalg.norm(v[:, rank:].T @ x) <= 1e-2 * np.linalg.norm(x)
+        assert residual == pytest.approx(np.linalg.norm(K @ x - b), rel=1e-12)
 
     def test_row_space_projection(self, rng):
         A = rng.uniform(-1, 1, (3, 6))
@@ -148,3 +137,13 @@ class TestOracleSolve:
         assert result.consistent
         # oracle answer should be no longer than the witness
         assert tc.fro_norm(result.min_norm_solution) <= tc.fro_norm(witness) + 1e-10
+
+    def test_agrees_with_solver_at_1296(self):
+        # m*n = 1296: a Kronecker matrix of 1296 x 1296 entries.
+        problem, _ = random_consistent(np.random.default_rng(0), (6, 6), (6, 6), shift=4.0)
+        outcome = solve_min_norm(problem)
+        result = oracle_solve(problem)
+        assert outcome.status == Status.CONVERGED
+        assert result.consistent and result.numerical_rank == 1296
+        gap = tc.fro_norm(tc.subtract(outcome.solution, result.min_norm_solution))
+        assert gap <= 1e-10 * tc.fro_norm(result.min_norm_solution)

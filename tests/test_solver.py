@@ -6,6 +6,7 @@ import pytest
 from tensyl import tensor as tc
 from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.solver import (
+    DIVERGENCE_FACTOR,
     NumericalBreakdownError,
     SolveOptions,
     SolveOutcome,
@@ -223,7 +224,7 @@ def textbook_solve(problem, opts):
         res_new = tc.fro_norm(R)
         if res_new < opts.epsilon:
             return Status.CONVERGED, X, k
-        if res_new > opts.divergence_factor * res_first:
+        if res_new > DIVERGENCE_FACTOR * res_first:
             return Status.INCONSISTENT, X, k
         P = tc.add(apply_adjoint(A, C, R), tc.scale(res_new * res_new / (res * res), P))
         res = res_new
