@@ -5,14 +5,14 @@ written independently of the library's Einstein-product kernel, so the
 bundled fixtures double as a cross-check of that kernel.
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from tensyl import reference_problems as ref
 from tensyl import tensor as tc
-from tensyl.fileio import tensor_to_obj
+from tensyl.fileio import write_problem
+from tensyl.solver import SylvesterProblem
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "tensyl" / "data"
 
@@ -40,24 +40,18 @@ def loop_sylvester_rhs(a, c, x):
     return tc.from_array(D, 2)
 
 
-def main():
+def main(out_dir=DATA_DIR):
+    """Write both problem files into ``out_dir`` through ``write_problem``."""
     a = ref.operator_a()
     c = ref.operator_c()
     x_star = ref.exact_solution()
-    d = loop_sylvester_rhs(a, c, x_star)
+    problem = SylvesterProblem(a, c, loop_sylvester_rhs(a, c, x_star))
 
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
-    base = {"A": tensor_to_obj(a), "C": tensor_to_obj(c), "D": tensor_to_obj(d)}
-
-    with open(DATA_DIR / "reference_problem.json", "w", encoding="utf-8") as handle:
-        json.dump({**base, "X_star": tensor_to_obj(x_star)}, handle)
-        handle.write("\n")
-
-    with open(DATA_DIR / "nearness_problem.json", "w", encoding="utf-8") as handle:
-        json.dump({**base, "X0": tensor_to_obj(ref.nearness_start())}, handle)
-        handle.write("\n")
-
-    print(f"wrote fixtures to {DATA_DIR}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_problem(out_dir / "reference_problem.json", problem, x_star=x_star)
+    write_problem(out_dir / "nearness_problem.json", problem, x0=ref.nearness_start())
+    print(f"wrote fixtures to {out_dir}")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from .solver import (
 from .tensor import (
     DenseTensor,
     DimensionError,
-    ModeSplitMatrixView,
     add,
     einstein_product,
     fro_norm,

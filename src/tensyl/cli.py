@@ -224,7 +224,6 @@ def _cmd_repro(args):
     """
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    failures = []
 
     loaded = reference_problems.load_reference_problem()
     outcome = solve_min_norm(loaded.problem)
@@ -234,17 +233,12 @@ def _cmd_repro(args):
     max_dev = float(
         np.max(np.abs(outcome.solution.data - ref_solution.data))
     )
-    checks = [
+    reference_checks = [
         ("status Converged", outcome.status == Status.CONVERGED),
         ("final residual < 1e-10", outcome.final_residual < 1.0e-10),
         ("iterations within 86 +/- 15", 71 <= outcome.iterations <= 101),
         ("solution matches published entries to 5e-4", max_dev <= 5.0e-4),
     ]
-    for name, ok in checks:
-        if not ok:
-            failures.append(f"reference problem: {name}")
-        if not args.quiet:
-            print(f"[{'ok' if ok else 'FAIL'}] reference problem: {name}")
 
     loaded = reference_problems.load_nearness_problem()
     x_hat, distance, outcome = solve_nearness(loaded.problem, loaded.x0)
@@ -253,7 +247,7 @@ def _cmd_repro(args):
     near_ref = reference_problems.nearness_reference()
     max_dev = float(np.max(np.abs(x_hat.data - near_ref.data)))
     implied = reference_problems.nearness_reference_distance()
-    checks = [
+    nearness_checks = [
         ("status Converged", outcome.status == Status.CONVERGED),
         (
             f"distance {distance:.4f} within 1e-3 of {implied:.4f} implied by the "
@@ -264,11 +258,16 @@ def _cmd_repro(args):
         ("iterations within 79 +/- 15", 64 <= outcome.iterations <= 94),
         ("solution matches published entries to 5e-4", max_dev <= 5.0e-4),
     ]
-    for name, ok in checks:
-        if not ok:
-            failures.append(f"nearness problem: {name}")
-        if not args.quiet:
-            print(f"[{'ok' if ok else 'FAIL'}] nearness problem: {name}")
+    failures = []
+    for label, checks in (
+        ("reference problem", reference_checks),
+        ("nearness problem", nearness_checks),
+    ):
+        for name, ok in checks:
+            if not ok:
+                failures.append(f"{label}: {name}")
+            if not args.quiet:
+                print(f"[{'ok' if ok else 'FAIL'}] {label}: {name}")
 
     if failures:
         if args.quiet:

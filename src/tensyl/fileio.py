@@ -2,8 +2,10 @@
 
 Tensor file: UTF-8 JSON with fields ``row_extents``, ``col_extents`` and
 ``data`` (flat list in first-index-fastest order).  Problem file: fields
-``A``, ``C``, ``D``, optional ``X0``, optional ``options``.  Numbers
-round-trip at full double precision through the shortest-repr rendering.
+``A``, ``C``, ``D``, optional ``X0``, ``X_star`` and ``options`` (whose
+missing fields take the SolveOptions defaults).  This module is the only
+reader and writer of both formats.  Numbers round-trip at full double
+precision through the shortest-repr rendering.
 """
 
 import json
@@ -67,13 +69,16 @@ def write_tensor(tensor, path):
         handle.write("\n")
 
 
-def read_tensor(path):
+def _load_json(path):
     with open(path, encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return tensor_from_obj(obj, str(path))
+
+
+def read_tensor(path):
+    return tensor_from_obj(_load_json(path), str(path))
 
 
 def write_problem(path, problem, x0=None, options=None, x_star=None):
@@ -97,42 +102,46 @@ def write_problem(path, problem, x0=None, options=None, x_star=None):
         handle.write("\n")
 
 
-def read_problem(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+def problem_from_obj(obj, where):
+    """The ProblemFile a JSON object describes; ``where`` names it in errors.
+
+    Fields missing from an ``options`` block take the SolveOptions defaults.
+    """
     if not isinstance(obj, dict):
-        raise FileFormatError(f"{path}: expected a top-level object")
+        raise FileFormatError(f"{where}: expected a top-level object")
     for key in ("A", "C", "D"):
         if key not in obj:
-            raise FileFormatError(f"{path}: missing field {key!r}")
-    a = tensor_from_obj(obj["A"], f"{path}: A")
-    c = tensor_from_obj(obj["C"], f"{path}: C")
-    d = tensor_from_obj(obj["D"], f"{path}: D")
+            raise FileFormatError(f"{where}: missing field {key!r}")
+    a = tensor_from_obj(obj["A"], f"{where}: A")
+    c = tensor_from_obj(obj["C"], f"{where}: C")
+    d = tensor_from_obj(obj["D"], f"{where}: D")
     try:
         problem = SylvesterProblem(a, c, d)
     except DimensionError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    x0 = tensor_from_obj(obj["X0"], f"{path}: X0") if "X0" in obj else None
-    x_star = tensor_from_obj(obj["X_star"], f"{path}: X_star") if "X_star" in obj else None
+        raise FileFormatError(f"{where}: {exc}") from exc
+    x0 = tensor_from_obj(obj["X0"], f"{where}: X0") if "X0" in obj else None
+    x_star = tensor_from_obj(obj["X_star"], f"{where}: X_star") if "X_star" in obj else None
     options = None
     if "options" in obj:
         block = obj["options"]
         if not isinstance(block, dict):
-            raise FileFormatError(f"{path}: options must be an object")
+            raise FileFormatError(f"{where}: options must be an object")
+        defaults = SolveOptions()
         try:
             options = SolveOptions(
-                epsilon=float(block.get("epsilon", 1.0e-10)),
-                epsilon_p=float(block.get("epsilon_p", 1.0e-12)),
-                k_max=int(block.get("k_max", 1000)),
+                epsilon=float(block.get("epsilon", defaults.epsilon)),
+                epsilon_p=float(block.get("epsilon_p", defaults.epsilon_p)),
+                k_max=int(block.get("k_max", defaults.k_max)),
             )
         except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"{path}: options: {exc}") from exc
+            raise FileFormatError(f"{where}: options: {exc}") from exc
     if x0 is not None and not x0.same_split(d):
-        raise FileFormatError(f"{path}: X0 split does not match D")
+        raise FileFormatError(f"{where}: X0 split does not match D")
     return ProblemFile(problem, x0, options, x_star)
+
+
+def read_problem(path):
+    return problem_from_obj(_load_json(path), str(path))
 
 
 def write_residual_csv(history, path):

@@ -73,10 +73,7 @@ def random_inconsistent(rng, row_extents, col_extents, max_tries=20):
             continue
         scale = max(1.0, np.linalg.norm(system.rhs)) / norm
         bad = system.rhs + scale * leftover
-        d_bad = tc.psi_inverse(
-            bad.reshape((system.m, system.n), order="F"), row_extents, col_extents
-        )
-        problem = SylvesterProblem(a, c, d_bad)
+        problem = SylvesterProblem(a, c, tc.psi_inverse(bad, row_extents, col_extents))
         if not oracle_solve(problem).consistent:
             return problem
     raise GenerationError(

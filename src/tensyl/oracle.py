@@ -48,10 +48,8 @@ def unfold_system(problem, size_cap=DEFAULT_SIZE_CAP):
         raise SizeCapError(
             f"unfolded system of size {m * n} exceeds the dense cap {size_cap}"
         )
-    a_mat = tc.psi(problem.A).entries
-    c_mat = tc.psi(problem.C).entries
-    K = np.kron(np.eye(n), a_mat) + np.kron(c_mat.T, np.eye(m))
-    rhs = tc.psi(problem.D).entries.ravel(order="F")
+    K = np.kron(np.eye(n), tc.psi(problem.A)) + np.kron(tc.psi(problem.C).T, np.eye(m))
+    rhs = tc.psi(problem.D).ravel(order="F")
     return UnfoldedSystem(K, rhs, m, n)
 
 
@@ -63,7 +61,7 @@ def min_norm_lstsq(K, rhs):
     smaller ones are treated as zero.
     """
     K = np.asarray(K, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64).reshape(-1)
+    rhs = np.asarray(rhs, dtype=np.float64).ravel()
     if K.size == 0:
         raise DimensionError("empty system matrix")
     if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
@@ -90,9 +88,5 @@ def oracle_solve(problem, size_cap=DEFAULT_SIZE_CAP):
     system = unfold_system(problem, size_cap)
     x, residual, rank = min_norm_lstsq(system.K, system.rhs)
     tol = DEFAULT_RANK_TOL * float(np.linalg.norm(system.rhs)) * system.m * system.n
-    solution = tc.psi_inverse(
-        x.reshape((system.m, system.n), order="F"),
-        problem.D.row_extents,
-        problem.D.col_extents,
-    )
+    solution = tc.psi_inverse(x, problem.D.row_extents, problem.D.col_extents)
     return OracleResult(residual <= tol, solution, residual, rank)

@@ -7,13 +7,14 @@ contraction) and frozen under ``tensyl/data``.
 """
 
 import json
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 
 from . import tensor as tc
-from .fileio import ProblemFile, tensor_from_obj
-from .solver import SolveOptions, SylvesterProblem
+from .fileio import problem_from_obj
+from .solver import SolveOptions
 
 # A in R^{4x3x4x3}: slice (k, l) -> the 4x3 matrix A(:, :, k, l).
 A_SLICES = {
@@ -224,13 +225,8 @@ def nearness_reference_distance():
 
 def _load_bundled(name):
     with resources.files("tensyl.data").joinpath(name).open(encoding="utf-8") as handle:
-        obj = json.load(handle)
-    a = tensor_from_obj(obj["A"], name)
-    c = tensor_from_obj(obj["C"], name)
-    d = tensor_from_obj(obj["D"], name)
-    x0 = tensor_from_obj(obj["X0"], name) if "X0" in obj else None
-    x_star = tensor_from_obj(obj["X_star"], name) if "X_star" in obj else None
-    return ProblemFile(SylvesterProblem(a, c, d), x0, SolveOptions(), x_star)
+        loaded = problem_from_obj(json.load(handle), name)
+    return replace(loaded, options=SolveOptions())
 
 
 def load_reference_problem():

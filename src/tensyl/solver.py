@@ -107,14 +107,9 @@ class SolveOutcome:
         return self.residual_history[-1]
 
 
-def _unfold(t):
-    """The m x n psi unfolding of ``t`` as a view of its data."""
-    return t.data.reshape((t.m, t.n), order="F")
-
-
 def _fold(like, mat):
     """A tensor with the split of ``like`` holding a copy of ``mat``."""
-    return DenseTensor(like.row_extents, like.col_extents, mat.ravel(order="F"))
+    return tc.psi_inverse(mat, like.row_extents, like.col_extents)
 
 
 def _sylvester(a, c, x, out=None, tmp=None):
@@ -142,13 +137,13 @@ def _check_operands(A, C, X):
 def apply_operator(A, C, X):
     """A *_M X + X *_N C."""
     _check_operands(A, C, X)
-    return _fold(X, _sylvester(_unfold(A), _unfold(C), _unfold(X)))
+    return _fold(X, _sylvester(tc.psi(A), tc.psi(C), tc.psi(X)))
 
 
 def apply_adjoint(A, C, R):
     """A^T *_M R + R *_N C^T, the adjoint of apply_operator."""
     _check_operands(A, C, R)
-    return _fold(R, _sylvester(_unfold(A).T, _unfold(C).T, _unfold(R)))
+    return _fold(R, _sylvester(tc.psi(A).T, tc.psi(C).T, tc.psi(R)))
 
 
 def _check_finite(value, what, k):
@@ -172,13 +167,13 @@ def solve(problem, x1, opts=None, trace_cb=None):
             f"initial iterate split {x1.row_extents} x {x1.col_extents} "
             f"does not match D"
         )
-    a, c, d = _unfold(A), _unfold(C), _unfold(D)
+    a, c, d = tc.psi(A), tc.psi(C), tc.psi(D)
     at, ct = a.T, c.T  # the adjoint's operands, as views
     norm = np.linalg.norm
 
     threshold = opts.epsilon * (float(norm(d)) if opts.relative else 1.0)
 
-    x = np.array(_unfold(x1), order="F")
+    x = np.array(tc.psi(x1), order="F")
     r, p, s1, s2 = (np.empty_like(x) for _ in range(4))
     np.subtract(d, _sylvester(a, c, x, s1, s2), out=r)  # R = D - (AX + XC)
     res = float(norm(r))

@@ -5,6 +5,11 @@ A tensor carries an explicit split of its modes into a row block
 storage follows the first-index-fastest linearization (``ivec``) over the
 concatenated index, so the ``m x n`` unfolding ``psi`` and the row-block
 stacking ``vec`` are pure metadata operations on the same buffer.
+
+``psi`` is the isomorphism that turns A *_M X + X *_N C = D into the matrix
+Sylvester equation psi(A) psi(X) + psi(X) psi(C) = psi(D).  It returns a
+read-only ndarray view, and ``psi_inverse`` folds a matrix (or its
+column-major flat vector) back; every other module unfolds through them.
 """
 
 from dataclasses import dataclass
@@ -93,15 +98,6 @@ class DenseTensor:
 
     def __rmul__(self, factor):
         return scale(factor, self)
-
-
-@dataclass(frozen=True)
-class ModeSplitMatrixView:
-    """The m x n unfolding of a mode-split tensor."""
-
-    rows: int
-    cols: int
-    entries: np.ndarray
 
 
 def ivec(indices, extents):
@@ -207,8 +203,7 @@ def transpose(a):
     """Swap the row and column blocks; unfolds to the matrix transpose."""
     if not a.row_extents or not a.col_extents:
         raise DimensionError("transpose requires nonempty row and column blocks")
-    mat = a.data.reshape((a.m, a.n), order="F")
-    return DenseTensor(a.col_extents, a.row_extents, mat.T.ravel(order="F"))
+    return DenseTensor(a.col_extents, a.row_extents, psi(a).T.ravel(order="F"))
 
 
 def trace(a):
@@ -216,8 +211,7 @@ def trace(a):
         raise DimensionError(
             f"trace requires a square split, got {a.row_extents} x {a.col_extents}"
         )
-    mat = a.data.reshape((a.m, a.n), order="F")
-    return float(np.trace(mat))
+    return float(np.trace(psi(a)))
 
 
 def inner(a, b):
@@ -239,10 +233,7 @@ def kron(a, b):
     ``b`` varying fastest, so that psi(kron(a, b)) = kron(psi(a), psi(b))."""
     if not (a.row_extents and a.col_extents and b.row_extents and b.col_extents):
         raise DimensionError("kron requires nonempty row and column blocks")
-    mat = np.kron(
-        a.data.reshape((a.m, a.n), order="F"),
-        b.data.reshape((b.m, b.n), order="F"),
-    )
+    mat = np.kron(psi(a), psi(b))
     return DenseTensor(
         b.row_extents + a.row_extents,
         b.col_extents + a.col_extents,
@@ -262,13 +253,16 @@ def vec(a):
 
 
 def psi(a):
-    """Unfold to the m x n matrix with entries indexed by (ivec(i), ivec(j))."""
-    return ModeSplitMatrixView(a.m, a.n, a.data.reshape((a.m, a.n), order="F"))
+    """The m x n unfolding with entries indexed by (ivec(i), ivec(j)).
+
+    A read-only view of ``a.data``: the one place the layout is spelled out.
+    """
+    return a.data.reshape((a.m, a.n), order="F")
 
 
 def psi_inverse(view, row_extents, col_extents):
-    """Fold an m x n matrix (or view) back to a mode-split tensor."""
-    entries = view.entries if isinstance(view, ModeSplitMatrixView) else np.asarray(view)
+    """Fold an m x n matrix, or its column-major flat vector, to a tensor."""
+    entries = np.asarray(view)
     row_extents = tuple(row_extents)
     col_extents = tuple(col_extents)
     if entries.size != prod(row_extents) * prod(col_extents):
@@ -276,7 +270,7 @@ def psi_inverse(view, row_extents, col_extents):
             f"matrix with {entries.size} entries cannot fold to "
             f"{row_extents} x {col_extents}"
         )
-    if entries.ndim != 2 or entries.shape[0] != prod(row_extents):
+    if entries.ndim != 1 and (entries.ndim != 2 or entries.shape[0] != prod(row_extents)):
         raise DimensionError(
             f"matrix shape {entries.shape} does not match row extents {row_extents}"
         )

@@ -356,7 +356,7 @@ def test_algebraic_identity_suites():
         product = tc.einstein_product(left, right, len(K))
         worst["psi homomorphism"] = max(
             worst["psi homomorphism"],
-            float(np.max(np.abs(psi(product).entries - psi(left).entries @ psi(right).entries)))
+            float(np.max(np.abs(psi(product) - psi(left) @ psi(right))))
             / max(1.0, fro_norm(product)),
         )
 

@@ -1,6 +1,8 @@
 """Serialization round trips and format validation."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +115,30 @@ class TestProblemFiles:
         path.write_text(json.dumps(obj))
         with pytest.raises(FileFormatError):
             fileio.read_problem(path)
+
+    def test_missing_options_take_defaults(self, rng, tmp_path):
+        problem, _ = random_consistent(rng, (2,), (2,))
+        path = tmp_path / "p.json"
+        fileio.write_problem(path, problem)
+        obj = json.loads(path.read_text())
+        obj["options"] = {"k_max": 5}
+        path.write_text(json.dumps(obj))
+        assert fileio.read_problem(path).options == SolveOptions(k_max=5)
+
+
+class TestBundledFixtures:
+    def test_regenerated_files_are_byte_identical(self, tmp_path):
+        # D comes from the script's own loop contraction, so this checks the
+        # contraction and the problem-file writer together.
+        script = Path(__file__).resolve().parent.parent / "scripts" / "generate_fixtures.py"
+        spec = importlib.util.spec_from_file_location("generate_fixtures", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.main(tmp_path)
+        bundled = sorted(module.DATA_DIR.glob("*.json"))
+        assert [p.name for p in bundled] == sorted(p.name for p in tmp_path.glob("*.json"))
+        for path in bundled:
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 class TestNonFiniteNumbers:

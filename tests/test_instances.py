@@ -24,7 +24,7 @@ class TestRandomConsistent:
     def test_shift_adds_identity(self):
         base = random_consistent(np.random.default_rng(1), (2,), (2,), shift=0.0)[0]
         shifted = random_consistent(np.random.default_rng(1), (2,), (2,), shift=5.0)[0]
-        diff = tc.psi(shifted.A).entries - tc.psi(base.A).entries
+        diff = tc.psi(shifted.A) - tc.psi(base.A)
         assert np.allclose(diff, 5.0 * np.eye(2))
 
     def test_oracle_certifies_consistent(self):
@@ -42,8 +42,8 @@ class TestRandomInconsistent:
     def test_operators_are_singular(self):
         rng = np.random.default_rng(7)
         problem = random_inconsistent(rng, (2,), (2, 2))
-        assert np.linalg.matrix_rank(tc.psi(problem.A).entries) < problem.D.m
-        assert np.linalg.matrix_rank(tc.psi(problem.C).entries) < problem.D.n
+        assert np.linalg.matrix_rank(tc.psi(problem.A)) < problem.D.m
+        assert np.linalg.matrix_rank(tc.psi(problem.C)) < problem.D.n
 
     def test_deterministic_for_seed(self):
         a = random_inconsistent(np.random.default_rng(9), (2,), (3,))

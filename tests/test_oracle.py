@@ -89,8 +89,8 @@ class TestUnfoldSystem:
     def test_kronecker_structure(self, rng):
         problem, _ = random_consistent(rng, (2, 2), (3,))
         system = unfold_system(problem)
-        a_mat = tc.psi(problem.A).entries
-        c_mat = tc.psi(problem.C).entries
+        a_mat = tc.psi(problem.A)
+        c_mat = tc.psi(problem.C)
         want = np.kron(np.eye(3), a_mat) + np.kron(c_mat.T, np.eye(4))
         assert np.array_equal(system.K, want)
         assert system.m == 4 and system.n == 3

@@ -132,7 +132,7 @@ class TestEinsteinProduct:
 class TestTransposeTraceInner:
     def test_transpose_unfolds_to_matrix_transpose(self, rng):
         t = random_tensor(rng, (2, 3), (4,))
-        assert np.array_equal(tc.psi(tc.transpose(t)).entries, tc.psi(t).entries.T)
+        assert np.array_equal(tc.psi(tc.transpose(t)), tc.psi(t).T)
 
     def test_double_transpose(self, rng):
         t = random_tensor(rng, (2, 3), (4,))
@@ -146,7 +146,7 @@ class TestTransposeTraceInner:
 
     def test_trace_matches_unfolding(self, rng):
         t = random_tensor(rng, (2, 3), (2, 3))
-        assert tc.trace(t) == pytest.approx(np.trace(tc.psi(t).entries))
+        assert tc.trace(t) == pytest.approx(np.trace(tc.psi(t)))
 
     def test_inner_is_trace_form(self, rng):
         a = random_tensor(rng, (2, 2), (3,))
@@ -166,20 +166,26 @@ class TestUnfoldings:
     def test_psi_is_metadata_only(self, rng):
         t = random_tensor(rng, (2, 3), (2, 2))
         view = tc.psi(t)
-        assert view.rows == 6 and view.cols == 4
-        assert view.entries.base is t.data or np.shares_memory(view.entries, t.data)
+        assert isinstance(view, np.ndarray) and view.shape == (6, 4)
+        assert np.shares_memory(view, t.data)
+        assert not view.flags.writeable
 
     def test_psi_inverse_round_trip(self, rng):
         t = random_tensor(rng, (2, 3), (2, 2))
         back = tc.psi_inverse(tc.psi(t), (2, 3), (2, 2))
         assert back.same_split(t)
         assert np.array_equal(back.data, t.data)
+        flat = tc.psi_inverse(tc.psi(t).ravel(order="F"), (2, 3), (2, 2))
+        assert flat.same_split(t)
+        assert np.array_equal(flat.data, t.data)
 
     def test_psi_inverse_validates_shape(self):
         with pytest.raises(DimensionError):
             tc.psi_inverse(np.zeros((4, 3)), (2, 3), (2,))
         with pytest.raises(DimensionError):
             tc.psi_inverse(np.zeros((4, 3)), (2,), (3,))
+        with pytest.raises(DimensionError):
+            tc.psi_inverse(np.zeros(11), (2, 2), (3,))
 
     def test_vec_stacks_row_blocks(self, rng):
         t = random_tensor(rng, (2, 2), (3,))
@@ -201,7 +207,7 @@ class TestKron:
         k = tc.kron(a, b)
         assert k.row_extents == (2, 2, 2)
         assert k.col_extents == (2, 3)
-        assert np.allclose(tc.psi(k).entries, np.kron(tc.psi(a).entries, tc.psi(b).entries))
+        assert np.allclose(tc.psi(k), np.kron(tc.psi(a), tc.psi(b)))
 
     def test_requires_nonempty_blocks(self, rng):
         a = random_tensor(rng, (2,), (3,))
