@@ -329,9 +329,7 @@ def build_parser():
     p.add_argument("--I", required=True, help="row extents, e.g. 2,2")
     p.add_argument("--J", required=True, help="col extents, e.g. 3")
     p.add_argument("--seed", type=int, required=True)
-    kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--consistent", action="store_true", default=True)
-    kind.add_argument("--inconsistent", action="store_true", default=False)
+    p.add_argument("--inconsistent", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_gen)

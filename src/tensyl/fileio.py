@@ -17,6 +17,9 @@ from .solver import SolveOptions, SylvesterProblem
 from .tensor import DenseTensor, DimensionError
 
 
+_JSON_NUMBERS = {int, float}  # compared by type(): bool subclasses int
+
+
 class FileFormatError(ValueError):
     """Malformed tensor or problem file."""
 
@@ -54,10 +57,21 @@ def tensor_from_obj(obj, where):
     for key in ("row_extents", "col_extents", "data"):
         if key not in obj:
             raise FileFormatError(f"{where}: missing field {key!r}")
+    for key in ("row_extents", "col_extents"):
+        if not isinstance(obj[key], list) or not all(type(e) is int for e in obj[key]):
+            raise FileFormatError(f"{where}: field {key!r} must be a list of integers, got {obj[key]!r}")
+    data = obj["data"]
+    if not isinstance(data, list):
+        raise FileFormatError(f"{where}: field 'data' must be a flat list of numbers")
+    if not set(map(type, data)) <= _JSON_NUMBERS:
+        i = next(i for i, v in enumerate(data) if type(v) not in _JSON_NUMBERS)
+        raise FileFormatError(f"{where}: field 'data' entry {i} is {data[i]!r}, not a number")
     try:
-        tensor = DenseTensor(obj["row_extents"], obj["col_extents"], obj["data"])
-    except (DimensionError, TypeError, ValueError) as exc:
+        tensor = DenseTensor(obj["row_extents"], obj["col_extents"], data)
+    except DimensionError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
+    except OverflowError as exc:
+        raise FileFormatError(f"{where}: field 'data': {exc}") from exc
     _check_finite(tensor, where)
     return tensor
 
@@ -102,11 +116,28 @@ def write_problem(path, problem, x0=None, options=None, x_star=None):
         handle.write("\n")
 
 
-def problem_from_obj(obj, where):
-    """The ProblemFile a JSON object describes; ``where`` names it in errors.
+def _options_from_obj(block, where):
+    """SolveOptions from an ``options`` block; missing fields take the defaults."""
+    if not isinstance(block, dict):
+        raise FileFormatError(f"{where}: options must be an object")
+    defaults = SolveOptions()
+    epsilon = block.get("epsilon", defaults.epsilon)
+    epsilon_p = block.get("epsilon_p", defaults.epsilon_p)
+    k_max = block.get("k_max", defaults.k_max)
+    for key, value in (("epsilon", epsilon), ("epsilon_p", epsilon_p)):
+        if type(value) not in _JSON_NUMBERS:
+            raise FileFormatError(f"{where}: options: field {key!r} must be a number, got {value!r}")
+    if type(k_max) is not int:
+        raise FileFormatError(f"{where}: options: field 'k_max' must be an integer, got {k_max!r}")
+    try:
+        return SolveOptions(epsilon=float(epsilon), epsilon_p=float(epsilon_p), k_max=k_max)
+    except (ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{where}: options: {exc}") from exc
 
-    Fields missing from an ``options`` block take the SolveOptions defaults.
-    """
+
+def read_problem(path):
+    where = str(path)
+    obj = _load_json(path)
     if not isinstance(obj, dict):
         raise FileFormatError(f"{where}: expected a top-level object")
     for key in ("A", "C", "D"):
@@ -121,27 +152,10 @@ def problem_from_obj(obj, where):
         raise FileFormatError(f"{where}: {exc}") from exc
     x0 = tensor_from_obj(obj["X0"], f"{where}: X0") if "X0" in obj else None
     x_star = tensor_from_obj(obj["X_star"], f"{where}: X_star") if "X_star" in obj else None
-    options = None
-    if "options" in obj:
-        block = obj["options"]
-        if not isinstance(block, dict):
-            raise FileFormatError(f"{where}: options must be an object")
-        defaults = SolveOptions()
-        try:
-            options = SolveOptions(
-                epsilon=float(block.get("epsilon", defaults.epsilon)),
-                epsilon_p=float(block.get("epsilon_p", defaults.epsilon_p)),
-                k_max=int(block.get("k_max", defaults.k_max)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"{where}: options: {exc}") from exc
+    options = _options_from_obj(obj["options"], where) if "options" in obj else None
     if x0 is not None and not x0.same_split(d):
         raise FileFormatError(f"{where}: X0 split does not match D")
     return ProblemFile(problem, x0, options, x_star)
-
-
-def read_problem(path):
-    return problem_from_obj(_load_json(path), str(path))
 
 
 def write_residual_csv(history, path):

@@ -9,6 +9,9 @@ from .oracle import min_norm_lstsq, oracle_solve, unfold_system
 from .solver import SylvesterProblem, apply_operator
 
 
+MAX_TRIES = 20
+
+
 class GenerationError(RuntimeError):
     """Could not certify an instance of the requested kind."""
 
@@ -49,7 +52,7 @@ def _rank_deficient_square(rng, extents):
     return tc.psi_inverse(left @ right, extents, extents)
 
 
-def random_inconsistent(rng, row_extents, col_extents, max_tries=20):
+def random_inconsistent(rng, row_extents, col_extents):
     """Rank-deficient operator plus a right-hand side outside its range.
 
     The perturbation is the least-squares residual of a random probe, i.e.
@@ -58,7 +61,7 @@ def random_inconsistent(rng, row_extents, col_extents, max_tries=20):
     """
     row_extents = tuple(row_extents)
     col_extents = tuple(col_extents)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         a = _rank_deficient_square(rng, row_extents)
         c = _rank_deficient_square(rng, col_extents)
         x = _uniform_tensor(rng, row_extents, col_extents)
@@ -77,5 +80,5 @@ def random_inconsistent(rng, row_extents, col_extents, max_tries=20):
         if not oracle_solve(problem).consistent:
             return problem
     raise GenerationError(
-        f"no certified inconsistent instance after {max_tries} tries"
+        f"no certified inconsistent instance after {MAX_TRIES} tries"
     )

@@ -40,13 +40,13 @@ class OracleResult:
     numerical_rank: int
 
 
-def unfold_system(problem, size_cap=DEFAULT_SIZE_CAP):
+def unfold_system(problem):
     """Kronecker lift of the Sylvester operator: K vec(psi(X)) = vec(psi(D))."""
     m = problem.D.m
     n = problem.D.n
-    if m * n > size_cap:
+    if m * n > DEFAULT_SIZE_CAP:
         raise SizeCapError(
-            f"unfolded system of size {m * n} exceeds the dense cap {size_cap}"
+            f"unfolded system of size {m * n} exceeds the dense cap {DEFAULT_SIZE_CAP}"
         )
     K = np.kron(np.eye(n), tc.psi(problem.A)) + np.kron(tc.psi(problem.C).T, np.eye(m))
     rhs = tc.psi(problem.D).ravel(order="F")
@@ -83,9 +83,9 @@ def row_space_projection(K, v):
     return x
 
 
-def oracle_solve(problem, size_cap=DEFAULT_SIZE_CAP):
+def oracle_solve(problem):
     """Consistency verdict and min-norm solution from the dense unfolding."""
-    system = unfold_system(problem, size_cap)
+    system = unfold_system(problem)
     x, residual, rank = min_norm_lstsq(system.K, system.rhs)
     tol = DEFAULT_RANK_TOL * float(np.linalg.norm(system.rhs)) * system.m * system.n
     solution = tc.psi_inverse(x, problem.D.row_extents, problem.D.col_extents)

@@ -1,20 +1,17 @@
-"""Bundled reference problems used by the ``repro`` command and the tests.
+"""Reference problems used by the ``repro`` command and the tests.
 
-The operator slices below are hand-transcribed integer data; the right-hand
-side of the bundled problem files is generated once from the known exact
-solution by ``scripts/generate_fixtures.py`` (an independent triple-loop
-contraction) and frozen under ``tensyl/data``.
+The operator slices below are hand-transcribed integer data, and the exact
+solution X* is 1..108.  The right-hand side D = A *_2 X* + X* *_2 C is built
+here by ``numpy.einsum`` on the full arrays, apart from the unfolding kernel
+the solver uses.  Every operand is an integer, so D is exact in any
+summation order.
 """
-
-import json
-from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 
 from . import tensor as tc
-from .fileio import problem_from_obj
-from .solver import SolveOptions
+from .fileio import ProblemFile
+from .solver import SolveOptions, SylvesterProblem
 
 # A in R^{4x3x4x3}: slice (k, l) -> the 4x3 matrix A(:, :, k, l).
 A_SLICES = {
@@ -223,17 +220,19 @@ def nearness_reference_distance():
     return tc.fro_norm(tc.subtract(nearness_reference(), nearness_start()))
 
 
-def _load_bundled(name):
-    with resources.files("tensyl.data").joinpath(name).open(encoding="utf-8") as handle:
-        loaded = problem_from_obj(json.load(handle), name)
-    return replace(loaded, options=SolveOptions())
+def _reference_equation():
+    """(A, C, D) with D built from X* by an einsum pair."""
+    a, c, x_star = operator_a(), operator_c(), exact_solution()
+    A, C, X = tc.to_array(a), tc.to_array(c), tc.to_array(x_star)
+    D = np.einsum("ijkl,klmn->ijmn", A, X) + np.einsum("ijkl,klmn->ijmn", X, C)
+    return SylvesterProblem(a, c, tc.from_array(D, 2))
 
 
 def load_reference_problem():
-    """The consistent bundled problem (known exact solution recorded)."""
-    return _load_bundled("reference_problem.json")
+    """The consistent reference problem (known exact solution recorded)."""
+    return ProblemFile(_reference_equation(), None, SolveOptions(), exact_solution())
 
 
 def load_nearness_problem():
-    """The bundled nearness problem (same operator, X0 attached)."""
-    return _load_bundled("nearness_problem.json")
+    """The nearness problem (same operator, X0 attached)."""
+    return ProblemFile(_reference_equation(), nearness_start(), SolveOptions())

@@ -59,14 +59,6 @@ class SylvesterProblem:
                 f"D col extents {d.col_extents} do not match C extents {c.row_extents}"
             )
 
-    @property
-    def num_row_modes(self):
-        return len(self.A.row_extents)
-
-    @property
-    def num_col_modes(self):
-        return len(self.C.row_extents)
-
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -76,10 +68,10 @@ class SolveOptions:
     relative: bool = False  # off by default: absolute residual test
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.epsilon_p > 0:
-            raise ValueError(f"epsilon_p must be positive, got {self.epsilon_p}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0 < self.epsilon_p < math.inf:
+            raise ValueError(f"epsilon_p must be positive and finite, got {self.epsilon_p}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
 

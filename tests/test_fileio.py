@@ -1,8 +1,7 @@
 """Serialization round trips and format validation."""
 
-import importlib.util
+import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +10,10 @@ from tensyl import fileio
 from tensyl import tensor as tc
 from tensyl.fileio import FileFormatError
 from tensyl.instances import random_consistent
+from tensyl.reference_problems import load_nearness_problem, load_reference_problem
 from tensyl.solver import SolveOptions, SylvesterProblem
 
-from conftest import random_tensor, write_with_bad_entry
+from conftest import loop_sylvester_rhs, random_tensor, write_with_bad_entry
 
 
 class TestTensorFiles:
@@ -116,6 +116,34 @@ class TestProblemFiles:
         with pytest.raises(FileFormatError):
             fileio.read_problem(path)
 
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("D", "row_extents", "22"),
+            ("D", "col_extents", [True]),
+            ("D", "data", ["1", "2", "3", "4"]),
+            ("D", "data", [[1, 2], [3, 4]]),
+            ("D", "data", [1, True, 3, 4]),
+            ("D", "data", [1, 10**400, 3, 4]),
+            ("options", "k_max", 2.7),
+            ("options", "k_max", "7"),
+            ("options", "k_max", True),
+            ("options", "epsilon", "1e-3"),
+            ("options", "epsilon", True),
+            ("options", "epsilon", float("inf")),
+        ],
+    )
+    def test_malformed_field_rejected(self, rng, tmp_path, block, key, value):
+        # With this split, a coerced "22" or [True] would fit as (2, 2) or (1,).
+        problem, _ = random_consistent(rng, (2, 2), (1,))
+        path = tmp_path / "p.json"
+        fileio.write_problem(path, problem, options=SolveOptions())
+        obj = json.loads(path.read_text())
+        obj[block][key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FileFormatError, match=f"{block}: .*{key}"):
+            fileio.read_problem(path)
+
     def test_missing_options_take_defaults(self, rng, tmp_path):
         problem, _ = random_consistent(rng, (2,), (2,))
         path = tmp_path / "p.json"
@@ -126,19 +154,23 @@ class TestProblemFiles:
         assert fileio.read_problem(path).options == SolveOptions(k_max=5)
 
 
-class TestBundledFixtures:
-    def test_regenerated_files_are_byte_identical(self, tmp_path):
-        # D comes from the script's own loop contraction, so this checks the
-        # contraction and the problem-file writer together.
-        script = Path(__file__).resolve().parent.parent / "scripts" / "generate_fixtures.py"
-        spec = importlib.util.spec_from_file_location("generate_fixtures", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        module.main(tmp_path)
-        bundled = sorted(module.DATA_DIR.glob("*.json"))
-        assert [p.name for p in bundled] == sorted(p.name for p in tmp_path.glob("*.json"))
-        for path in bundled:
-            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+class TestReferenceProblems:
+    # SHA-256 of the two reference problem files the package formerly shipped.
+    # The bytes pin every number of the built problems and the writer's format.
+    DIGESTS = {
+        "reference_problem.json": "fceabed0cc3fce2cb3a98f463445ffd608c2d6c4b05ff9b1cf408344febf8a86",
+        "nearness_problem.json": "06428bbe518b0990701cbe6fe47780505c691b5be8aa9f030c20829cebc8b443",
+    }
+
+    def test_written_files_match_digests_and_loop_rhs(self, tmp_path):
+        reference = load_reference_problem()
+        nearness = load_nearness_problem()
+        fileio.write_problem(tmp_path / "reference_problem.json", reference.problem, x_star=reference.x_star)
+        fileio.write_problem(tmp_path / "nearness_problem.json", nearness.problem, x0=nearness.x0)
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        a, c, d = reference.problem.A, reference.problem.C, reference.problem.D
+        assert np.array_equal(d.data, loop_sylvester_rhs(a, c, reference.x_star).data)
 
 
 class TestNonFiniteNumbers:

@@ -105,9 +105,9 @@ class TestUnfoldSystem:
         assert np.allclose(lifted, direct, atol=1e-12)
 
     def test_size_cap(self, rng):
-        problem, _ = random_consistent(rng, (3, 3), (3, 3))
+        problem, _ = random_consistent(rng, (65,), (64,))  # m * n = 4160
         with pytest.raises(SizeCapError):
-            unfold_system(problem, size_cap=80)
+            unfold_system(problem)
 
 
 class TestOracleSolve:

@@ -38,14 +38,6 @@ class TestProblemValidation:
         with pytest.raises(DimensionError):
             SylvesterProblem(a, c, d)
 
-    def test_mode_counts(self, rng):
-        a = random_tensor(rng, (2, 2), (2, 2))
-        c = random_tensor(rng, (3,), (3,))
-        d = random_tensor(rng, (2, 2), (3,))
-        problem = SylvesterProblem(a, c, d)
-        assert problem.num_row_modes == 2
-        assert problem.num_col_modes == 1
-
 
 class TestOperators:
     def test_apply_operator_matches_loop(self, rng):
