@@ -12,16 +12,7 @@ import numpy as np
 
 from . import fileio, instances, reference_problems, tensor as tc
 from .oracle import oracle_solve
-from .solver import (
-    NumericalBreakdownError,
-    SolveOptions,
-    Status,
-    SylvesterProblem,
-    solve,
-    solve_min_norm,
-    solve_nearness,
-)
-from .tensor import DimensionError
+from .solver import SolveOptions, Status, solve, solve_min_norm, solve_nearness
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -53,10 +44,7 @@ def _initial_iterate(init_spec, d_like):
     if init_spec is None or init_spec == "zero":
         return tc.zeros_like(d_like)
     if init_spec.startswith("file:"):
-        x1 = fileio.read_tensor(init_spec[len("file:") :])
-        if not x1.same_split(d_like):
-            raise DimensionError("initial iterate split does not match D")
-        return x1
+        return fileio.read_tensor(init_spec[len("file:") :])
     raise ValueError(f"bad --init value {init_spec!r}; expected 'zero' or 'file:<path>'")
 
 
@@ -74,20 +62,14 @@ def _report(quiet, machine_line, human_lines):
 
 
 def _cmd_solve(args):
-    try:
-        loaded = fileio.read_problem(args.problem)
-        opts = _merge_options(loaded.options, args)
-        x1 = _initial_iterate(args.init, loaded.problem.D)
-        outcome = solve(loaded.problem, x1, opts)
-    except (OSError, ValueError, NumericalBreakdownError) as exc:
-        return _fail(str(exc))
+    loaded = fileio.read_problem(args.problem)
+    opts = _merge_options(loaded.options, args)
+    x1 = _initial_iterate(args.init, loaded.problem.D)
+    outcome = solve(loaded.problem, x1, opts)
     out_path = args.out or _default_path(args.problem, "_solution.json")
     csv_path = args.csv or _default_path(args.problem, "_residuals.csv")
-    try:
-        fileio.write_tensor(outcome.solution, out_path)
-        fileio.write_residual_csv(outcome.residual_history, csv_path)
-    except OSError as exc:
-        return _fail(str(exc))
+    fileio.write_tensor(outcome.solution, out_path)
+    fileio.write_residual_csv(outcome.residual_history, csv_path)
     _report(
         args.quiet,
         f"{outcome.status.value} {outcome.iterations} {outcome.final_residual:.6e}",
@@ -103,21 +85,15 @@ def _cmd_solve(args):
 
 
 def _cmd_nearness(args):
-    try:
-        loaded = fileio.read_problem(args.problem)
-        if loaded.x0 is None:
-            return _fail(f"{args.problem}: nearness requires an X0 field")
-        opts = _merge_options(loaded.options, args)
-        x_hat, distance, outcome = solve_nearness(loaded.problem, loaded.x0, opts)
-    except (OSError, ValueError, NumericalBreakdownError) as exc:
-        return _fail(str(exc))
+    loaded = fileio.read_problem(args.problem)
+    if loaded.x0 is None:
+        return _fail(f"{args.problem}: nearness requires an X0 field")
+    opts = _merge_options(loaded.options, args)
+    x_hat, distance, outcome = solve_nearness(loaded.problem, loaded.x0, opts)
     out_path = args.out or _default_path(args.problem, "_nearest.json")
     csv_path = args.csv or _default_path(args.problem, "_residuals.csv")
-    try:
-        fileio.write_tensor(x_hat, out_path)
-        fileio.write_residual_csv(outcome.residual_history, csv_path)
-    except OSError as exc:
-        return _fail(str(exc))
+    fileio.write_tensor(x_hat, out_path)
+    fileio.write_residual_csv(outcome.residual_history, csv_path)
     _report(
         args.quiet,
         f"{outcome.status.value} {outcome.iterations} {distance:.6f}",
@@ -133,16 +109,10 @@ def _cmd_nearness(args):
 
 
 def _cmd_oracle(args):
-    try:
-        loaded = fileio.read_problem(args.problem)
-        result = oracle_solve(loaded.problem)
-    except (OSError, ValueError, ArithmeticError) as exc:
-        return _fail(str(exc))
+    loaded = fileio.read_problem(args.problem)
+    result = oracle_solve(loaded.problem)
     out_path = args.out or _default_path(args.problem, "_oracle_solution.json")
-    try:
-        fileio.write_tensor(result.min_norm_solution, out_path)
-    except OSError as exc:
-        return _fail(str(exc))
+    fileio.write_tensor(result.min_norm_solution, out_path)
     verdict = "consistent" if result.consistent else "inconsistent"
     _report(
         args.quiet,
@@ -158,27 +128,26 @@ def _cmd_oracle(args):
 
 
 def _cmd_verify(args):
-    try:
-        loaded = fileio.read_problem(args.problem)
-        opts = _merge_options(loaded.options, args)
-        outcome = solve_min_norm(loaded.problem, opts)
-        result = oracle_solve(loaded.problem)
-    except (OSError, ValueError, ArithmeticError) as exc:
-        return _fail(str(exc))
+    loaded = fileio.read_problem(args.problem)
+    opts = _merge_options(loaded.options, args)
+    outcome = solve_min_norm(loaded.problem, opts)
+    result = oracle_solve(loaded.problem)
     solver_consistent = outcome.status == Status.CONVERGED
     verdicts_agree = solver_consistent == result.consistent
     distance = tc.fro_norm(tc.subtract(outcome.solution, result.min_norm_solution))
     tol = args.tol * max(1.0, tc.fro_norm(result.min_norm_solution))
     agree = verdicts_agree and (not solver_consistent or distance <= tol)
+    word = "agree" if agree else "disagree"
     _report(
         args.quiet,
-        f"{'agree' if agree else 'disagree'} {distance:.6e}",
+        f"{word} {distance:.6e}",
         [
             f"solver: {outcome.status.value} ({outcome.iterations} iterations)",
             f"oracle: {'consistent' if result.consistent else 'inconsistent'} "
             f"(rank {result.numerical_rank})",
-            f"Frobenius distance between solutions: {distance:.6e}",
+            f"Frobenius distance between solutions: {distance:.6e} (tolerance {tol:.6e})",
             f"verdict agreement: {verdicts_agree}",
+            f"result: {word}",
         ],
     )
     return EXIT_OK if agree else EXIT_ERROR
@@ -195,20 +164,15 @@ def _parse_extents(text):
 
 
 def _cmd_gen(args):
-    try:
-        row_extents = _parse_extents(args.I)
-        col_extents = _parse_extents(args.J)
-        rng = np.random.default_rng(args.seed)
-        if args.inconsistent:
-            problem = instances.random_inconsistent(rng, row_extents, col_extents)
-            x_star = None
-        else:
-            problem, x_star = instances.random_consistent(
-                rng, row_extents, col_extents
-            )
-        fileio.write_problem(args.out, problem, x_star=x_star)
-    except (OSError, ValueError, instances.GenerationError) as exc:
-        return _fail(str(exc))
+    row_extents = _parse_extents(args.I)
+    col_extents = _parse_extents(args.J)
+    rng = np.random.default_rng(args.seed)
+    if args.inconsistent:
+        problem = instances.random_inconsistent(rng, row_extents, col_extents)
+        x_star = None
+    else:
+        problem, x_star = instances.random_consistent(rng, row_extents, col_extents)
+    fileio.write_problem(args.out, problem, x_star=x_star)
     if not args.quiet:
         kind = "inconsistent" if args.inconsistent else "consistent"
         print(f"wrote {kind} instance to {args.out}")
@@ -283,7 +247,8 @@ def _cmd_repro(args):
 def _add_solver_flags(parser):
     parser.add_argument("--epsilon", type=float, default=None, help="residual stop tolerance")
     parser.add_argument("--epsilon-p", dest="epsilon_p", type=float, default=None,
-                        help="direction-zero tolerance (relative to first direction)")
+                        help="direction-zero tolerance, scaled by "
+                        "max(1, ||P_1|| * ||R_k|| / ||R_1||)")
     parser.add_argument("--kmax", type=int, default=None, help="iteration cap")
 
 
@@ -350,7 +315,10 @@ def main(argv=None):
         # argparse exits with 2 on usage errors; remap so exit code 2 keeps
         # meaning "equation is inconsistent".
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, ArithmeticError, instances.GenerationError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -5,13 +5,13 @@ Tensor file: UTF-8 JSON with fields ``row_extents``, ``col_extents`` and
 ``A``, ``C``, ``D``, optional ``X0``, ``X_star`` and ``options`` (whose
 missing fields take the SolveOptions defaults).  This module is the only
 reader and writer of both formats.  Numbers round-trip at full double
-precision through the shortest-repr rendering.
+precision through the shortest-repr rendering.  Finite entries and option
+types are checked by DenseTensor and SolveOptions; the reader names the
+file and field in their errors.
 """
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 from .solver import SolveOptions, SylvesterProblem
 from .tensor import DenseTensor, DimensionError
@@ -32,17 +32,8 @@ class ProblemFile:
     x_star: DenseTensor | None = None
 
 
-def _check_finite(tensor, where):
-    bad = np.flatnonzero(~np.isfinite(tensor.data))
-    if bad.size:
-        raise FileFormatError(
-            f"{where}: field 'data' entry {bad[0]} is {tensor.data[bad[0]]}, not a finite number"
-        )
-
-
-def tensor_to_obj(tensor, where="tensor"):
-    """The JSON object of a tensor file; ``where`` names it in errors."""
-    _check_finite(tensor, where)
+def tensor_to_obj(tensor):
+    """The JSON object of a tensor file."""
     return {
         "row_extents": list(tensor.row_extents),
         "col_extents": list(tensor.col_extents),
@@ -67,19 +58,14 @@ def tensor_from_obj(obj, where):
         i = next(i for i, v in enumerate(data) if type(v) not in _JSON_NUMBERS)
         raise FileFormatError(f"{where}: field 'data' entry {i} is {data[i]!r}, not a number")
     try:
-        tensor = DenseTensor(obj["row_extents"], obj["col_extents"], data)
-    except DimensionError as exc:
+        return DenseTensor(obj["row_extents"], obj["col_extents"], data)
+    except ValueError as exc:  # DimensionError, or an entry that is not finite
         raise FileFormatError(f"{where}: {exc}") from exc
-    except OverflowError as exc:
-        raise FileFormatError(f"{where}: field 'data': {exc}") from exc
-    _check_finite(tensor, where)
-    return tensor
 
 
 def write_tensor(tensor, path):
-    obj = tensor_to_obj(tensor, str(path))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle)
+        json.dump(tensor_to_obj(tensor), handle)
         handle.write("\n")
 
 
@@ -97,12 +83,12 @@ def read_tensor(path):
 
 def write_problem(path, problem, x0=None, options=None, x_star=None):
     obj = {
-        "A": tensor_to_obj(problem.A, f"{path}: A"),
-        "C": tensor_to_obj(problem.C, f"{path}: C"),
-        "D": tensor_to_obj(problem.D, f"{path}: D"),
+        "A": tensor_to_obj(problem.A),
+        "C": tensor_to_obj(problem.C),
+        "D": tensor_to_obj(problem.D),
     }
     if x0 is not None:
-        obj["X0"] = tensor_to_obj(x0, f"{path}: X0")
+        obj["X0"] = tensor_to_obj(x0)
     if options is not None:
         obj["options"] = {
             "epsilon": options.epsilon,
@@ -110,7 +96,7 @@ def write_problem(path, problem, x0=None, options=None, x_star=None):
             "k_max": options.k_max,
         }
     if x_star is not None:
-        obj["X_star"] = tensor_to_obj(x_star, f"{path}: X_star")
+        obj["X_star"] = tensor_to_obj(x_star)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(obj, handle)
         handle.write("\n")
@@ -121,17 +107,13 @@ def _options_from_obj(block, where):
     if not isinstance(block, dict):
         raise FileFormatError(f"{where}: options must be an object")
     defaults = SolveOptions()
-    epsilon = block.get("epsilon", defaults.epsilon)
-    epsilon_p = block.get("epsilon_p", defaults.epsilon_p)
-    k_max = block.get("k_max", defaults.k_max)
-    for key, value in (("epsilon", epsilon), ("epsilon_p", epsilon_p)):
-        if type(value) not in _JSON_NUMBERS:
-            raise FileFormatError(f"{where}: options: field {key!r} must be a number, got {value!r}")
-    if type(k_max) is not int:
-        raise FileFormatError(f"{where}: options: field 'k_max' must be an integer, got {k_max!r}")
     try:
-        return SolveOptions(epsilon=float(epsilon), epsilon_p=float(epsilon_p), k_max=k_max)
-    except (ValueError, OverflowError) as exc:
+        return SolveOptions(
+            epsilon=block.get("epsilon", defaults.epsilon),
+            epsilon_p=block.get("epsilon_p", defaults.epsilon_p),
+            k_max=block.get("k_max", defaults.k_max),
+        )
+    except ValueError as exc:
         raise FileFormatError(f"{where}: options: {exc}") from exc
 
 

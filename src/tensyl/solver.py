@@ -4,12 +4,14 @@ Each sweep takes a gradient-type step X <- X + alpha * P with
 alpha = ||R||^2 / ||P||^2, recomputes the residual from its defining
 formula, and conjugates the next direction with beta = ||R_new||^2 / ||R||^2.
 For a consistent equation the iterates reach a solution in finitely many
-steps in exact arithmetic; a nonzero residual paired with a vanishing
-direction certifies that no solution exists.  Starting from the zero
+steps in exact arithmetic.  Two tests certify that no solution exists: a
+nonzero residual paired with a vanishing direction, and a residual grown
+past DIVERGENCE_FACTOR times the first one.  Starting from the zero
 tensor yields the least-Frobenius-norm solution.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,12 +70,22 @@ class SolveOptions:
     relative: bool = False  # off by default: absolute residual test
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0 < self.epsilon_p < math.inf:
-            raise ValueError(f"epsilon_p must be positive and finite, got {self.epsilon_p}")
+        for name in ("epsilon", "epsilon_p"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, value)
+        if isinstance(self.k_max, bool) or not isinstance(self.k_max, numbers.Integral):
+            raise ValueError(f"k_max must be an integer, got {self.k_max!r}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        object.__setattr__(self, "k_max", int(self.k_max))
 
 
 @dataclass(frozen=True)
@@ -143,6 +155,13 @@ def _check_finite(value, what, k):
         raise NumericalBreakdownError(f"{what} is not finite", k)
 
 
+def _check_start(start, D, what):
+    if not start.same_split(D):
+        raise DimensionError(
+            f"{what} split {start.row_extents} x {start.col_extents} does not match D"
+        )
+
+
 def solve(problem, x1, opts=None, trace_cb=None):
     """Run the iteration from initial iterate ``x1``.
 
@@ -154,11 +173,7 @@ def solve(problem, x1, opts=None, trace_cb=None):
     """
     opts = opts or SolveOptions()
     A, C, D = problem.A, problem.C, problem.D
-    if not x1.same_split(D):
-        raise DimensionError(
-            f"initial iterate split {x1.row_extents} x {x1.col_extents} "
-            f"does not match D"
-        )
+    _check_start(x1, D, "initial iterate")
     a, c, d = tc.psi(A), tc.psi(C), tc.psi(D)
     at, ct = a.T, c.T  # the adjoint's operands, as views
     norm = np.linalg.norm
@@ -233,10 +248,7 @@ def solve_nearness(problem, x0, opts=None):
     (its solution is the correction Y-hat).
     """
     A, C, D = problem.A, problem.C, problem.D
-    if not x0.same_split(D):
-        raise DimensionError(
-            f"X0 split {x0.row_extents} x {x0.col_extents} does not match D"
-        )
+    _check_start(x0, D, "X0")
     d_shift = tc.subtract(D, apply_operator(A, C, x0))
     shifted = SylvesterProblem(A, C, d_shift)
     outcome = solve_min_norm(shifted, opts)

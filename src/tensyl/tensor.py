@@ -12,6 +12,7 @@ read-only ndarray view, and ``psi_inverse`` folds a matrix (or its
 column-major flat vector) back; every other module unfolds through them.
 """
 
+import sys
 from dataclasses import dataclass
 from math import prod
 
@@ -34,7 +35,9 @@ class DenseTensor:
 
     ``data`` holds the entries in ivec order over the concatenated index
     (first index fastest), i.e. a Fortran-order raveling of the full
-    ``row_extents + col_extents`` shape.
+    ``row_extents + col_extents`` shape.  Every entry is a finite double;
+    the constructor rejects NaN, infinities and integers beyond the double
+    range with a ValueError naming the first such entry.
     """
 
     row_extents: tuple
@@ -46,13 +49,22 @@ class DenseTensor:
         col_extents = tuple(int(e) for e in col_extents)
         _check_extents(row_extents, "row extents")
         _check_extents(col_extents, "col extents")
-        flat = np.asarray(data, dtype=np.float64).reshape(-1)
+        try:
+            flat = np.asarray(data, dtype=np.float64).reshape(-1)
+        except OverflowError as exc:  # an integer beyond the double range
+            entries = np.asarray(data, dtype=object).reshape(-1)
+            i = next(i for i, v in enumerate(entries) if abs(v) > sys.float_info.max)
+            raise ValueError(f"field 'data' entry {i}: {exc}") from exc
         expected = prod(row_extents) * prod(col_extents)
         if flat.size != expected:
             raise DimensionError(
                 f"data length {flat.size} does not match extents "
                 f"{row_extents} x {col_extents} (expected {expected})"
             )
+        finite = np.isfinite(flat)
+        if not finite.all():
+            i = finite.argmin()
+            raise ValueError(f"field 'data' entry {i} is {flat[i]}, not a finite number")
         flat = np.array(flat, copy=True)
         flat.flags.writeable = False
         object.__setattr__(self, "row_extents", row_extents)
@@ -156,21 +168,21 @@ def identity(extents):
     return DenseTensor(extents, extents, np.eye(m).ravel(order="F"))
 
 
-def add(a, b):
+def _check_same_split(op, a, b):
     if not a.same_split(b):
         raise DimensionError(
-            f"add: splits differ ({a.row_extents}x{a.col_extents} vs "
+            f"{op}: splits differ ({a.row_extents}x{a.col_extents} vs "
             f"{b.row_extents}x{b.col_extents})"
         )
+
+
+def add(a, b):
+    _check_same_split("add", a, b)
     return DenseTensor(a.row_extents, a.col_extents, a.data + b.data)
 
 
 def subtract(a, b):
-    if not a.same_split(b):
-        raise DimensionError(
-            f"subtract: splits differ ({a.row_extents}x{a.col_extents} vs "
-            f"{b.row_extents}x{b.col_extents})"
-        )
+    _check_same_split("subtract", a, b)
     return DenseTensor(a.row_extents, a.col_extents, a.data - b.data)
 
 
@@ -216,11 +228,7 @@ def trace(a):
 
 def inner(a, b):
     """Frobenius inner product <a, b> = tr(b^T * a)."""
-    if not a.same_split(b):
-        raise DimensionError(
-            f"inner: splits differ ({a.row_extents}x{a.col_extents} vs "
-            f"{b.row_extents}x{b.col_extents})"
-        )
+    _check_same_split("inner", a, b)
     return float(np.dot(a.data, b.data))
 
 

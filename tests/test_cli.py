@@ -149,6 +149,19 @@ class TestOracleAndVerify:
         assert code == 0
         assert capsys.readouterr().out.startswith("agree")
 
+    def test_verify_names_tolerance_and_result(self, tmp_path, capsys):
+        # The verdicts agree, but the solutions are farther apart than --tol.
+        path = tmp_path / "p.json"
+        assert main(["gen", "--I", "2,2", "--J", "3", "--seed", "7", "--out", str(path), "--quiet"]) == 0
+        code = main(["verify", str(path), "--tol", "1e-20"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert "verdict agreement: True" in lines
+        assert "(tolerance " in lines[2]
+        assert lines[-1] == "result: disagree"
+        assert main(["verify", str(path), "--tol", "1e-20", "--quiet"]) == 1
+        assert capsys.readouterr().out.startswith("disagree ")
+
 
 class TestGen:
     def test_consistent_instance(self, tmp_path):
@@ -196,6 +209,15 @@ class TestRepro:
         assert "[ok] nearness problem: solution matches published entries to 5e-4" in out
         assert (tmp_path / "repro" / "reference_residuals.csv").exists()
         assert (tmp_path / "repro" / "nearness_solution.json").exists()
+
+    def test_outdir_is_a_file(self, tmp_path, capsys):
+        outdir = tmp_path / "taken"
+        outdir.write_text("")
+        assert main(["repro", "--outdir", str(outdir), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 class TestUsageErrors:

@@ -68,11 +68,27 @@ class TestSolveOptions:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"epsilon": 0.0}, {"epsilon": -1.0}, {"epsilon_p": 0.0}, {"k_max": 0}],
+        [
+            {"epsilon": 0.0},
+            {"epsilon": -1.0},
+            {"epsilon_p": 0.0},
+            {"k_max": 0},
+            {"k_max": 2.5},
+            {"k_max": True},
+            {"k_max": "7"},
+            {"epsilon": "1e-3"},
+            {"epsilon": True},
+            {"epsilon": 10**400},
+        ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SolveOptions(**kwargs)
+
+    def test_numpy_scalars_accepted_as_python_numbers(self):
+        opts = SolveOptions(epsilon=np.float64(1e-8), k_max=np.int64(5))
+        assert opts == SolveOptions(epsilon=1e-8, k_max=5)
+        assert type(opts.epsilon) is float and type(opts.k_max) is int
 
 
 class TestSolve:
@@ -138,13 +154,15 @@ class TestSolve:
         for s in states:
             assert s.r_norm_sq == pytest.approx(outcome.residual_history[s.k - 1] ** 2)
 
-    def test_nan_rhs_raises_breakdown(self, rng):
+    def test_overflowing_rhs_raises_breakdown(self, rng):
+        # ||D||^2 overflows, so the first step length is inf / inf
         a = random_tensor(rng, (2,), (2,))
         c = random_tensor(rng, (2,), (2,))
-        bad = tc.DenseTensor((2,), (2,), [np.nan, 1.0, 1.0, 1.0])
-        problem = SylvesterProblem(a, c, bad)
-        with pytest.raises(NumericalBreakdownError) as err:
-            solve_min_norm(problem)
+        huge = tc.DenseTensor((2,), (2,), [1.0e200, 1.0, 1.0, 1.0])
+        problem = SylvesterProblem(a, c, huge)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalBreakdownError) as err:
+                solve_min_norm(problem)
         assert err.value.iteration >= 1
 
 

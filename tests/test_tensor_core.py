@@ -55,6 +55,21 @@ class TestDenseTensor:
         with pytest.raises(DimensionError):
             DenseTensor((2.5,), (3,), np.zeros(7))
 
+    @pytest.mark.parametrize(
+        "bad, text",
+        [
+            (np.nan, "entry 1 is nan, not a finite number"),
+            (np.inf, "entry 1 is inf, not a finite number"),
+            (-np.inf, "entry 1 is -inf, not a finite number"),
+            (10**400, "entry 1: int too large to convert to float"),
+        ],
+        ids=["nan", "inf", "-inf", "1e400"],
+    )
+    def test_non_finite_entry_rejected(self, bad, text):
+        # No tensor holds such an entry, so no file writer can be given one.
+        with pytest.raises(ValueError, match=f"^field 'data' {text}$"):
+            DenseTensor((2,), (2,), [1.0, bad, 3.0, 4.0])
+
     def test_properties(self):
         t = tc.zeros((2, 3), (4,))
         assert t.m == 6 and t.n == 4
