@@ -5,6 +5,7 @@ equation, 3 iteration limit reached.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -128,6 +129,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_verify(args):
+    if not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be a non-negative finite number, got {args.tol}")
     loaded = fileio.read_problem(args.problem)
     opts = _merge_options(loaded.options, args)
     outcome = solve_min_norm(loaded.problem, opts)

@@ -8,6 +8,10 @@ steps in exact arithmetic.  Two tests certify that no solution exists: a
 nonzero residual paired with a vanishing direction, and a residual grown
 past DIVERGENCE_FACTOR times the first one.  Starting from the zero
 tensor yields the least-Frobenius-norm solution.
+
+``solve`` runs on the psi unfoldings in buffers allocated once per solve:
+its products all go through one kernel, ``_sylvester``, and its norms are
+BLAS dots, so an iteration costs four GEMMs and a few vector operations.
 """
 
 import math
@@ -86,6 +90,9 @@ class SolveOptions:
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         object.__setattr__(self, "k_max", int(self.k_max))
+        if not isinstance(self.relative, (bool, np.bool_)):
+            raise ValueError(f"relative must be a bool, got {self.relative!r}")
+        object.__setattr__(self, "relative", bool(self.relative))
 
 
 @dataclass(frozen=True)
@@ -116,13 +123,18 @@ def _fold(like, mat):
     return tc.psi_inverse(mat, like.row_extents, like.col_extents)
 
 
-def _sylvester(a, c, x, out=None, tmp=None):
-    """a x + x c on unfoldings, into ``out`` with scratch ``tmp`` when given.
+def _sylvester(a, c, x, out, tmp):
+    """a x + x c into the F-order buffer ``out``, with F-order scratch ``tmp``.
 
-    The adjoint is _sylvester(a.T, c.T, ...).
+    ``ndarray.dot`` writes only into a C-contiguous array, so each product is
+    formed transposed into the buffers' C-order views: (a x)^T = x^T a^T and
+    (x c)^T = c^T x^T, the BLAS calls of ``a @ x + x @ c``, rounded alike.
+    ``dot`` dispatches in half the time of ``matmul`` but zero-fills its
+    output first.  The adjoint is _sylvester(a.T, c.T, ...).
     """
-    out = np.matmul(a, x, out=out)
-    out += np.matmul(x, c, out=tmp)
+    x.T.dot(a.T, out.T)
+    c.T.dot(x.T, tmp.T)
+    out += tmp
     return out
 
 
@@ -141,13 +153,15 @@ def _check_operands(A, C, X):
 def apply_operator(A, C, X):
     """A *_M X + X *_N C."""
     _check_operands(A, C, X)
-    return _fold(X, _sylvester(tc.psi(A), tc.psi(C), tc.psi(X)))
+    x = tc.psi(X)
+    return _fold(X, _sylvester(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x)))
 
 
 def apply_adjoint(A, C, R):
     """A^T *_M R + R *_N C^T, the adjoint of apply_operator."""
     _check_operands(A, C, R)
-    return _fold(R, _sylvester(tc.psi(A).T, tc.psi(C).T, tc.psi(R)))
+    r = tc.psi(R)
+    return _fold(R, _sylvester(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r)))
 
 
 def _check_finite(value, what, k):
@@ -165,51 +179,53 @@ def _check_start(start, D, what):
 def solve(problem, x1, opts=None, trace_cb=None):
     """Run the iteration from initial iterate ``x1``.
 
-    The iteration runs on the psi unfoldings in buffers allocated once per
-    solve; tensors are built only for the returned solution and, when
-    ``trace_cb`` is given, for the SolverState it receives at the top of
-    every iteration (before the update producing X^(k+1)).  The test suite
-    uses it to record residual/direction sequences.
+    The buffers are F-order, like psi; each norm is ``sqrt(v.dot(v))`` on a
+    flat view, what ``np.linalg.norm`` computes, without its wrapper.
+    Tensors are built only for the returned solution and, when ``trace_cb``
+    is given, for the SolverState it receives at the top of every iteration
+    (before the update producing X^(k+1)), which the tests record.
     """
     opts = opts or SolveOptions()
     A, C, D = problem.A, problem.C, problem.D
     _check_start(x1, D, "initial iterate")
     a, c, d = tc.psi(A), tc.psi(C), tc.psi(D)
     at, ct = a.T, c.T  # the adjoint's operands, as views
-    norm = np.linalg.norm
-
-    threshold = opts.epsilon * (float(norm(d)) if opts.relative else 1.0)
+    sqrt, add, subtract, multiply = math.sqrt, np.add, np.subtract, np.multiply
+    k_max, epsilon_p = opts.k_max, opts.epsilon_p
 
     x = np.array(tc.psi(x1), order="F")
     r, p, s1, s2 = (np.empty_like(x) for _ in range(4))
-    np.subtract(d, _sylvester(a, c, x, s1, s2), out=r)  # R = D - (AX + XC)
-    res = float(norm(r))
+    rf, pf, df = (v.ravel(order="K") for v in (r, p, d))  # flat views, for the norms
+    threshold = opts.epsilon * (sqrt(df.dot(df)) if opts.relative else 1.0)
+
+    subtract(d, _sylvester(a, c, x, s1, s2), r)  # R = D - (AX + XC)
+    res = sqrt(rf.dot(rf))
     history = [res]
     if res < threshold:
         return SolveOutcome(Status.CONVERGED, _fold(D, x), history, 0)
 
     _sylvester(at, ct, r, p, s2)
-    p_first = float(norm(p))
+    p_first = sqrt(pf.dot(pf))
     res_first = res
 
     k = 1
-    while k <= opts.k_max:
-        p_norm = float(norm(p))
+    while k <= k_max:
+        p_norm = sqrt(pf.dot(pf))
         if trace_cb is not None:
             trace_cb(SolverState(k, _fold(D, x), _fold(D, r), _fold(D, p), res * res))
         # Dimensionless zero-direction test.  The direction shrinks in
         # proportion to the residual on a consistent equation, so the floor
         # tracks the current residual level; a direction far below it while
         # the residual is still large certifies inconsistency.
-        dir_floor = opts.epsilon_p * max(1.0, p_first * (res / res_first))
+        dir_floor = epsilon_p * max(1.0, p_first * (res / res_first))
         if p_norm <= dir_floor:
             # Nonzero residual with vanishing direction: no solution exists.
             return SolveOutcome(Status.INCONSISTENT, _fold(D, x), history, k - 1)
         alpha = (res * res) / (p_norm * p_norm)
         _check_finite(alpha, "step length alpha", k)
-        x += np.multiply(p, alpha, out=s1)
-        np.subtract(d, _sylvester(a, c, x, s1, s2), out=r)
-        res_new = float(norm(r))
+        add(x, multiply(p, alpha, s1), x)
+        subtract(d, _sylvester(a, c, x, s1, s2), r)
+        res_new = sqrt(rf.dot(rf))
         _check_finite(res_new, "residual norm", k)
         history.append(res_new)
         if res_new < threshold:
@@ -225,12 +241,12 @@ def solve(problem, x1, opts=None, trace_cb=None):
         _check_finite(beta, "conjugation coefficient beta", k)
         # P <- beta P + (A^T R + R C^T), the two products summed first: the
         # rounding order decides the iteration counts of the reference problems
-        p *= beta
-        p += _sylvester(at, ct, r, s1, s2)
+        multiply(p, beta, p)
+        add(p, _sylvester(at, ct, r, s1, s2), p)
         res = res_new
         k += 1
 
-    return SolveOutcome(Status.ITERATION_LIMIT, _fold(D, x), history, opts.k_max)
+    return SolveOutcome(Status.ITERATION_LIMIT, _fold(D, x), history, k_max)
 
 
 def solve_min_norm(problem, opts=None, trace_cb=None):

@@ -162,6 +162,13 @@ class TestOracleAndVerify:
         assert main(["verify", str(path), "--tol", "1e-20", "--quiet"]) == 1
         assert capsys.readouterr().out.startswith("disagree ")
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_verify_rejects_bad_tolerance(self, consistent_file, tol, capsys):
+        assert main(["verify", str(consistent_file), f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol ") and captured.err.count("\n") == 1
+
 
 class TestGen:
     def test_consistent_instance(self, tmp_path):

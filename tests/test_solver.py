@@ -12,6 +12,7 @@ from tensyl.solver import (
     SolveOutcome,
     Status,
     SylvesterProblem,
+    _sylvester,
     apply_adjoint,
     apply_operator,
     solve,
@@ -48,6 +49,17 @@ class TestOperators:
         want = loop_sylvester_rhs(a, c, x)
         assert np.allclose(got.data, want.data, atol=1e-13)
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (6, 1), (12, 9), (64, 48)])
+    def test_kernel_rounds_like_matmul(self, rng, m, n):
+        # The solver's kernel must round exactly as a @ x + x @ c does, for
+        # the operator and the adjoint: the reference iteration counts
+        # depend on it.
+        a, c, x = (np.asfortranarray(rng.standard_normal(shape)) for shape in ((m, m), (n, n), (m, n)))
+        out, tmp = np.empty_like(x), np.empty_like(x)
+        for aa, cc in ((a, c), (a.T, c.T)):
+            assert _sylvester(aa, cc, x, out, tmp) is out
+            assert out.tobytes() == (aa @ x + x @ cc).tobytes()
+
     def test_adjoint_identity(self, rng):
         # <L(x), y> = <x, L*(y)> for the Sylvester operator L
         a = random_tensor(rng, (2, 2), (2, 2))
@@ -79,6 +91,9 @@ class TestSolveOptions:
             {"epsilon": "1e-3"},
             {"epsilon": True},
             {"epsilon": 10**400},
+            {"relative": "no"},
+            {"relative": 1},
+            {"relative": None},
         ],
     )
     def test_validation(self, kwargs):
@@ -86,9 +101,9 @@ class TestSolveOptions:
             SolveOptions(**kwargs)
 
     def test_numpy_scalars_accepted_as_python_numbers(self):
-        opts = SolveOptions(epsilon=np.float64(1e-8), k_max=np.int64(5))
-        assert opts == SolveOptions(epsilon=1e-8, k_max=5)
-        assert type(opts.epsilon) is float and type(opts.k_max) is int
+        opts = SolveOptions(epsilon=np.float64(1e-8), k_max=np.int64(5), relative=np.True_)
+        assert opts == SolveOptions(epsilon=1e-8, k_max=5, relative=True)
+        assert type(opts.epsilon) is float and type(opts.k_max) is int and type(opts.relative) is bool
 
 
 class TestSolve:
