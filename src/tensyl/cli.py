@@ -1,12 +1,13 @@
 """Command-line front door: solve, nearness, oracle, verify, gen, repro.
 
-Exit codes: 0 success/agreement, 1 usage or I/O error, 2 inconsistent
-equation, 3 iteration limit reached.
+Exit codes: 0 success or agreement, 1 usage or I/O error or disagreement,
+2 inconsistent equation, 3 iteration limit reached (for verify: undecided).
 """
 
 import argparse
 import math
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +34,9 @@ def _fail(message):
 
 
 def _merge_options(file_options, args):
-    base = file_options or SolveOptions()
-    return SolveOptions(
-        epsilon=args.epsilon if args.epsilon is not None else base.epsilon,
-        epsilon_p=args.epsilon_p if args.epsilon_p is not None else base.epsilon_p,
-        k_max=args.kmax if args.kmax is not None else base.k_max,
-    )
+    """The file's options (or the defaults) with each flag given overriding its field."""
+    flags = {f.name: getattr(args, f.name) for f in fields(SolveOptions)}
+    return replace(file_options or SolveOptions(), **{k: v for k, v in flags.items() if v is not None})
 
 
 def _initial_iterate(init_spec, d_like):
@@ -62,27 +60,33 @@ def _report(quiet, machine_line, human_lines):
             print(line)
 
 
+def _finish_run(args, outcome, tensor, suffix, what, measure, value):
+    """Write ``tensor`` and the residual CSV, report, and map the status to an exit code."""
+    out_path = args.out or _default_path(args.problem, suffix)
+    csv_path = args.csv or _default_path(args.problem, "_residuals.csv")
+    fileio.write_tensor(tensor, out_path)
+    fileio.write_residual_csv(outcome.residual_history, csv_path)
+    _report(
+        args.quiet,
+        f"{outcome.status.value} {outcome.iterations} {value}",
+        [
+            f"status: {outcome.status.value}",
+            f"iterations: {outcome.iterations}",
+            f"{measure}: {value}",
+            f"{what} written to {out_path}",
+            f"residual history written to {csv_path}",
+        ],
+    )
+    return _STATUS_EXIT[outcome.status]
+
+
 def _cmd_solve(args):
     loaded = fileio.read_problem(args.problem)
     opts = _merge_options(loaded.options, args)
     x1 = _initial_iterate(args.init, loaded.problem.D)
     outcome = solve(loaded.problem, x1, opts)
-    out_path = args.out or _default_path(args.problem, "_solution.json")
-    csv_path = args.csv or _default_path(args.problem, "_residuals.csv")
-    fileio.write_tensor(outcome.solution, out_path)
-    fileio.write_residual_csv(outcome.residual_history, csv_path)
-    _report(
-        args.quiet,
-        f"{outcome.status.value} {outcome.iterations} {outcome.final_residual:.6e}",
-        [
-            f"status: {outcome.status.value}",
-            f"iterations: {outcome.iterations}",
-            f"final residual: {outcome.final_residual:.6e}",
-            f"solution written to {out_path}",
-            f"residual history written to {csv_path}",
-        ],
-    )
-    return _STATUS_EXIT[outcome.status]
+    return _finish_run(args, outcome, outcome.solution, "_solution.json", "solution",
+                       "final residual", f"{outcome.final_residual:.6e}")
 
 
 def _cmd_nearness(args):
@@ -91,22 +95,8 @@ def _cmd_nearness(args):
         return _fail(f"{args.problem}: nearness requires an X0 field")
     opts = _merge_options(loaded.options, args)
     x_hat, distance, outcome = solve_nearness(loaded.problem, loaded.x0, opts)
-    out_path = args.out or _default_path(args.problem, "_nearest.json")
-    csv_path = args.csv or _default_path(args.problem, "_residuals.csv")
-    fileio.write_tensor(x_hat, out_path)
-    fileio.write_residual_csv(outcome.residual_history, csv_path)
-    _report(
-        args.quiet,
-        f"{outcome.status.value} {outcome.iterations} {distance:.6f}",
-        [
-            f"status: {outcome.status.value}",
-            f"iterations: {outcome.iterations}",
-            f"distance ||X_hat - X0||: {distance:.6f}",
-            f"nearest solution written to {out_path}",
-            f"residual history written to {csv_path}",
-        ],
-    )
-    return _STATUS_EXIT[outcome.status]
+    return _finish_run(args, outcome, x_hat, "_nearest.json", "nearest solution",
+                       "distance ||X_hat - X0||", f"{distance:.6f}")
 
 
 def _cmd_oracle(args):
@@ -139,8 +129,12 @@ def _cmd_verify(args):
     verdicts_agree = solver_consistent == result.consistent
     distance = tc.fro_norm(tc.subtract(outcome.solution, result.min_norm_solution))
     tol = args.tol * max(1.0, tc.fro_norm(result.min_norm_solution))
-    agree = verdicts_agree and (not solver_consistent or distance <= tol)
-    word = "agree" if agree else "disagree"
+    if outcome.status == Status.ITERATION_LIMIT:
+        word, code = "undecided", EXIT_ITERATION_LIMIT
+    elif verdicts_agree and (not solver_consistent or distance <= tol):
+        word, code = "agree", EXIT_OK
+    else:
+        word, code = "disagree", EXIT_ERROR
     _report(
         args.quiet,
         f"{word} {distance:.6e}",
@@ -153,7 +147,7 @@ def _cmd_verify(args):
             f"result: {word}",
         ],
     )
-    return EXIT_OK if agree else EXIT_ERROR
+    return code
 
 
 def _parse_extents(text):
@@ -192,44 +186,35 @@ def _cmd_repro(args):
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    loaded = reference_problems.load_reference_problem()
-    outcome = solve_min_norm(loaded.problem)
-    fileio.write_residual_csv(outcome.residual_history, outdir / "reference_residuals.csv")
-    fileio.write_tensor(outcome.solution, outdir / "reference_solution.json")
-    ref_solution = reference_problems.min_norm_reference()
-    max_dev = float(
-        np.max(np.abs(outcome.solution.data - ref_solution.data))
-    )
-    reference_checks = [
-        ("status Converged", outcome.status == Status.CONVERGED),
-        ("final residual < 1e-10", outcome.final_residual < 1.0e-10),
-        ("iterations within 86 +/- 15", 71 <= outcome.iterations <= 101),
-        ("solution matches published entries to 5e-4", max_dev <= 5.0e-4),
-    ]
-
-    loaded = reference_problems.load_nearness_problem()
-    x_hat, distance, outcome = solve_nearness(loaded.problem, loaded.x0)
-    fileio.write_residual_csv(outcome.residual_history, outdir / "nearness_residuals.csv")
-    fileio.write_tensor(x_hat, outdir / "nearness_solution.json")
-    near_ref = reference_problems.nearness_reference()
-    max_dev = float(np.max(np.abs(x_hat.data - near_ref.data)))
+    ref_outcome = solve_min_norm(reference_problems.load_reference_problem().problem)
+    near = reference_problems.load_nearness_problem()
+    x_hat, distance, near_outcome = solve_nearness(near.problem, near.x0)
     implied = reference_problems.nearness_reference_distance()
-    nearness_checks = [
-        ("status Converged", outcome.status == Status.CONVERGED),
-        (
-            f"distance {distance:.4f} within 1e-3 of {implied:.4f} implied by the "
-            f"printed blocks (published figure "
-            f"{reference_problems.NEARNESS_DISTANCE} contradicts them)",
-            abs(distance - implied) <= 1.0e-3,
-        ),
-        ("iterations within 79 +/- 15", 64 <= outcome.iterations <= 94),
-        ("solution matches published entries to 5e-4", max_dev <= 5.0e-4),
+    runs = [  # label, file stem, outcome, solution, published solution, own checks
+        ("reference problem", "reference", ref_outcome, ref_outcome.solution,
+         reference_problems.min_norm_reference(), [
+             ("final residual < 1e-10", ref_outcome.final_residual < 1.0e-10),
+             ("iterations within 86 +/- 15", 71 <= ref_outcome.iterations <= 101),
+         ]),
+        ("nearness problem", "nearness", near_outcome, x_hat,
+         reference_problems.nearness_reference(), [
+             (f"distance {distance:.4f} within 1e-3 of {implied:.4f} implied by the "
+              f"printed blocks (published figure "
+              f"{reference_problems.NEARNESS_DISTANCE} contradicts them)",
+              abs(distance - implied) <= 1.0e-3),
+             ("iterations within 79 +/- 15", 64 <= near_outcome.iterations <= 94),
+         ]),
     ]
     failures = []
-    for label, checks in (
-        ("reference problem", reference_checks),
-        ("nearness problem", nearness_checks),
-    ):
+    for label, stem, outcome, solution, published, own_checks in runs:
+        fileio.write_residual_csv(outcome.residual_history, outdir / f"{stem}_residuals.csv")
+        fileio.write_tensor(solution, outdir / f"{stem}_solution.json")
+        max_dev = float(np.max(np.abs(solution.data - published.data)))
+        checks = [
+            ("status Converged", outcome.status == Status.CONVERGED),
+            *own_checks,
+            ("solution matches published entries to 5e-4", max_dev <= 5.0e-4),
+        ]
         for name, ok in checks:
             if not ok:
                 failures.append(f"{label}: {name}")
@@ -252,7 +237,8 @@ def _add_solver_flags(parser):
     parser.add_argument("--epsilon-p", dest="epsilon_p", type=float, default=None,
                         help="direction-zero tolerance, scaled by "
                         "max(1, ||P_1|| * ||R_k|| / ||R_1||)")
-    parser.add_argument("--kmax", type=int, default=None, help="iteration cap")
+    parser.add_argument("--kmax", dest="k_max", metavar="KMAX", type=int, default=None,
+                        help="iteration cap")
 
 
 def build_parser():

@@ -2,16 +2,16 @@
 
 Tensor file: UTF-8 JSON with fields ``row_extents``, ``col_extents`` and
 ``data`` (flat list in first-index-fastest order).  Problem file: fields
-``A``, ``C``, ``D``, optional ``X0``, ``X_star`` and ``options`` (whose
-missing fields take the SolveOptions defaults).  This module is the only
-reader and writer of both formats.  Numbers round-trip at full double
-precision through the shortest-repr rendering.  Finite entries and option
-types are checked by DenseTensor and SolveOptions; the reader names the
-file and field in their errors.
+``A``, ``C``, ``D``, optional ``X0``, ``X_star`` and ``options`` (SolveOptions
+fields by name; missing ones take their defaults, any other key is an
+error).  This module is the only reader and writer of both formats.  Numbers
+round-trip at full double precision through the shortest-repr rendering.
+Finite entries and option types are checked by DenseTensor and
+SolveOptions; the reader names the file and field in their errors.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .solver import SolveOptions, SylvesterProblem
 from .tensor import DenseTensor, DimensionError
@@ -90,11 +90,7 @@ def write_problem(path, problem, x0=None, options=None, x_star=None):
     if x0 is not None:
         obj["X0"] = tensor_to_obj(x0)
     if options is not None:
-        obj["options"] = {
-            "epsilon": options.epsilon,
-            "epsilon_p": options.epsilon_p,
-            "k_max": options.k_max,
-        }
+        obj["options"] = asdict(options)
     if x_star is not None:
         obj["X_star"] = tensor_to_obj(x_star)
     with open(path, "w", encoding="utf-8") as handle:
@@ -106,13 +102,12 @@ def _options_from_obj(block, where):
     """SolveOptions from an ``options`` block; missing fields take the defaults."""
     if not isinstance(block, dict):
         raise FileFormatError(f"{where}: options must be an object")
-    defaults = SolveOptions()
+    names = {f.name for f in fields(SolveOptions)}
+    for key in block:
+        if key not in names:
+            raise FileFormatError(f"{where}: options: unknown field {key!r}")
     try:
-        return SolveOptions(
-            epsilon=block.get("epsilon", defaults.epsilon),
-            epsilon_p=block.get("epsilon_p", defaults.epsilon_p),
-            k_max=block.get("k_max", defaults.k_max),
-        )
+        return SolveOptions(**block)
     except ValueError as exc:
         raise FileFormatError(f"{where}: options: {exc}") from exc
 

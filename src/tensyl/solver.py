@@ -71,7 +71,6 @@ class SolveOptions:
     epsilon: float = 1.0e-10
     epsilon_p: float = 1.0e-12
     k_max: int = 1000
-    relative: bool = False  # off by default: absolute residual test
 
     def __post_init__(self):
         for name in ("epsilon", "epsilon_p"):
@@ -90,9 +89,6 @@ class SolveOptions:
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         object.__setattr__(self, "k_max", int(self.k_max))
-        if not isinstance(self.relative, (bool, np.bool_)):
-            raise ValueError(f"relative must be a bool, got {self.relative!r}")
-        object.__setattr__(self, "relative", bool(self.relative))
 
 
 @dataclass(frozen=True)
@@ -191,12 +187,11 @@ def solve(problem, x1, opts=None, trace_cb=None):
     a, c, d = tc.psi(A), tc.psi(C), tc.psi(D)
     at, ct = a.T, c.T  # the adjoint's operands, as views
     sqrt, add, subtract, multiply = math.sqrt, np.add, np.subtract, np.multiply
-    k_max, epsilon_p = opts.k_max, opts.epsilon_p
+    threshold, k_max, epsilon_p = opts.epsilon, opts.k_max, opts.epsilon_p
 
     x = np.array(tc.psi(x1), order="F")
     r, p, s1, s2 = (np.empty_like(x) for _ in range(4))
-    rf, pf, df = (v.ravel(order="K") for v in (r, p, d))  # flat views, for the norms
-    threshold = opts.epsilon * (sqrt(df.dot(df)) if opts.relative else 1.0)
+    rf, pf = r.ravel(order="K"), p.ravel(order="K")  # flat views, for the norms
 
     subtract(d, _sylvester(a, c, x, s1, s2), r)  # R = D - (AX + XC)
     res = sqrt(rf.dot(rf))

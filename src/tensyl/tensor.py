@@ -102,15 +102,6 @@ class DenseTensor:
             and self.col_extents == other.col_extents
         )
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rmul__(self, factor):
-        return scale(factor, self)
-
 
 def ivec(indices, extents):
     """First-index-fastest linearization of a 1-based multi-index."""

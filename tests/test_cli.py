@@ -162,6 +162,25 @@ class TestOracleAndVerify:
         assert main(["verify", str(path), "--tol", "1e-20", "--quiet"]) == 1
         assert capsys.readouterr().out.startswith("disagree ")
 
+    @pytest.mark.parametrize(
+        "gen_args",
+        [
+            ["--I", "2", "--J", "3", "--seed", "2", "--inconsistent"],
+            ["--I", "2,2", "--J", "3", "--seed", "7"],
+        ],
+        ids=["inconsistent", "consistent"],
+    )
+    def test_verify_iteration_limit_is_undecided(self, tmp_path, gen_args, capsys):
+        # A run cut off by k_max neither agrees nor disagrees with the oracle.
+        path = tmp_path / "p.json"
+        assert main(["gen", *gen_args, "--out", str(path), "--quiet"]) == 0
+        assert main(["verify", str(path), "--kmax", "2"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "solver: IterationLimit (2 iterations)"
+        assert lines[-1] == "result: undecided"
+        assert main(["verify", str(path), "--kmax", "2", "--quiet"]) == 3
+        assert capsys.readouterr().out.startswith("undecided ")
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_verify_rejects_bad_tolerance(self, consistent_file, tol, capsys):
         assert main(["verify", str(consistent_file), f"--tol={tol}"]) == 1

@@ -131,6 +131,8 @@ class TestProblemFiles:
             ("options", "epsilon", "1e-3"),
             ("options", "epsilon", True),
             ("options", "epsilon", float("inf")),
+            ("options", "kmax", 7),
+            ("options", "relative", True),
         ],
     )
     def test_malformed_field_rejected(self, rng, tmp_path, block, key, value):

@@ -5,6 +5,7 @@ import pytest
 
 from tensyl import tensor as tc
 from tensyl.instances import random_consistent, random_inconsistent
+from tensyl.reference_problems import load_nearness_problem, load_reference_problem
 from tensyl.solver import (
     DIVERGENCE_FACTOR,
     NumericalBreakdownError,
@@ -91,9 +92,6 @@ class TestSolveOptions:
             {"epsilon": "1e-3"},
             {"epsilon": True},
             {"epsilon": 10**400},
-            {"relative": "no"},
-            {"relative": 1},
-            {"relative": None},
         ],
     )
     def test_validation(self, kwargs):
@@ -101,9 +99,9 @@ class TestSolveOptions:
             SolveOptions(**kwargs)
 
     def test_numpy_scalars_accepted_as_python_numbers(self):
-        opts = SolveOptions(epsilon=np.float64(1e-8), k_max=np.int64(5), relative=np.True_)
-        assert opts == SolveOptions(epsilon=1e-8, k_max=5, relative=True)
-        assert type(opts.epsilon) is float and type(opts.k_max) is int and type(opts.relative) is bool
+        opts = SolveOptions(epsilon=np.float64(1e-8), k_max=np.int64(5))
+        assert opts == SolveOptions(epsilon=1e-8, k_max=5)
+        assert type(opts.epsilon) is float and type(opts.k_max) is int
 
 
 class TestSolve:
@@ -140,14 +138,6 @@ class TestSolve:
         with pytest.raises(DimensionError):
             solve(problem, tc.zeros((3,), (2,)))
 
-    def test_relative_threshold(self, rng):
-        problem, _ = random_consistent(rng, (2,), (2,), shift=2.0)
-        loose = solve_min_norm(problem, SolveOptions(epsilon=1e-4, relative=True))
-        tight = solve_min_norm(problem, SolveOptions(epsilon=1e-10))
-        assert loose.status == Status.CONVERGED
-        assert loose.iterations <= tight.iterations
-        assert loose.final_residual <= 1e-4 * tc.fro_norm(problem.D)
-
     def test_iteration_limit_status(self, rng):
         problem, _ = random_consistent(rng, (2, 2), (2, 2), shift=2.0)
         outcome = solve_min_norm(problem, SolveOptions(k_max=2))
@@ -182,6 +172,15 @@ class TestSolve:
 
 
 class TestMinNormAndNearness:
+    def test_reference_iteration_counts_are_exact(self):
+        # Exact, not the acceptance gate's bands: a change in the rounding
+        # order of the products or the norms moves these counts.
+        outcome = solve_min_norm(load_reference_problem().problem)
+        assert (outcome.status, outcome.iterations) == (Status.CONVERGED, 82)
+        loaded = load_nearness_problem()
+        _, _, outcome = solve_nearness(loaded.problem, loaded.x0)
+        assert (outcome.status, outcome.iterations) == (Status.CONVERGED, 86)
+
     def test_min_norm_starts_from_zero(self, rng):
         problem, _ = random_consistent(rng, (2,), (3,), shift=2.0)
         states = []

@@ -83,13 +83,6 @@ class TestDenseTensor:
         with pytest.raises(DimensionError):
             t.reshape_split((5,), (4,))
 
-    def test_operators(self, rng):
-        a = random_tensor(rng, (2,), (3,))
-        b = random_tensor(rng, (2,), (3,))
-        assert np.allclose((a + b).data, a.data + b.data)
-        assert np.allclose((a - b).data, a.data - b.data)
-        assert np.allclose((2.5 * a).data, 2.5 * a.data)
-
 
 class TestArrayConversion:
     def test_round_trip(self, rng):
