@@ -11,7 +11,6 @@ from .solver import (
     NumericalBreakdownError,
     SolveOptions,
     SolveOutcome,
-    SolverState,
     Status,
     SylvesterProblem,
     apply_adjoint,

@@ -123,8 +123,8 @@ def _cmd_verify(args):
         raise ValueError(f"--tol must be a non-negative finite number, got {args.tol}")
     loaded = fileio.read_problem(args.problem)
     opts = _merge_options(loaded.options, args)
+    result = oracle_solve(loaded.problem)  # first: it refuses an oversized problem at once
     outcome = solve_min_norm(loaded.problem, opts)
-    result = oracle_solve(loaded.problem)
     solver_consistent = outcome.status == Status.CONVERGED
     verdicts_agree = solver_consistent == result.consistent
     distance = tc.fro_norm(tc.subtract(outcome.solution, result.min_norm_solution))

@@ -127,12 +127,12 @@ def read_problem(path):
         problem = SylvesterProblem(a, c, d)
     except DimensionError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
-    x0 = tensor_from_obj(obj["X0"], f"{where}: X0") if "X0" in obj else None
-    x_star = tensor_from_obj(obj["X_star"], f"{where}: X_star") if "X_star" in obj else None
+    extra = {k: tensor_from_obj(obj[k], f"{where}: {k}") for k in ("X0", "X_star") if k in obj}
+    for key, tensor in extra.items():
+        if not tensor.same_split(d):
+            raise FileFormatError(f"{where}: {key} split does not match D")
     options = _options_from_obj(obj["options"], where) if "options" in obj else None
-    if x0 is not None and not x0.same_split(d):
-        raise FileFormatError(f"{where}: X0 split does not match D")
-    return ProblemFile(problem, x0, options, x_star)
+    return ProblemFile(problem, extra.get("X0"), options, extra.get("X_star"))
 
 
 def write_residual_csv(history, path):

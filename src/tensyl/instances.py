@@ -9,9 +9,6 @@ from .oracle import min_norm_lstsq, oracle_solve, unfold_system
 from .solver import SylvesterProblem, apply_operator
 
 
-MAX_TRIES = 20
-
-
 class GenerationError(RuntimeError):
     """Could not certify an instance of the requested kind."""
 
@@ -44,9 +41,10 @@ def random_consistent(rng, row_extents, col_extents, shift=0.0):
 
 def _rank_deficient_square(rng, extents):
     # Product of thin uniform factors: singular, hence eigenvalue zero.
+    # For size 1 the factors are empty and the 1 x 1 is 0.
     extents = tuple(extents)
     size = prod(extents)
-    r = max(1, size - 1)
+    r = size - 1
     left = rng.uniform(-1.0, 1.0, (size, r))
     right = rng.uniform(-1.0, 1.0, (r, size))
     return tc.psi_inverse(left @ right, extents, extents)
@@ -61,24 +59,19 @@ def random_inconsistent(rng, row_extents, col_extents):
     """
     row_extents = tuple(row_extents)
     col_extents = tuple(col_extents)
-    for _ in range(MAX_TRIES):
-        a = _rank_deficient_square(rng, row_extents)
-        c = _rank_deficient_square(rng, col_extents)
-        x = _uniform_tensor(rng, row_extents, col_extents)
-        d0 = apply_operator(a, c, x)
-        base = SylvesterProblem(a, c, d0)
-        system = unfold_system(base)
-        probe = rng.uniform(-1.0, 1.0, system.m * system.n)
-        fit, _, _ = min_norm_lstsq(system.K, probe)
-        leftover = probe - system.K @ fit
-        norm = np.linalg.norm(leftover)
-        if norm < 1.0e-8:
-            continue
-        scale = max(1.0, np.linalg.norm(system.rhs)) / norm
-        bad = system.rhs + scale * leftover
-        problem = SylvesterProblem(a, c, tc.psi_inverse(bad, row_extents, col_extents))
-        if not oracle_solve(problem).consistent:
-            return problem
-    raise GenerationError(
-        f"no certified inconsistent instance after {MAX_TRIES} tries"
-    )
+    a = _rank_deficient_square(rng, row_extents)
+    c = _rank_deficient_square(rng, col_extents)
+    x = _uniform_tensor(rng, row_extents, col_extents)
+    system = unfold_system(SylvesterProblem(a, c, apply_operator(a, c, x)))
+    probe = rng.uniform(-1.0, 1.0, system.m * system.n)
+    fit, _, _ = min_norm_lstsq(system.K, probe)
+    leftover = probe - system.K @ fit
+    norm = np.linalg.norm(leftover)
+    if norm < 1.0e-8:
+        raise GenerationError(f"probe left only {norm:.3e} outside the operator's range")
+    scale = max(1.0, np.linalg.norm(system.rhs)) / norm
+    bad = system.rhs + scale * leftover
+    problem = SylvesterProblem(a, c, tc.psi_inverse(bad, row_extents, col_extents))
+    if oracle_solve(problem).consistent:
+        raise GenerationError("the oracle found the generated instance consistent")
+    return problem

@@ -16,7 +16,7 @@ BLAS dots, so an iteration costs four GEMMs and a few vector operations.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -91,23 +91,12 @@ class SolveOptions:
         object.__setattr__(self, "k_max", int(self.k_max))
 
 
-@dataclass(frozen=True)
-class SolverState:
-    """Snapshot at the top of iteration k: iterate, residual, direction."""
-
-    k: int
-    X: DenseTensor
-    R: DenseTensor
-    P: DenseTensor
-    r_norm_sq: float
-
-
 @dataclass
 class SolveOutcome:
     status: Status
     solution: DenseTensor
-    residual_history: list = field(default_factory=list)
-    iterations: int = 0
+    residual_history: list
+    iterations: int
 
     @property
     def final_residual(self):
@@ -172,14 +161,12 @@ def _check_start(start, D, what):
         )
 
 
-def solve(problem, x1, opts=None, trace_cb=None):
+def solve(problem, x1, opts=None):
     """Run the iteration from initial iterate ``x1``.
 
     The buffers are F-order, like psi; each norm is ``sqrt(v.dot(v))`` on a
-    flat view, what ``np.linalg.norm`` computes, without its wrapper.
-    Tensors are built only for the returned solution and, when ``trace_cb``
-    is given, for the SolverState it receives at the top of every iteration
-    (before the update producing X^(k+1)), which the tests record.
+    flat view, what ``np.linalg.norm`` computes, without its wrapper.  A
+    tensor is built only for the returned solution.
     """
     opts = opts or SolveOptions()
     A, C, D = problem.A, problem.C, problem.D
@@ -206,8 +193,6 @@ def solve(problem, x1, opts=None, trace_cb=None):
     k = 1
     while k <= k_max:
         p_norm = sqrt(pf.dot(pf))
-        if trace_cb is not None:
-            trace_cb(SolverState(k, _fold(D, x), _fold(D, r), _fold(D, p), res * res))
         # Dimensionless zero-direction test.  The direction shrinks in
         # proportion to the residual on a consistent equation, so the floor
         # tracks the current residual level; a direction far below it while
@@ -244,11 +229,11 @@ def solve(problem, x1, opts=None, trace_cb=None):
     return SolveOutcome(Status.ITERATION_LIMIT, _fold(D, x), history, k_max)
 
 
-def solve_min_norm(problem, opts=None, trace_cb=None):
+def solve_min_norm(problem, opts=None):
     """Solve from the zero iterate; on a consistent equation the result is
     the unique least-Frobenius-norm solution."""
     x1 = tc.zeros_like(problem.D)
-    return solve(problem, x1, opts, trace_cb)
+    return solve(problem, x1, opts)
 
 
 def solve_nearness(problem, x0, opts=None):

@@ -24,9 +24,12 @@ class DimensionError(ValueError):
 
 
 def _check_extents(extents, what):
+    """``extents`` as a tuple of ints, each checked before it is converted."""
+    extents = tuple(extents)
     for e in extents:
         if int(e) != e or e < 1:
             raise DimensionError(f"{what} must be positive integers, got {extents}")
+    return tuple(int(e) for e in extents)
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,8 @@ class DenseTensor:
     data: np.ndarray
 
     def __init__(self, row_extents, col_extents, data):
-        row_extents = tuple(int(e) for e in row_extents)
-        col_extents = tuple(int(e) for e in col_extents)
-        _check_extents(row_extents, "row extents")
-        _check_extents(col_extents, "col extents")
+        row_extents = _check_extents(row_extents, "row extents")
+        col_extents = _check_extents(col_extents, "col extents")
         try:
             flat = np.asarray(data, dtype=np.float64).reshape(-1)
         except OverflowError as exc:  # an integer beyond the double range
@@ -153,8 +154,7 @@ def zeros_like(tensor):
 
 def identity(extents):
     """Identity tensor on the square split ``extents x extents``."""
-    extents = tuple(extents)
-    _check_extents(extents, "extents")
+    extents = _check_extents(extents, "extents")
     m = prod(extents)
     return DenseTensor(extents, extents, np.eye(m).ravel(order="F"))
 

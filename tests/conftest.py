@@ -1,4 +1,5 @@
-"""Shared helpers: independent contraction oracles and instance builders.
+"""Shared helpers: independent contraction oracles, a replay of the solver
+loop, and instance builders.
 
 The loop-based contraction here is written against the index definition
 directly (explicit sums over every multi-index) and never touches the
@@ -16,7 +17,14 @@ import pytest
 from tensyl import fileio
 from tensyl import tensor as tc
 from tensyl.instances import random_consistent
-from tensyl.solver import SylvesterProblem
+from tensyl.solver import (
+    DIVERGENCE_FACTOR,
+    SolveOptions,
+    Status,
+    SylvesterProblem,
+    apply_adjoint,
+    apply_operator,
+)
 
 
 def loop_einstein_product(a, b, num_contracted):
@@ -45,6 +53,45 @@ def loop_sylvester_rhs(a, c, x):
         loop_einstein_product(a, x, m_modes),
         loop_einstein_product(x, c, n_modes),
     )
+
+
+def textbook_solve(problem, opts=None, states=None):
+    """The solver's iteration written out on tensors with the public operator pair.
+
+    Every test and update is the one ``solve`` makes, from the zero iterate,
+    with the same floating-point operations in the same order, so its
+    history and solution equal ``solve_min_norm``'s byte for byte.  Returns
+    ``(status, solution, iterations, residual_history)``; when ``states`` is
+    a list, ``(X, R, P, ||R||^2)`` is appended to it at the top of every
+    iteration, before the update that makes X^(k+1).
+    """
+    opts = opts or SolveOptions()
+    A, C, D = problem.A, problem.C, problem.D
+    X = tc.zeros_like(D)
+    R = tc.subtract(D, apply_operator(A, C, X))
+    res = tc.fro_norm(R)
+    history = [res]
+    if res < opts.epsilon:
+        return Status.CONVERGED, X, 0, history
+    P = apply_adjoint(A, C, R)
+    p_first, res_first = tc.fro_norm(P), res
+    for k in range(1, opts.k_max + 1):
+        p_norm = tc.fro_norm(P)
+        if states is not None:
+            states.append((X, R, P, res * res))
+        if p_norm <= opts.epsilon_p * max(1.0, p_first * (res / res_first)):
+            return Status.INCONSISTENT, X, k - 1, history
+        X = tc.add(X, tc.scale(res * res / (p_norm * p_norm), P))
+        R = tc.subtract(D, apply_operator(A, C, X))
+        res_new = tc.fro_norm(R)
+        history.append(res_new)
+        if res_new < opts.epsilon:
+            return Status.CONVERGED, X, k, history
+        if res_new > DIVERGENCE_FACTOR * res_first:
+            return Status.INCONSISTENT, X, k, history
+        P = tc.add(apply_adjoint(A, C, R), tc.scale(res_new * res_new / (res * res), P))
+        res = res_new
+    return Status.ITERATION_LIMIT, X, opts.k_max, history
 
 
 def random_tensor(rng, row_extents, col_extents, scale=1.0):

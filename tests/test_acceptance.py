@@ -65,7 +65,13 @@ from tensyl.reference_problems import (
 )
 from tensyl.solver import SylvesterProblem, apply_operator
 
-from conftest import SMALL_SHAPES, loop_einstein_product, random_tensor, scaled_consistent
+from conftest import (
+    SMALL_SHAPES,
+    loop_einstein_product,
+    random_tensor,
+    scaled_consistent,
+    textbook_solve,
+)
 
 
 def _report(name, ok, detail=""):
@@ -209,21 +215,25 @@ def test_finite_termination_bound():
 
 
 def _traced_instances():
-    """Ten seeded instances with recorded per-iteration solver states.
+    """Ten seeded instances with their per-iteration states (X, R, P, ||R||^2).
 
-    The right-hand sides are scaled down so the absolute residual tolerance
-    is reached after a short decay range, and a diagonal shift keeps the
-    operators well conditioned; conjugacy relations drift in proportion to
-    the traversed residual ratio, so this keeps the recorded sequences
-    within the floating-point budget of the checks.
+    The states come from the replay of the solver loop in conftest, which
+    must give the library's residual history byte for byte, so they are the
+    states ``solve_min_norm`` passes through.  The right-hand sides are
+    scaled down so the absolute residual tolerance is reached after a short
+    decay range, and a diagonal shift keeps the operators well conditioned;
+    conjugacy relations drift in proportion to the traversed residual ratio,
+    so this keeps the recorded sequences within the floating-point budget of
+    the checks.
     """
     runs = []
     for seed in range(10):
         row, col = SMALL_SHAPES[seed % len(SMALL_SHAPES)]
         problem, x_true = scaled_consistent(seed, row, col, factor=1.0e-6, shift=4.0)
         states = []
-        outcome = solve_min_norm(problem, trace_cb=states.append)
-        assert outcome.status == Status.CONVERGED
+        status, _, _, history = textbook_solve(problem, states=states)
+        assert history == solve_min_norm(problem).residual_history
+        assert status == Status.CONVERGED
         limit = min(problem.D.m * problem.D.n, 30)
         runs.append((problem, x_true, states[:limit]))
     return runs
@@ -232,11 +242,11 @@ def _traced_instances():
 def test_orthogonality_of_residuals_and_directions():
     worst = 0.0
     for _, _, states in _traced_instances():
-        for a, b in itertools.combinations(states, 2):
+        for (_, r_a, p_a, _), (_, r_b, p_b, _) in itertools.combinations(states, 2):
             worst = max(
                 worst,
-                abs(inner(a.R, b.R)) / (fro_norm(a.R) * fro_norm(b.R)),
-                abs(inner(a.P, b.P)) / (fro_norm(a.P) * fro_norm(b.P)),
+                abs(inner(r_a, r_b)) / (fro_norm(r_a) * fro_norm(r_b)),
+                abs(inner(p_a, p_b)) / (fro_norm(p_a) * fro_norm(p_b)),
             )
     ok = worst <= 1.0e-8
     _report(
@@ -250,9 +260,9 @@ def test_orthogonality_of_residuals_and_directions():
 def test_descent_identity_every_iteration():
     worst = 0.0
     for _, x_true, states in _traced_instances():
-        for state in states:
-            err = abs(inner(subtract(x_true, state.X), state.P) - state.r_norm_sq)
-            worst = max(worst, err / state.r_norm_sq)
+        for x, _, p, r_norm_sq in states:
+            err = abs(inner(subtract(x_true, x), p) - r_norm_sq)
+            worst = max(worst, err / r_norm_sq)
     ok = worst <= 1.0e-8
     _report(
         "descent identity: <X~ - X^(k), P^(k)> = ||R^(k)||^2 within 1e-8 relative",

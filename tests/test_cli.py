@@ -181,6 +181,20 @@ class TestOracleAndVerify:
         assert main(["verify", str(path), "--kmax", "2", "--quiet"]) == 3
         assert capsys.readouterr().out.startswith("undecided ")
 
+    def test_verify_refuses_oversized_problem_before_solving(self, tmp_path, monkeypatch, capsys):
+        # m * n = 65 * 64 = 4160 is past the oracle's dense cap of 4096.
+        path = tmp_path / "big.json"
+        assert main(["gen", "--I", "65", "--J", "64", "--seed", "0", "--out", str(path), "--quiet"]) == 0
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("verify solved a problem the oracle refuses")
+
+        monkeypatch.setattr("tensyl.cli.solve_min_norm", no_solve)
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unfolded system of size 4160 exceeds the dense cap 4096\n"
+
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_verify_rejects_bad_tolerance(self, consistent_file, tol, capsys):
         assert main(["verify", str(consistent_file), f"--tol={tol}"]) == 1
@@ -207,12 +221,13 @@ class TestGen:
 
     def test_inconsistent_instance(self, tmp_path):
         out = tmp_path / "bad.json"
-        code = main(
-            ["gen", "--I", "2", "--J", "3", "--seed", "9", "--inconsistent",
-             "--out", str(out), "--quiet"]
-        )
-        assert code == 0
-        assert main(["oracle", str(out), "--quiet"]) == 2
+        for I, seed in (("2", "9"), ("1", "0")):  # row extent product 2, then 1
+            code = main(
+                ["gen", "--I", I, "--J", "3", "--seed", seed, "--inconsistent",
+                 "--out", str(out), "--quiet"]
+            )
+            assert code == 0
+            assert main(["oracle", str(out), "--quiet"]) == 2
 
     def test_bad_extents(self, tmp_path, capsys):
         code = main(["gen", "--I", "2,x", "--J", "3", "--seed", "1",

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -97,14 +98,17 @@ class TestProblemFiles:
             fileio.read_problem(path)
 
     def test_x0_split_checked(self, rng, tmp_path):
+        # X0 and X_star must both have D's split.
         problem, _ = random_consistent(rng, (2,), (3,))
         path = tmp_path / "p.json"
-        fileio.write_problem(path, problem)
-        obj = json.loads(path.read_text())
-        obj["X0"] = {"row_extents": [3], "col_extents": [2], "data": [0] * 6}
-        path.write_text(json.dumps(obj))
-        with pytest.raises(FileFormatError, match="X0"):
-            fileio.read_problem(path)
+        for key in ("X0", "X_star"):
+            fileio.write_problem(path, problem)
+            obj = json.loads(path.read_text())
+            obj[key] = {"row_extents": [3], "col_extents": [2], "data": [0] * 6}
+            path.write_text(json.dumps(obj))
+            message = f"{path}: {key} split does not match D"
+            with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+                fileio.read_problem(path)
 
     def test_bad_options_block(self, rng, tmp_path):
         problem, _ = random_consistent(rng, (2,), (2,))

@@ -38,6 +38,10 @@ class TestRandomInconsistent:
         rng = np.random.default_rng(6)
         problem = random_inconsistent(rng, (2, 2), (3,))
         assert not oracle_solve(problem).consistent
+        # An extent product of 1 makes that singular operator the 1 x 1 zero.
+        for split in [((1,), (3,)), ((3,), (1,)), ((1,), (1,)), ((1, 1), (2, 2))]:
+            problem = random_inconsistent(np.random.default_rng(0), *split)
+            assert not oracle_solve(problem).consistent
 
     def test_operators_are_singular(self):
         rng = np.random.default_rng(7)

@@ -54,6 +54,8 @@ class TestDenseTensor:
             DenseTensor((2, 0), (3,), np.zeros(0))
         with pytest.raises(DimensionError):
             DenseTensor((2.5,), (3,), np.zeros(7))
+        with pytest.raises(DimensionError, match="row extents"):
+            DenseTensor((2.5,), (2,), range(4))
 
     @pytest.mark.parametrize(
         "bad, text",
