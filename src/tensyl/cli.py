@@ -5,6 +5,7 @@ Exit codes: 0 success or agreement, 1 usage or I/O error or disagreement,
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields, replace
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import fileio, instances, reference_problems, tensor as tc
 from .oracle import oracle_solve
-from .solver import SolveOptions, Status, solve, solve_min_norm, solve_nearness
+from .solver import DEFAULT_OPTIONS, SolveOptions, Status, solve, solve_min_norm, solve_nearness
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -36,7 +37,7 @@ def _fail(message):
 def _merge_options(file_options, args):
     """The file's options (or the defaults) with each flag given overriding its field."""
     flags = {f.name: getattr(args, f.name) for f in fields(SolveOptions)}
-    return replace(file_options or SolveOptions(), **{k: v for k, v in flags.items() if v is not None})
+    return replace(file_options or DEFAULT_OPTIONS, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _initial_iterate(init_spec, d_like):
@@ -241,7 +242,17 @@ def _add_solver_flags(parser):
                         help="iteration cap")
 
 
+@functools.cache
 def build_parser():
+    """The ``tensyl`` parser, built on the first call and reused after it.
+
+    Building it (6 subcommands, about 40 arguments) takes 1.4-1.7 ms, a
+    sixth of an in-process ``verify`` at m*n = 108-256, so a caller of
+    ``main`` in one process, such as the tests or a script, pays for it once,
+    not per call.  A shell run builds it once either way, and importing this
+    module builds none.  Reuse carries no state: every ``parse_args`` call
+    fills a fresh namespace, and the parser is not changed after it is built.
+    """
     parser = argparse.ArgumentParser(
         prog="tensyl",
         description="Sylvester tensor equations under the Einstein product",
@@ -297,9 +308,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one ``tensyl`` command and return its exit code; see build_parser."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; remap so exit code 2 keeps
         # meaning "equation is inconsistent".

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as tc
 from .fileio import ProblemFile
-from .solver import SolveOptions, SylvesterProblem
+from .solver import DEFAULT_OPTIONS, SylvesterProblem
 
 # A in R^{4x3x4x3}: slice (k, l) -> the 4x3 matrix A(:, :, k, l).
 A_SLICES = {
@@ -230,9 +230,9 @@ def _reference_equation():
 
 def load_reference_problem():
     """The consistent reference problem (known exact solution recorded)."""
-    return ProblemFile(_reference_equation(), None, SolveOptions(), exact_solution())
+    return ProblemFile(_reference_equation(), None, DEFAULT_OPTIONS, exact_solution())
 
 
 def load_nearness_problem():
     """The nearness problem (same operator, X0 attached)."""
-    return ProblemFile(_reference_equation(), nearness_start(), SolveOptions())
+    return ProblemFile(_reference_equation(), nearness_start(), DEFAULT_OPTIONS)

@@ -10,8 +10,10 @@ past DIVERGENCE_FACTOR times the first one.  Starting from the zero
 tensor yields the least-Frobenius-norm solution.
 
 ``solve`` runs on the psi unfoldings in buffers allocated once per solve:
-its products all go through one kernel, ``_sylvester``, and its norms are
-BLAS dots, so an iteration costs four GEMMs and a few vector operations.
+its products all go through one kernel, a x + x c into a preallocated
+buffer, entered through ``dot`` or ``matmul`` by the size of X (see
+``_sylvester_for``), and its norms are BLAS dots, so an iteration costs four
+GEMMs and a few vector operations.
 """
 
 import math
@@ -91,6 +93,9 @@ class SolveOptions:
         object.__setattr__(self, "k_max", int(self.k_max))
 
 
+DEFAULT_OPTIONS = SolveOptions()
+
+
 @dataclass
 class SolveOutcome:
     status: Status
@@ -108,19 +113,44 @@ def _fold(like, mat):
     return tc.psi_inverse(mat, like.row_extents, like.col_extents)
 
 
-def _sylvester(a, c, x, out, tmp):
+# From this many entries of X up, a solve forms its products with matmul.
+# Measured per kernel call on 2 cores with OpenBLAS 0.3.31: matmul took
+# 1.02-1.34x the time of dot at m*n = 108 to 3072, tied at 4096 and 5120,
+# and was 2-6% faster from 6144 to 131072.
+MATMUL_MIN_ENTRIES = 4096
+
+
+def _sylvester_dot(a, c, x, out, tmp):
     """a x + x c into the F-order buffer ``out``, with F-order scratch ``tmp``.
 
     ``ndarray.dot`` writes only into a C-contiguous array, so each product is
     formed transposed into the buffers' C-order views: (a x)^T = x^T a^T and
     (x c)^T = c^T x^T, the BLAS calls of ``a @ x + x @ c``, rounded alike.
-    ``dot`` dispatches in half the time of ``matmul`` but zero-fills its
-    output first.  The adjoint is _sylvester(a.T, c.T, ...).
+    The adjoint is the same kernel on (a.T, c.T).
     """
     x.T.dot(a.T, out.T)
     c.T.dot(x.T, tmp.T)
     out += tmp
     return out
+
+
+def _sylvester_matmul(a, c, x, out, tmp):
+    """``_sylvester_dot`` through ``np.matmul``: into an F-order output
+    matmul makes the same transposed BLAS calls, so the bytes are equal."""
+    np.matmul(a, x, out)
+    np.matmul(x, c, tmp)
+    out += tmp
+    return out
+
+
+def _sylvester_for(x):
+    """The kernel for buffers shaped like ``x``, chosen once per solve.
+
+    ``dot`` dispatches faster than ``matmul`` but zero-fills its output
+    first; from MATMUL_MIN_ENTRIES entries up the fill costs more than the
+    faster dispatch saves.
+    """
+    return _sylvester_matmul if x.size >= MATMUL_MIN_ENTRIES else _sylvester_dot
 
 
 def _check_operands(A, C, X):
@@ -139,14 +169,14 @@ def apply_operator(A, C, X):
     """A *_M X + X *_N C."""
     _check_operands(A, C, X)
     x = tc.psi(X)
-    return _fold(X, _sylvester(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x)))
+    return _fold(X, _sylvester_for(x)(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x)))
 
 
 def apply_adjoint(A, C, R):
     """A^T *_M R + R *_N C^T, the adjoint of apply_operator."""
     _check_operands(A, C, R)
     r = tc.psi(R)
-    return _fold(R, _sylvester(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r)))
+    return _fold(R, _sylvester_for(r)(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r)))
 
 
 def _check_finite(value, what, k):
@@ -168,7 +198,7 @@ def solve(problem, x1, opts=None):
     flat view, what ``np.linalg.norm`` computes, without its wrapper.  A
     tensor is built only for the returned solution.
     """
-    opts = opts or SolveOptions()
+    opts = opts or DEFAULT_OPTIONS
     A, C, D = problem.A, problem.C, problem.D
     _check_start(x1, D, "initial iterate")
     a, c, d = tc.psi(A), tc.psi(C), tc.psi(D)
@@ -177,16 +207,17 @@ def solve(problem, x1, opts=None):
     threshold, k_max, epsilon_p = opts.epsilon, opts.k_max, opts.epsilon_p
 
     x = np.array(tc.psi(x1), order="F")
+    sylvester = _sylvester_for(x)
     r, p, s1, s2 = (np.empty_like(x) for _ in range(4))
     rf, pf = r.ravel(order="K"), p.ravel(order="K")  # flat views, for the norms
 
-    subtract(d, _sylvester(a, c, x, s1, s2), r)  # R = D - (AX + XC)
+    subtract(d, sylvester(a, c, x, s1, s2), r)  # R = D - (AX + XC)
     res = sqrt(rf.dot(rf))
     history = [res]
     if res < threshold:
         return SolveOutcome(Status.CONVERGED, _fold(D, x), history, 0)
 
-    _sylvester(at, ct, r, p, s2)
+    sylvester(at, ct, r, p, s2)
     p_first = sqrt(pf.dot(pf))
     res_first = res
 
@@ -204,7 +235,7 @@ def solve(problem, x1, opts=None):
         alpha = (res * res) / (p_norm * p_norm)
         _check_finite(alpha, "step length alpha", k)
         add(x, multiply(p, alpha, s1), x)
-        subtract(d, _sylvester(a, c, x, s1, s2), r)
+        subtract(d, sylvester(a, c, x, s1, s2), r)
         res_new = sqrt(rf.dot(rf))
         _check_finite(res_new, "residual norm", k)
         history.append(res_new)
@@ -222,7 +253,7 @@ def solve(problem, x1, opts=None):
         # P <- beta P + (A^T R + R C^T), the two products summed first: the
         # rounding order decides the iteration counts of the reference problems
         multiply(p, beta, p)
-        add(p, _sylvester(at, ct, r, s1, s2), p)
+        add(p, sylvester(at, ct, r, s1, s2), p)
         res = res_new
         k += 1
 

@@ -1,11 +1,16 @@
 """End-to-end CLI behavior through ``tensyl.cli.main``."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tensyl import fileio
+from tensyl import cli, fileio
 from tensyl import tensor as tc
 from tensyl.cli import main
 from tensyl.instances import random_consistent, random_inconsistent
@@ -269,3 +274,50 @@ class TestUsageErrors:
     def test_no_command_maps_to_one(self, capsys):
         assert main([]) == 1
         capsys.readouterr()
+
+
+class TestParserReuse:
+    def test_reused_parser_carries_no_state(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        assert main(["gen", "--I", "2,2", "--J", "3", "--seed", "7", "--out", str(path), "--quiet"]) == 0
+        assert main(["verify", str(path), "--kmax", "2", "--quiet"]) == 3
+        assert capsys.readouterr().out.startswith("undecided ")
+        assert main(["verify", str(path), "--no-such-flag"]) == 1
+        capsys.readouterr()
+        # the default k_max again, and the human report, not --quiet's line
+        assert main(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("solver: Converged (")
+        assert lines[-1] == "result: agree"
+
+    def test_main_builds_one_parser(self, consistent_file, monkeypatch, capsys):
+        main(["oracle", str(consistent_file), "--quiet"])  # the parser exists from here on
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (["verify", str(consistent_file), "--quiet"], ["frobnicate"], ["oracle", str(consistent_file)]):
+            main(argv)
+        capsys.readouterr()
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import tensyl.cli\n"
+            "print(len(built))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout == "0\n"

@@ -11,7 +11,10 @@ from tensyl.solver import (
     SolveOptions,
     Status,
     SylvesterProblem,
-    _sylvester,
+    MATMUL_MIN_ENTRIES,
+    _sylvester_dot,
+    _sylvester_for,
+    _sylvester_matmul,
     apply_adjoint,
     apply_operator,
     solve,
@@ -48,16 +51,27 @@ class TestOperators:
         want = loop_sylvester_rhs(a, c, x)
         assert np.allclose(got.data, want.data, atol=1e-13)
 
-    @pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (6, 1), (12, 9), (64, 48)])
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (6, 1), (12, 9), (64, 48), (128, 96)])
     def test_kernel_rounds_like_matmul(self, rng, m, n):
-        # The solver's kernel must round exactly as a @ x + x @ c does, for
-        # the operator and the adjoint: the reference iteration counts
-        # depend on it.
+        # Both entries of the solver's kernel must round exactly as
+        # a @ x + x @ c does, for the operator and the adjoint: the reference
+        # iteration counts depend on it.
         a, c, x = (np.asfortranarray(rng.standard_normal(shape)) for shape in ((m, m), (n, n), (m, n)))
         out, tmp = np.empty_like(x), np.empty_like(x)
-        for aa, cc in ((a, c), (a.T, c.T)):
-            assert _sylvester(aa, cc, x, out, tmp) is out
-            assert out.tobytes() == (aa @ x + x @ cc).tobytes()
+        for kernel in (_sylvester_dot, _sylvester_matmul):
+            for aa, cc in ((a, c), (a.T, c.T)):
+                assert kernel(aa, cc, x, out, tmp) is out
+                assert out.tobytes() == (aa @ x + x @ cc).tobytes()
+
+    def test_kernel_entry_by_size(self):
+        # dot below the threshold, matmul from it up; every small_solve and
+        # cli_verify size (m*n <= 256) is below it, large_solve's is above.
+        def kernel(size):
+            return _sylvester_for(np.empty((size, 1), order="F"))
+
+        assert 256 < MATMUL_MIN_ENTRIES < 512 * 256
+        assert kernel(MATMUL_MIN_ENTRIES - 1) is _sylvester_dot
+        assert kernel(MATMUL_MIN_ENTRIES) is _sylvester_matmul
 
     def test_adjoint_identity(self, rng):
         # <L(x), y> = <x, L*(y)> for the Sylvester operator L
