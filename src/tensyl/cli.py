@@ -41,7 +41,7 @@ def _merge_options(file_options, args):
 
 
 def _initial_iterate(init_spec, d_like):
-    if init_spec is None or init_spec == "zero":
+    if init_spec == "zero":
         return tc.zeros_like(d_like)
     if init_spec.startswith("file:"):
         return fileio.read_tensor(init_spec[len("file:") :])

@@ -62,15 +62,16 @@ def random_inconsistent(rng, row_extents, col_extents):
     a = _rank_deficient_square(rng, row_extents)
     c = _rank_deficient_square(rng, col_extents)
     x = _uniform_tensor(rng, row_extents, col_extents)
-    system = unfold_system(SylvesterProblem(a, c, apply_operator(a, c, x)))
-    probe = rng.uniform(-1.0, 1.0, system.m * system.n)
-    fit, _, _ = min_norm_lstsq(system.K, probe)
-    leftover = probe - system.K @ fit
+    d = apply_operator(a, c, x)
+    K = unfold_system(SylvesterProblem(a, c, d))
+    probe = rng.uniform(-1.0, 1.0, d.m * d.n)
+    fit, _, _ = min_norm_lstsq(K, probe)
+    leftover = probe - K @ fit
     norm = np.linalg.norm(leftover)
     if norm < 1.0e-8:
         raise GenerationError(f"probe left only {norm:.3e} outside the operator's range")
-    scale = max(1.0, np.linalg.norm(system.rhs)) / norm
-    bad = system.rhs + scale * leftover
+    scale = max(1.0, np.linalg.norm(d.data)) / norm
+    bad = d.data + scale * leftover
     problem = SylvesterProblem(a, c, tc.psi_inverse(bad, row_extents, col_extents))
     if oracle_solve(problem).consistent:
         raise GenerationError("the oracle found the generated instance consistent")

@@ -3,10 +3,10 @@
 The tensor equation A *_M X + X *_N C = D unfolds through psi to the
 matrix Sylvester equation psi(A) Xm + Xm psi(C) = psi(D), whose Kronecker
 lift is K x = d with K = I_n (x) psi(A) + psi(C)^T (x) I_m and d the
-column-major vectorization of psi(D).  The minimum-norm least-squares
-solution of that system comes from LAPACK's SVD-based least squares
-through numpy (``numpy.linalg.lstsq``): a direct dense solve that shares
-no code with the iterative solver.
+column-major vectorization of psi(D), which is ``D.data`` itself.  The
+minimum-norm least-squares solution of that system comes from LAPACK's
+SVD-based least squares through numpy (``numpy.linalg.lstsq``): a direct
+dense solve that shares no code with the iterative solver.
 """
 
 from dataclasses import dataclass
@@ -21,15 +21,7 @@ DEFAULT_RANK_TOL = 1.0e-10
 
 
 class SizeCapError(ValueError):
-    """Unfolded system larger than the configured dense-solve cap."""
-
-
-@dataclass(frozen=True)
-class UnfoldedSystem:
-    K: np.ndarray
-    rhs: np.ndarray
-    m: int
-    n: int
+    """Unfolded system larger than the dense-solve cap, DEFAULT_SIZE_CAP unknowns."""
 
 
 @dataclass(frozen=True)
@@ -41,16 +33,13 @@ class OracleResult:
 
 
 def unfold_system(problem):
-    """Kronecker lift of the Sylvester operator: K vec(psi(X)) = vec(psi(D))."""
-    m = problem.D.m
-    n = problem.D.n
+    """Kronecker lift K of the Sylvester operator: K vec(psi(X)) = vec(psi(D)) = D.data."""
+    m, n = problem.D.m, problem.D.n
     if m * n > DEFAULT_SIZE_CAP:
         raise SizeCapError(
             f"unfolded system of size {m * n} exceeds the dense cap {DEFAULT_SIZE_CAP}"
         )
-    K = np.kron(np.eye(n), tc.psi(problem.A)) + np.kron(tc.psi(problem.C).T, np.eye(m))
-    rhs = tc.psi(problem.D).ravel(order="F")
-    return UnfoldedSystem(K, rhs, m, n)
+    return np.kron(np.eye(n), tc.psi(problem.A)) + np.kron(tc.psi(problem.C).T, np.eye(m))
 
 
 def min_norm_lstsq(K, rhs):
@@ -85,8 +74,8 @@ def row_space_projection(K, v):
 
 def oracle_solve(problem):
     """Consistency verdict and min-norm solution from the dense unfolding."""
-    system = unfold_system(problem)
-    x, residual, rank = min_norm_lstsq(system.K, system.rhs)
-    tol = DEFAULT_RANK_TOL * float(np.linalg.norm(system.rhs)) * system.m * system.n
-    solution = tc.psi_inverse(x, problem.D.row_extents, problem.D.col_extents)
+    D = problem.D
+    x, residual, rank = min_norm_lstsq(unfold_system(problem), D.data)
+    tol = DEFAULT_RANK_TOL * float(np.linalg.norm(D.data)) * D.m * D.n
+    solution = tc.psi_inverse(x, D.row_extents, D.col_extents)
     return OracleResult(residual <= tol, solution, residual, rank)

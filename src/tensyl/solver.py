@@ -44,28 +44,29 @@ class Status(Enum):
     ITERATION_LIMIT = "IterationLimit"
 
 
+def _check_operands(A, C, X, what):
+    """The one split rule: A and C are square, and X, named ``what``, has the
+    row extents of A and the column extents of C."""
+    for name, op in (("A", A), ("C", C)):
+        if op.row_extents != op.col_extents:
+            raise DimensionError(f"{name} must have a square split, got {op.row_extents} x {op.col_extents}")
+    if (X.row_extents, X.col_extents) != (A.row_extents, C.row_extents):
+        raise DimensionError(
+            f"{what} split {X.row_extents} x {X.col_extents} does not fit "
+            f"A {A.row_extents} and C {C.row_extents}"
+        )
+
+
 @dataclass(frozen=True)
 class SylvesterProblem:
-    """The triple (A, C, D) with validated shape compatibility."""
+    """The triple (A, C, D), with D fitting (A, C) by the split rule."""
 
     A: DenseTensor
     C: DenseTensor
     D: DenseTensor
 
     def __post_init__(self):
-        a, c, d = self.A, self.C, self.D
-        if a.row_extents != a.col_extents:
-            raise DimensionError(f"A must have a square split, got {a.row_extents} x {a.col_extents}")
-        if c.row_extents != c.col_extents:
-            raise DimensionError(f"C must have a square split, got {c.row_extents} x {c.col_extents}")
-        if d.row_extents != a.row_extents:
-            raise DimensionError(
-                f"D row extents {d.row_extents} do not match A extents {a.row_extents}"
-            )
-        if d.col_extents != c.row_extents:
-            raise DimensionError(
-                f"D col extents {d.col_extents} do not match C extents {c.row_extents}"
-            )
+        _check_operands(self.A, self.C, self.D, "D")
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,11 @@ class SolveOutcome:
     status: Status
     solution: DenseTensor
     residual_history: list
-    iterations: int
+
+    @property
+    def iterations(self):
+        """Sweeps run: the history holds the start residual and one per sweep."""
+        return len(self.residual_history) - 1
 
     @property
     def final_residual(self):
@@ -153,28 +158,16 @@ def _sylvester_for(x):
     return _sylvester_matmul if x.size >= MATMUL_MIN_ENTRIES else _sylvester_dot
 
 
-def _check_operands(A, C, X):
-    if not (
-        A.row_extents == A.col_extents == X.row_extents
-        and C.row_extents == C.col_extents == X.col_extents
-    ):
-        raise DimensionError(
-            f"operator splits {A.row_extents} x {A.col_extents} and "
-            f"{C.row_extents} x {C.col_extents} do not fit "
-            f"{X.row_extents} x {X.col_extents}"
-        )
-
-
 def apply_operator(A, C, X):
     """A *_M X + X *_N C."""
-    _check_operands(A, C, X)
+    _check_operands(A, C, X, "X")
     x = tc.psi(X)
     return _fold(X, _sylvester_for(x)(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x)))
 
 
 def apply_adjoint(A, C, R):
     """A^T *_M R + R *_N C^T, the adjoint of apply_operator."""
-    _check_operands(A, C, R)
+    _check_operands(A, C, R, "R")
     r = tc.psi(R)
     return _fold(R, _sylvester_for(r)(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r)))
 
@@ -182,13 +175,6 @@ def apply_adjoint(A, C, R):
 def _check_finite(value, what, k):
     if not math.isfinite(value):
         raise NumericalBreakdownError(f"{what} is not finite", k)
-
-
-def _check_start(start, D, what):
-    if not start.same_split(D):
-        raise DimensionError(
-            f"{what} split {start.row_extents} x {start.col_extents} does not match D"
-        )
 
 
 def solve(problem, x1, opts=None):
@@ -200,7 +186,7 @@ def solve(problem, x1, opts=None):
     """
     opts = opts or DEFAULT_OPTIONS
     A, C, D = problem.A, problem.C, problem.D
-    _check_start(x1, D, "initial iterate")
+    _check_operands(A, C, x1, "initial iterate")
     a, c, d = tc.psi(A), tc.psi(C), tc.psi(D)
     at, ct = a.T, c.T  # the adjoint's operands, as views
     sqrt, add, subtract, multiply = math.sqrt, np.add, np.subtract, np.multiply
@@ -215,14 +201,14 @@ def solve(problem, x1, opts=None):
     res = sqrt(rf.dot(rf))
     history = [res]
     if res < threshold:
-        return SolveOutcome(Status.CONVERGED, _fold(D, x), history, 0)
+        return SolveOutcome(Status.CONVERGED, _fold(D, x), history)
 
     sylvester(at, ct, r, p, s2)
     p_first = sqrt(pf.dot(pf))
     res_first = res
 
-    k = 1
-    while k <= k_max:
+    status = Status.ITERATION_LIMIT
+    for k in range(1, k_max + 1):
         p_norm = sqrt(pf.dot(pf))
         # Dimensionless zero-direction test.  The direction shrinks in
         # proportion to the residual on a consistent equation, so the floor
@@ -231,7 +217,8 @@ def solve(problem, x1, opts=None):
         dir_floor = epsilon_p * max(1.0, p_first * (res / res_first))
         if p_norm <= dir_floor:
             # Nonzero residual with vanishing direction: no solution exists.
-            return SolveOutcome(Status.INCONSISTENT, _fold(D, x), history, k - 1)
+            status = Status.INCONSISTENT
+            break
         alpha = (res * res) / (p_norm * p_norm)
         _check_finite(alpha, "step length alpha", k)
         add(x, multiply(p, alpha, s1), x)
@@ -240,14 +227,16 @@ def solve(problem, x1, opts=None):
         _check_finite(res_new, "residual norm", k)
         history.append(res_new)
         if res_new < threshold:
-            return SolveOutcome(Status.CONVERGED, _fold(D, x), history, k)
+            status = Status.CONVERGED
+            break
         if res_new > DIVERGENCE_FACTOR * res_first:
             # On a consistent equation the residual never grows from a zero
             # start (finite-termination theory; confirmed empirically), while
             # an unsolvable one makes the step length blow up as the
             # direction degenerates.  Sustained divergence is therefore a
             # numerical inconsistency certificate.
-            return SolveOutcome(Status.INCONSISTENT, _fold(D, x), history, k)
+            status = Status.INCONSISTENT
+            break
         beta = (res_new * res_new) / (res * res)
         _check_finite(beta, "conjugation coefficient beta", k)
         # P <- beta P + (A^T R + R C^T), the two products summed first: the
@@ -255,9 +244,8 @@ def solve(problem, x1, opts=None):
         multiply(p, beta, p)
         add(p, sylvester(at, ct, r, s1, s2), p)
         res = res_new
-        k += 1
 
-    return SolveOutcome(Status.ITERATION_LIMIT, _fold(D, x), history, k_max)
+    return SolveOutcome(status, _fold(D, x), history)
 
 
 def solve_min_norm(problem, opts=None):
@@ -275,7 +263,7 @@ def solve_nearness(problem, x0, opts=None):
     (its solution is the correction Y-hat).
     """
     A, C, D = problem.A, problem.C, problem.D
-    _check_start(x0, D, "X0")
+    _check_operands(A, C, x0, "X0")
     d_shift = tc.subtract(D, apply_operator(A, C, x0))
     shifted = SylvesterProblem(A, C, d_shift)
     outcome = solve_min_norm(shifted, opts)

@@ -32,7 +32,7 @@ def _check_extents(extents, what):
     return tuple(int(e) for e in extents)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseTensor:
     """Order-(M+N) real tensor with row/column mode split and flat storage.
 
@@ -40,7 +40,8 @@ class DenseTensor:
     (first index fastest), i.e. a Fortran-order raveling of the full
     ``row_extents + col_extents`` shape.  Every entry is a finite double;
     the constructor rejects NaN, infinities and integers beyond the double
-    range with a ValueError naming the first such entry.
+    range with a ValueError naming the first such entry.  Tensors compare
+    and hash by identity: a field-wise ``==`` would compare the arrays.
     """
 
     row_extents: tuple

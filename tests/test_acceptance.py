@@ -413,9 +413,8 @@ def test_least_norm_dominance_and_row_space_membership():
         worst_gap = max(worst_gap, gap)
         dominance_ok &= gap <= 1.0e-8
 
-        system = unfold_system(problem)
         v = min_norm.solution.data
-        projected = row_space_projection(system.K, v)
+        projected = row_space_projection(unfold_system(problem), v)
         deviation = float(np.linalg.norm(v - projected)) / max(1.0, float(np.linalg.norm(v)))
         worst_membership = max(worst_membership, deviation)
         membership_ok &= deviation <= 1.0e-8

@@ -10,12 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensyl import cli, fileio
+from tensyl import cli, fileio, reference_problems
 from tensyl import tensor as tc
 from tensyl.cli import main
 from tensyl.instances import random_consistent, random_inconsistent
 
 from conftest import random_tensor, write_with_bad_entry
+
+# The environment of a shell run of the package from this source tree.
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
 
 @pytest.fixture
@@ -70,6 +73,10 @@ class TestSolve:
         assert code == 0
         csv = (tmp_path / "problem_residuals.csv").read_text()
         assert len(csv.strip().split("\n")) == 2  # header plus the initial residual
+
+    def test_init_bad_spec(self, consistent_file, capsys):
+        assert main(["solve", str(consistent_file), "--init", "ones"]) == 1
+        assert capsys.readouterr().err == "error: bad --init value 'ones'; expected 'zero' or 'file:<path>'\n"
 
     def test_init_bad_split(self, consistent_file, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -240,6 +247,11 @@ class TestGen:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_extent(self, tmp_path, capsys):
+        assert main(["gen", "--I", "0", "--J", "3", "--seed", "1", "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err == "error: bad extent list '0'\n"
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestRepro:
     def test_runs_and_reports(self, tmp_path, capsys):
@@ -255,6 +267,27 @@ class TestRepro:
         assert "[ok] nearness problem: solution matches published entries to 5e-4" in out
         assert (tmp_path / "repro" / "reference_residuals.csv").exists()
         assert (tmp_path / "repro" / "nearness_solution.json").exists()
+
+    def test_quiet_pass_prints_ok(self, tmp_path, capsys):
+        assert main(["repro", "--outdir", str(tmp_path), "--quiet"]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
+    def test_failed_check(self, tmp_path, monkeypatch, capsys):
+        published = reference_problems.min_norm_reference()
+        off = published.data.copy()
+        off[0] += 1.0e-3  # twice the entry tolerance
+        monkeypatch.setattr(reference_problems, "min_norm_reference",
+                            lambda: tc.DenseTensor(published.row_extents, published.col_extents, off))
+        check = "reference problem: solution matches published entries to 5e-4"
+        assert main(["repro", "--outdir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert f"[FAIL] {check}" in captured.out.splitlines()
+        assert "[ok] nearness problem: solution matches published entries to 5e-4" in captured.out
+        assert "all reproduction checks passed" not in captured.out
+        assert captured.err == f"error: {check}\n"
+        assert main(["repro", "--outdir", str(tmp_path), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("fail\n", f"error: {check}\n")
 
     def test_outdir_is_a_file(self, tmp_path, capsys):
         outdir = tmp_path / "taken"
@@ -317,7 +350,22 @@ class TestParserReuse:
             "import tensyl.cli\n"
             "print(len(built))\n"
         )
-        src = str(Path(cli.__file__).parents[1])
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
-                              env={**os.environ, "PYTHONPATH": src})
+                              env=SRC_ENV)
         assert done.stdout == "0\n"
+
+
+class TestShellEntryPoint:
+    def test_exit_codes_reach_the_shell(self, tmp_path):
+        def tensyl(*argv):
+            return subprocess.run([sys.executable, "-m", "tensyl.cli", *argv], capture_output=True, text=True,
+                                  env=SRC_ENV)
+
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        assert tensyl("gen", "--I", "2,2", "--J", "3", "--seed", "7", "--out", str(good), "--quiet").returncode == 0
+        done = tensyl("verify", str(good), "--quiet")
+        assert (done.returncode, done.stdout.split()[0], done.stderr) == (0, "agree", "")
+        gen = tensyl("gen", "--I", "2", "--J", "3", "--seed", "9", "--inconsistent", "--out", str(bad), "--quiet")
+        assert gen.returncode == 0
+        done = tensyl("solve", str(bad), "--quiet")
+        assert (done.returncode, done.stdout.split()[0], done.stderr) == (2, "Inconsistent", "")

@@ -150,6 +150,24 @@ class TestProblemFiles:
         with pytest.raises(FileFormatError, match=f"{block}: .*{key}"):
             fileio.read_problem(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: {**obj, "D": [1, 2]}, "D: expected an object, got list"),
+            (lambda obj: {**obj, "D": {**obj["D"], "data": "1 2"}}, "D: field 'data' must be a flat list"),
+            (lambda obj: {**obj, "options": [7]}, "options must be an object"),
+            (lambda obj: [obj], "expected a top-level object"),
+        ],
+        ids=["tensor", "data", "options", "top-level"],
+    )
+    def test_wrong_json_kind_rejected(self, rng, tmp_path, edit, message):
+        problem, _ = random_consistent(rng, (2,), (2,))
+        path = tmp_path / "p.json"
+        fileio.write_problem(path, problem)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(f'{path}: {message}')}"):
+            fileio.read_problem(path)
+
     def test_missing_options_take_defaults(self, rng, tmp_path):
         problem, _ = random_consistent(rng, (2,), (2,))
         path = tmp_path / "p.json"

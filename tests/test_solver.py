@@ -1,5 +1,7 @@
 """Solver behavior: convergence, statuses, options, and the nearness route."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,29 @@ class TestProblemValidation:
         d = random_tensor(rng, (2,), (2,))
         with pytest.raises(DimensionError):
             SylvesterProblem(a, c, d)
+
+    # Each entry point applies the one split rule to A, C (2 x 2 and 3 x 3
+    # here) and its own operand; a split differs even where the sizes agree.
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda a, c, d: SylvesterProblem(tc.zeros((2,), (3,)), c, d), "A must have a square split"),
+            (lambda a, c, d: SylvesterProblem(a, tc.zeros((3,), (1, 3)), d), "C must have a square split"),
+            (lambda a, c, d: SylvesterProblem(a, c, tc.zeros((1, 2), (3,))), "D split (1, 2) x (3,) does not fit"),
+            (lambda a, c, d: SylvesterProblem(a, c, tc.zeros((2,), (3, 1))), "D split (2,) x (3, 1) does not fit"),
+            (lambda a, c, d: apply_operator(a, c, tc.zeros((3,), (2,))), "X split (3,) x (2,) does not fit"),
+            (lambda a, c, d: apply_adjoint(a, c, tc.zeros((3,), (2,))), "R split (3,) x (2,) does not fit"),
+            (lambda a, c, d: solve(SylvesterProblem(a, c, d), tc.zeros((2, 1), (3,))),
+             "initial iterate split (2, 1) x (3,) does not fit"),
+            (lambda a, c, d: solve_nearness(SylvesterProblem(a, c, d), tc.zeros((2,), (1, 3))),
+             "X0 split (2,) x (1, 3) does not fit"),
+        ],
+        ids=["nonsquare-A", "nonsquare-C", "D-rows", "D-cols", "operator", "adjoint", "solve-start", "nearness-X0"],
+    )
+    def test_split_rule(self, rng, call, message):
+        a, c, d = random_tensor(rng, (2,), (2,)), random_tensor(rng, (3,), (3,)), random_tensor(rng, (2,), (3,))
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            call(a, c, d)
 
 
 class TestOperators:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tensyl import tensor as tc
+from tensyl.solver import SylvesterProblem
 from tensyl.tensor import DenseTensor, DimensionError
 
 from conftest import loop_einstein_product, random_tensor
@@ -77,6 +78,16 @@ class TestDenseTensor:
         assert t.m == 6 and t.n == 4
         assert t.extents == (2, 3, 4)
         assert t.order == 3
+
+    def test_equality_is_identity(self):
+        # A field-wise == would compare the data arrays and raise.
+        s, t = tc.zeros((2,), (2,)), tc.zeros((2,), (2,))
+        assert s == s and s != t
+        assert hash(s) == hash(s) and len({s, t}) == 2
+        a, c = tc.identity((2,)), tc.identity((2,))
+        assert SylvesterProblem(a, c, s) == SylvesterProblem(a, c, s)
+        assert SylvesterProblem(a, c, s) != SylvesterProblem(a, c, t)
+        assert hash(SylvesterProblem(a, c, s)) == hash(SylvesterProblem(a, c, s))
 
     def test_reshape_split_is_metadata_only(self, rng):
         t = random_tensor(rng, (2, 3), (4,))
