@@ -156,7 +156,7 @@ def _parse_extents(text):
         extents = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad extent list {text!r}") from exc
-    if not extents or any(e < 1 for e in extents):
+    if any(e < 1 for e in extents):
         raise ValueError(f"bad extent list {text!r}")
     return extents
 

@@ -6,14 +6,14 @@ Tensor file: UTF-8 JSON with fields ``row_extents``, ``col_extents`` and
 fields by name; missing ones take their defaults, any other key is an
 error).  This module is the only reader and writer of both formats.  Numbers
 round-trip at full double precision through the shortest-repr rendering.
-Finite entries and option types are checked by DenseTensor and
-SolveOptions; the reader names the file and field in their errors.
+Entries, option types and splits are checked by DenseTensor, SolveOptions
+and the solver; the reader names the file and field in their errors.
 """
 
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .solver import SolveOptions, SylvesterProblem
+from .solver import SolveOptions, SylvesterProblem, _check_operands
 from .tensor import DenseTensor, DimensionError
 
 
@@ -63,10 +63,14 @@ def tensor_from_obj(obj, where):
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
-def write_tensor(tensor, path):
+def _dump_json(obj, path):
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(tensor_to_obj(tensor), handle)
+        json.dump(obj, handle)
         handle.write("\n")
+
+
+def write_tensor(tensor, path):
+    _dump_json(tensor_to_obj(tensor), path)
 
 
 def _load_json(path):
@@ -75,6 +79,10 @@ def _load_json(path):
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise FileFormatError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def read_tensor(path):
@@ -93,9 +101,7 @@ def write_problem(path, problem, x0=None, options=None, x_star=None):
         obj["options"] = asdict(options)
     if x_star is not None:
         obj["X_star"] = tensor_to_obj(x_star)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle)
-        handle.write("\n")
+    _dump_json(obj, path)
 
 
 def _options_from_obj(block, where):
@@ -123,14 +129,13 @@ def read_problem(path):
     a = tensor_from_obj(obj["A"], f"{where}: A")
     c = tensor_from_obj(obj["C"], f"{where}: C")
     d = tensor_from_obj(obj["D"], f"{where}: D")
+    extra = {k: tensor_from_obj(obj[k], f"{where}: {k}") for k in ("X0", "X_star") if k in obj}
     try:
         problem = SylvesterProblem(a, c, d)
+        for key, tensor in extra.items():
+            _check_operands(a, c, tensor, key)
     except DimensionError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
-    extra = {k: tensor_from_obj(obj[k], f"{where}: {k}") for k in ("X0", "X_star") if k in obj}
-    for key, tensor in extra.items():
-        if not tensor.same_split(d):
-            raise FileFormatError(f"{where}: {key} split does not match D")
     options = _options_from_obj(obj["options"], where) if "options" in obj else None
     return ProblemFile(problem, extra.get("X0"), options, extra.get("X_star"))
 

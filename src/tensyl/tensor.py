@@ -8,8 +8,9 @@ stacking ``vec`` are pure metadata operations on the same buffer.
 
 ``psi`` is the isomorphism that turns A *_M X + X *_N C = D into the matrix
 Sylvester equation psi(A) psi(X) + psi(X) psi(C) = psi(D).  It returns a
-read-only ndarray view, and ``psi_inverse`` folds a matrix (or its
-column-major flat vector) back; every other module unfolds through them.
+read-only ndarray view through ``_unfold``, the one reshape, and
+``psi_inverse``, the one fold, turns a matrix (or its column-major flat
+vector) back; every other module and product unfolds and folds through them.
 """
 
 import sys
@@ -142,11 +143,9 @@ def to_array(tensor):
 
 
 def zeros(row_extents, col_extents):
-    row_extents = tuple(row_extents)
-    col_extents = tuple(col_extents)
-    return DenseTensor(
-        row_extents, col_extents, np.zeros(prod(row_extents) * prod(col_extents))
-    )
+    row_extents = _check_extents(row_extents, "row extents")
+    col_extents = _check_extents(col_extents, "col extents")
+    return DenseTensor(row_extents, col_extents, np.zeros(prod(row_extents) * prod(col_extents)))
 
 
 def zeros_like(tensor):
@@ -156,8 +155,7 @@ def zeros_like(tensor):
 def identity(extents):
     """Identity tensor on the square split ``extents x extents``."""
     extents = _check_extents(extents, "extents")
-    m = prod(extents)
-    return DenseTensor(extents, extents, np.eye(m).ravel(order="F"))
+    return psi_inverse(np.eye(prod(extents)), extents, extents)
 
 
 def _check_same_split(op, a, b):
@@ -196,18 +194,15 @@ def einstein_product(a, b, num_contracted):
             f"contraction extents mismatch: {shared} vs {b.extents[:k]}"
         )
     lead = a.extents[: a.order - k]
-    trail = b.extents[k:]
-    p = prod(shared)
-    left = a.data.reshape((prod(lead), p), order="F")
-    right = b.data.reshape((p, prod(trail)), order="F")
-    return DenseTensor(lead, trail, (left @ right).ravel(order="F"))
+    product = _unfold(a.data, prod(lead)) @ _unfold(b.data, prod(shared))
+    return psi_inverse(product, lead, b.extents[k:])
 
 
 def transpose(a):
     """Swap the row and column blocks; unfolds to the matrix transpose."""
     if not a.row_extents or not a.col_extents:
         raise DimensionError("transpose requires nonempty row and column blocks")
-    return DenseTensor(a.col_extents, a.row_extents, psi(a).T.ravel(order="F"))
+    return psi_inverse(psi(a).T, a.col_extents, a.row_extents)
 
 
 def trace(a):
@@ -233,11 +228,10 @@ def kron(a, b):
     ``b`` varying fastest, so that psi(kron(a, b)) = kron(psi(a), psi(b))."""
     if not (a.row_extents and a.col_extents and b.row_extents and b.col_extents):
         raise DimensionError("kron requires nonempty row and column blocks")
-    mat = np.kron(psi(a), psi(b))
-    return DenseTensor(
+    return psi_inverse(
+        np.kron(psi(a), psi(b)),
         b.row_extents + a.row_extents,
         b.col_extents + a.col_extents,
-        mat.ravel(order="F"),
     )
 
 
@@ -252,24 +246,23 @@ def vec(a):
     return DenseTensor((a.m,), a.col_extents, a.data)
 
 
+def _unfold(data, rows):
+    """Flat ivec ``data`` as a column-major matrix of ``rows`` rows, zero-copy."""
+    return data.reshape((rows, -1), order="F")
+
+
 def psi(a):
     """The m x n unfolding with entries indexed by (ivec(i), ivec(j)).
 
-    A read-only view of ``a.data``: the one place the layout is spelled out.
+    A read-only view of ``a.data``, made by ``_unfold``, the one reshape.
     """
-    return a.data.reshape((a.m, a.n), order="F")
+    return _unfold(a.data, a.m)
 
 
 def psi_inverse(view, row_extents, col_extents):
-    """Fold an m x n matrix, or its column-major flat vector, to a tensor."""
+    """Fold an m x n matrix, or its column-major flat vector, to a tensor;
+    the one fold.  DenseTensor checks the entry count."""
     entries = np.asarray(view)
-    row_extents = tuple(row_extents)
-    col_extents = tuple(col_extents)
-    if entries.size != prod(row_extents) * prod(col_extents):
-        raise DimensionError(
-            f"matrix with {entries.size} entries cannot fold to "
-            f"{row_extents} x {col_extents}"
-        )
     if entries.ndim != 1 and (entries.ndim != 2 or entries.shape[0] != prod(row_extents)):
         raise DimensionError(
             f"matrix shape {entries.shape} does not match row extents {row_extents}"

@@ -241,6 +241,13 @@ class TestGen:
             assert code == 0
             assert main(["oracle", str(out), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("kind, flags", [("consistent", []), ("inconsistent", ["--inconsistent"])])
+    def test_reports_written_instance(self, tmp_path, capsys, kind, flags):
+        out = tmp_path / "gen.json"
+        assert main(["gen", "--I", "2", "--J", "3", "--seed", "9", "--out", str(out), *flags]) == 0
+        assert capsys.readouterr().out == f"wrote {kind} instance to {out}\n"
+        assert out.exists()
+
     def test_bad_extents(self, tmp_path, capsys):
         code = main(["gen", "--I", "2,x", "--J", "3", "--seed", "1",
                      "--out", str(tmp_path / "o.json")])
@@ -369,3 +376,11 @@ class TestShellEntryPoint:
         assert gen.returncode == 0
         done = tensyl("solve", str(bad), "--quiet")
         assert (done.returncode, done.stdout.split()[0], done.stderr) == (2, "Inconsistent", "")
+
+    def test_deeply_nested_file_is_one_error_line(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"A": ' + "[" * 5000 + "]" * 5000 + "}")
+        done = subprocess.run([sys.executable, "-m", "tensyl.cli", "verify", str(deep)], capture_output=True,
+                              text=True, env=SRC_ENV)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: {deep}: JSON nested too deeply to read\n"

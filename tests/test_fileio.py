@@ -45,6 +45,17 @@ class TestTensorFiles:
         with pytest.raises(FileFormatError, match="line"):
             fileio.read_tensor(path)
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"A": ' + b"[" * 5000 + b"]" * 5000 + b"}", "JSON nested too deeply to read"),
+        (b"\xff{}", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["deep", "not-utf8"])
+    @pytest.mark.parametrize("read", [fileio.read_tensor, fileio.read_problem], ids=["tensor", "problem"])
+    def test_unreadable_json_names_path(self, tmp_path, read, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(FileFormatError, match=f"^{re.escape(f'{path}: {message}')}"):
+            read(path)
+
     def test_wrong_data_length(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"row_extents": [2], "col_extents": [2], "data": [1.0]}))
@@ -106,7 +117,7 @@ class TestProblemFiles:
             obj = json.loads(path.read_text())
             obj[key] = {"row_extents": [3], "col_extents": [2], "data": [0] * 6}
             path.write_text(json.dumps(obj))
-            message = f"{path}: {key} split does not match D"
+            message = f"{path}: {key} split (3,) x (2,) does not fit A (2,) and C (3,)"
             with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
                 fileio.read_problem(path)
 

@@ -1,5 +1,7 @@
 """Core tensor algebra: storage layout, unfoldings, and operations."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,14 @@ class TestDenseTensor:
             DenseTensor((2.5,), (3,), np.zeros(7))
         with pytest.raises(DimensionError, match="row extents"):
             DenseTensor((2.5,), (2,), range(4))
+
+    @pytest.mark.parametrize("extents", [(2.5,), (-1,)], ids=["fractional", "negative"])
+    def test_zeros_applies_extent_rule(self, extents):
+        # The rule, and the error, that identity applies to the same extents.
+        message = re.escape(f"extents must be positive integers, got {extents}")
+        for make in (lambda: tc.zeros(extents, (2,)), lambda: tc.identity(extents)):
+            with pytest.raises(DimensionError, match=message):
+                make()
 
     @pytest.mark.parametrize(
         "bad, text",
@@ -177,6 +187,23 @@ class TestTransposeTraceInner:
         got = tc.inner(a, b)
         assert got == pytest.approx(via_trace, rel=1e-12)
         assert got == pytest.approx(float(np.dot(a.data, b.data)))
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (tc.add, "add: splits differ ((2,)x(3,) vs (3,)x(2,))"),
+            (tc.subtract, "subtract: splits differ ((2,)x(3,) vs (3,)x(2,))"),
+            (tc.inner, "inner: splits differ ((2,)x(3,) vs (3,)x(2,))"),
+            (lambda a, b: tc.transpose(a.reshape_split((), (2, 3))),
+             "transpose requires nonempty row and column blocks"),
+            (lambda a, b: tc.vec(a.reshape_split((), (2, 3))), "vec requires a nonempty row block"),
+        ],
+        ids=["add", "subtract", "inner", "transpose", "vec"],
+    )
+    def test_split_errors(self, rng, op, message):
+        a, b = random_tensor(rng, (2,), (3,)), random_tensor(rng, (3,), (2,))
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            op(a, b)
 
     def test_fro_norm_of_integer_ramp(self):
         t = DenseTensor((4, 3), (3, 3), np.arange(1.0, 109.0))
