@@ -206,7 +206,7 @@ def _cmd_repro(args):
              ("iterations within 79 +/- 15", 64 <= near_outcome.iterations <= 94),
          ]),
     ]
-    failures = []
+    failures, lines = [], []
     for label, stem, outcome, solution, published, own_checks in runs:
         fileio.write_residual_csv(outcome.residual_history, outdir / f"{stem}_residuals.csv")
         fileio.write_tensor(solution, outdir / f"{stem}_solution.json")
@@ -219,18 +219,12 @@ def _cmd_repro(args):
         for name, ok in checks:
             if not ok:
                 failures.append(f"{label}: {name}")
-            if not args.quiet:
-                print(f"[{'ok' if ok else 'FAIL'}] {label}: {name}")
+            lines.append(f"[{'ok' if ok else 'FAIL'}] {label}: {name}")
 
-    if failures:
-        if args.quiet:
-            print("fail")
-        return _fail("; ".join(failures))
-    if args.quiet:
-        print("ok")
-    else:
-        print(f"all reproduction checks passed; outputs in {outdir}")
-    return EXIT_OK
+    if not failures:
+        lines.append(f"all reproduction checks passed; outputs in {outdir}")
+    _report(args.quiet, "fail" if failures else "ok", lines)
+    return _fail("; ".join(failures)) if failures else EXIT_OK
 
 
 def _add_solver_flags(parser):

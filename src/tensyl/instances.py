@@ -72,7 +72,7 @@ def random_inconsistent(rng, row_extents, col_extents):
         raise GenerationError(f"probe left only {norm:.3e} outside the operator's range")
     scale = max(1.0, np.linalg.norm(d.data)) / norm
     bad = d.data + scale * leftover
-    problem = SylvesterProblem(a, c, tc.psi_inverse(bad, row_extents, col_extents))
+    problem = SylvesterProblem(a, c, tc.DenseTensor(d.row_extents, d.col_extents, bad))
     if oracle_solve(problem).consistent:
         raise GenerationError("the oracle found the generated instance consistent")
     return problem

@@ -77,5 +77,5 @@ def oracle_solve(problem):
     D = problem.D
     x, residual, rank = min_norm_lstsq(unfold_system(problem), D.data)
     tol = DEFAULT_RANK_TOL * float(np.linalg.norm(D.data)) * D.m * D.n
-    solution = tc.psi_inverse(x, D.row_extents, D.col_extents)
+    solution = DenseTensor(D.row_extents, D.col_extents, x)
     return OracleResult(residual <= tol, solution, residual, rank)

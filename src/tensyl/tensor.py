@@ -3,14 +3,15 @@
 A tensor carries an explicit split of its modes into a row block
 ``I_1 x ... x I_M`` and a column block ``J_1 x ... x J_N``.  The flat
 storage follows the first-index-fastest linearization (``ivec``) over the
-concatenated index, so the ``m x n`` unfolding ``psi`` and the row-block
-stacking ``vec`` are pure metadata operations on the same buffer.
+concatenated index, so the ``m x n`` unfolding ``psi`` is a view of the
+buffer, and ``vec`` and ``reshape_split`` copy it in the same entry order.
 
 ``psi`` is the isomorphism that turns A *_M X + X *_N C = D into the matrix
 Sylvester equation psi(A) psi(X) + psi(X) psi(C) = psi(D).  It returns a
-read-only ndarray view through ``_unfold``, the one reshape, and
-``psi_inverse``, the one fold, turns a matrix (or its column-major flat
-vector) back; every other module and product unfolds and folds through them.
+read-only view through ``_unfold``, the one reshape.  Each constructor takes
+one layout: flat ivec data goes to ``DenseTensor``, an m x n matrix to
+``psi_inverse``, the one fold, and a full array to ``from_array``; any other
+shape is refused.  Every other module unfolds and folds through these.
 """
 
 import sys
@@ -39,10 +40,11 @@ class DenseTensor:
 
     ``data`` holds the entries in ivec order over the concatenated index
     (first index fastest), i.e. a Fortran-order raveling of the full
-    ``row_extents + col_extents`` shape.  Every entry is a finite double;
-    the constructor rejects NaN, infinities and integers beyond the double
-    range with a ValueError naming the first such entry.  Tensors compare
-    and hash by identity: a field-wise ``==`` would compare the arrays.
+    ``row_extents + col_extents`` shape, taken in that flat form only and
+    copied.  Every entry is a finite double; the constructor rejects NaN,
+    infinities and integers beyond the double range with a ValueError naming
+    the first such entry.  Tensors compare and hash by identity: a
+    field-wise ``==`` would compare the arrays.
     """
 
     row_extents: tuple
@@ -53,11 +55,14 @@ class DenseTensor:
         row_extents = _check_extents(row_extents, "row extents")
         col_extents = _check_extents(col_extents, "col extents")
         try:
-            flat = np.asarray(data, dtype=np.float64).reshape(-1)
+            flat = np.array(data, dtype=np.float64)
         except OverflowError as exc:  # an integer beyond the double range
             entries = np.asarray(data, dtype=object).reshape(-1)
             i = next(i for i, v in enumerate(entries) if abs(v) > sys.float_info.max)
             raise ValueError(f"field 'data' entry {i}: {exc}") from exc
+        if flat.ndim != 1:
+            raise DimensionError(f"data of shape {flat.shape} must be flat in ivec order; fold an m x n "
+                                 "matrix with psi_inverse and a full array with from_array")
         expected = prod(row_extents) * prod(col_extents)
         if flat.size != expected:
             raise DimensionError(
@@ -68,7 +73,6 @@ class DenseTensor:
         if not finite.all():
             i = finite.argmin()
             raise ValueError(f"field 'data' entry {i} is {flat[i]}, not a finite number")
-        flat = np.array(flat, copy=True)
         flat.flags.writeable = False
         object.__setattr__(self, "row_extents", row_extents)
         object.__setattr__(self, "col_extents", col_extents)
@@ -92,10 +96,10 @@ class DenseTensor:
         return len(self.extents)
 
     def reshape_split(self, row_extents, col_extents):
-        """Reinterpret the mode split without touching the data.
+        """The same entries under another mode split, in a copy.
 
         Legal whenever the extent products match; merging or splitting
-        adjacent modes preserves the first-index-fastest layout.
+        adjacent modes keeps the first-index-fastest entry order.
         """
         return DenseTensor(row_extents, col_extents, self.data)
 
@@ -125,15 +129,11 @@ def ivec(indices, extents):
 def from_array(array, num_row_modes):
     """Build a tensor from an ndarray, splitting after ``num_row_modes`` modes."""
     array = np.asarray(array, dtype=np.float64)
-    if not 0 <= num_row_modes <= array.ndim:
-        raise DimensionError(
-            f"row mode count {num_row_modes} out of range for shape {array.shape}"
-        )
-    return DenseTensor(
-        array.shape[:num_row_modes],
-        array.shape[num_row_modes:],
-        array.ravel(order="F"),
-    )
+    k = num_row_modes
+    if int(k) != k or not 0 <= k <= array.ndim:
+        raise DimensionError(f"row mode count {k} out of range for shape {array.shape}")
+    k = int(k)
+    return DenseTensor(array.shape[:k], array.shape[k:], array.ravel(order="F"))
 
 
 def to_array(tensor):
@@ -183,11 +183,12 @@ def scale(factor, a):
 def einstein_product(a, b, num_contracted):
     """Contract the trailing ``num_contracted`` modes of ``a`` with the
     leading ``num_contracted`` modes of ``b``."""
-    k = int(num_contracted)
-    if k < 1 or k > a.order or k > b.order:
+    k = num_contracted
+    if int(k) != k or not 1 <= k <= min(a.order, b.order):
         raise DimensionError(
             f"contraction count {k} invalid for orders {a.order} and {b.order}"
         )
+    k = int(k)
     shared = a.extents[a.order - k :]
     if shared != b.extents[:k]:
         raise DimensionError(
@@ -239,7 +240,7 @@ def vec(a):
     """Stack the row-block subtensors in ivec order.
 
     Collapses the row block to one mode of extent m; under this storage
-    order the flat data is unchanged.
+    order the entry order is unchanged, in a copy like every tensor's.
     """
     if not a.row_extents:
         raise DimensionError("vec requires a nonempty row block")
@@ -259,12 +260,11 @@ def psi(a):
     return _unfold(a.data, a.m)
 
 
-def psi_inverse(view, row_extents, col_extents):
-    """Fold an m x n matrix, or its column-major flat vector, to a tensor;
-    the one fold.  DenseTensor checks the entry count."""
-    entries = np.asarray(view)
-    if entries.ndim != 1 and (entries.ndim != 2 or entries.shape[0] != prod(row_extents)):
-        raise DimensionError(
-            f"matrix shape {entries.shape} does not match row extents {row_extents}"
-        )
-    return DenseTensor(row_extents, col_extents, entries.ravel(order="F"))
+def psi_inverse(matrix, row_extents, col_extents):
+    """Fold an m x n matrix to a tensor; the one fold.  DenseTensor checks
+    the extents and the entry count before the matrix shape."""
+    matrix = np.asarray(matrix)
+    tensor = DenseTensor(row_extents, col_extents, matrix.ravel(order="F"))
+    if matrix.shape != (tensor.m, tensor.n):
+        raise DimensionError(f"matrix shape {matrix.shape} is not the split's m x n, {(tensor.m, tensor.n)}")
+    return tensor

@@ -16,7 +16,7 @@ import pytest
 
 from tensyl import fileio
 from tensyl import tensor as tc
-from tensyl.instances import random_consistent
+from tensyl.instances import _rank_deficient_square, random_consistent
 from tensyl.solver import (
     DIVERGENCE_FACTOR,
     SolveOptions,
@@ -94,11 +94,20 @@ def textbook_solve(problem, opts=None, states=None):
     return Status.ITERATION_LIMIT, X, opts.k_max, history
 
 
-def random_tensor(rng, row_extents, col_extents, scale=1.0):
+def random_tensor(rng, row_extents, col_extents):
     size = prod(row_extents) * prod(col_extents)
-    return tc.DenseTensor(
-        tuple(row_extents), tuple(col_extents), scale * rng.uniform(-1.0, 1.0, size)
-    )
+    return tc.DenseTensor(tuple(row_extents), tuple(col_extents), rng.uniform(-1.0, 1.0, size))
+
+
+def singular_consistent(rng, row_extents, col_extents):
+    """Consistent problem on rank-deficient A and C, with D = L(witness).
+
+    Draws A, C and then the witness from ``rng``; returns (problem, witness).
+    """
+    a = _rank_deficient_square(rng, row_extents)
+    c = _rank_deficient_square(rng, col_extents)
+    witness = random_tensor(rng, row_extents, col_extents)
+    return SylvesterProblem(a, c, apply_operator(a, c, witness)), witness
 
 
 def write_with_bad_entry(path, problem, token):

@@ -48,12 +48,7 @@ from tensyl import (
     vec,
 )
 from tensyl import tensor as tc
-from tensyl.instances import (
-    _rank_deficient_square,
-    _uniform_tensor,
-    random_consistent,
-    random_inconsistent,
-)
+from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.oracle import row_space_projection, unfold_system
 from tensyl.reference_problems import (
     NEARNESS_DISTANCE,
@@ -63,13 +58,12 @@ from tensyl.reference_problems import (
     nearness_reference,
     nearness_reference_distance,
 )
-from tensyl.solver import SylvesterProblem, apply_operator
 
 from conftest import (
     SMALL_SHAPES,
-    loop_einstein_product,
     random_tensor,
     scaled_consistent,
+    singular_consistent,
     textbook_solve,
 )
 
@@ -401,12 +395,9 @@ def test_least_norm_dominance_and_row_space_membership():
         rng = np.random.default_rng(3000 + seed)
         row, col = SMALL_SHAPES[seed % len(SMALL_SHAPES)]
         # Singular but consistent: rank-deficient operators, D from a witness.
-        a = _rank_deficient_square(rng, row)
-        c = _rank_deficient_square(rng, col)
-        witness = _uniform_tensor(rng, row, col)
-        problem = SylvesterProblem(a, c, apply_operator(a, c, witness))
+        problem, _ = singular_consistent(rng, row, col)
         min_norm = solve_min_norm(problem)
-        other = solve(problem, _uniform_tensor(rng, row, col))
+        other = solve(problem, random_tensor(rng, row, col))
         assert min_norm.status == Status.CONVERGED
         assert other.status == Status.CONVERGED
         gap = fro_norm(min_norm.solution) - fro_norm(other.solution)

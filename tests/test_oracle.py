@@ -13,10 +13,10 @@ from tensyl.oracle import (
     row_space_projection,
     unfold_system,
 )
-from tensyl.solver import Status, SylvesterProblem, apply_operator, solve_min_norm
+from tensyl.solver import Status, apply_operator, solve_min_norm
 from tensyl.tensor import DimensionError
 
-from conftest import random_tensor
+from conftest import random_tensor, singular_consistent
 
 
 class TestMinNormLstsq:
@@ -123,13 +123,7 @@ class TestOracleSolve:
         assert result.residual_norm > 1e-3
 
     def test_min_norm_on_singular_operator(self):
-        from tensyl.instances import _rank_deficient_square, _uniform_tensor
-
-        rng = np.random.default_rng(11)
-        a = _rank_deficient_square(rng, (2, 2))
-        c = _rank_deficient_square(rng, (3,))
-        witness = _uniform_tensor(rng, (2, 2), (3,))
-        problem = SylvesterProblem(a, c, apply_operator(a, c, witness))
+        problem, witness = singular_consistent(np.random.default_rng(11), (2, 2), (3,))
         result = oracle_solve(problem)
         assert result.consistent
         # oracle answer should be no longer than the witness

@@ -25,7 +25,7 @@ from tensyl.solver import (
 )
 from tensyl.tensor import DimensionError
 
-from conftest import loop_sylvester_rhs, random_tensor, textbook_solve
+from conftest import loop_sylvester_rhs, random_tensor, singular_consistent, textbook_solve
 
 
 class TestProblemValidation:
@@ -239,17 +239,12 @@ class TestMinNormAndNearness:
     def test_nearness_beats_other_solutions(self):
         # with a singular operator the solution set is an affine subspace;
         # the nearness answer must be at least as close to X0 as any member
-        from tensyl.instances import _rank_deficient_square, _uniform_tensor
-
         rng = np.random.default_rng(9)
-        a = _rank_deficient_square(rng, (2, 2))
-        c = _rank_deficient_square(rng, (3,))
-        witness = _uniform_tensor(rng, (2, 2), (3,))
-        problem = SylvesterProblem(a, c, apply_operator(a, c, witness))
-        x0 = _uniform_tensor(rng, (2, 2), (3,))
+        problem, _ = singular_consistent(rng, (2, 2), (3,))
+        x0 = random_tensor(rng, (2, 2), (3,))
         x_hat, distance, outcome = solve_nearness(problem, x0)
         assert outcome.status == Status.CONVERGED
-        other = solve(problem, _uniform_tensor(rng, (2, 2), (3,)))
+        other = solve(problem, random_tensor(rng, (2, 2), (3,)))
         assert other.status == Status.CONVERGED
         assert distance <= tc.fro_norm(tc.subtract(other.solution, x0)) + 1e-8
 

@@ -60,6 +60,15 @@ class TestDenseTensor:
         with pytest.raises(DimensionError, match="row extents"):
             DenseTensor((2.5,), (2,), range(4))
 
+    @pytest.mark.parametrize(
+        "data", [np.arange(6.0).reshape(2, 3), 1.0], ids=["matrix", "scalar"]
+    )
+    def test_refuses_data_that_is_not_flat(self, data):
+        # A matrix is not flattened row by row; it names the constructors that take it.
+        message = r"must be flat in ivec order; fold an m x n matrix with psi_inverse and a full array with from_array$"
+        with pytest.raises(DimensionError, match=message):
+            DenseTensor((2,), (3,), data)
+
     @pytest.mark.parametrize("extents", [(2.5,), (-1,)], ids=["fractional", "negative"])
     def test_zeros_applies_extent_rule(self, extents):
         # The rule, and the error, that identity applies to the same extents.
@@ -99,6 +108,12 @@ class TestDenseTensor:
         assert SylvesterProblem(a, c, s) != SylvesterProblem(a, c, t)
         assert hash(SylvesterProblem(a, c, s)) == hash(SylvesterProblem(a, c, s))
 
+    def test_vec_and_reshape_split_copy_in_entry_order(self, rng):
+        t = random_tensor(rng, (2, 3), (4,))
+        for other in (tc.vec(t), t.reshape_split((6,), (2, 2))):
+            assert np.array_equal(other.data, t.data)
+            assert not np.shares_memory(other.data, t.data)
+
     def test_reshape_split_is_metadata_only(self, rng):
         t = random_tensor(rng, (2, 3), (4,))
         r = t.reshape_split((6,), (2, 2))
@@ -117,6 +132,19 @@ class TestArrayConversion:
     def test_from_array_bad_split(self):
         with pytest.raises(DimensionError):
             tc.from_array(np.zeros((2, 2)), 3)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda a, b: tc.einstein_product(a, b, 1.5), "contraction count 1.5 invalid for orders 2 and 2"),
+            (lambda a, b: tc.from_array(np.zeros((2, 3)), 1.5), "row mode count 1.5 out of range for shape (2, 3)"),
+        ],
+        ids=["einstein_product", "from_array"],
+    )
+    def test_fractional_count_refused(self, rng, call, message):
+        a, b = random_tensor(rng, (2,), (3,)), random_tensor(rng, (3,), (2,))
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            call(a, b)
 
     def test_identity_acts_as_unit(self, rng):
         t = random_tensor(rng, (2, 3), (4,))
@@ -223,9 +251,9 @@ class TestUnfoldings:
         back = tc.psi_inverse(tc.psi(t), (2, 3), (2, 2))
         assert back.same_split(t)
         assert np.array_equal(back.data, t.data)
-        flat = tc.psi_inverse(tc.psi(t).ravel(order="F"), (2, 3), (2, 2))
-        assert flat.same_split(t)
-        assert np.array_equal(flat.data, t.data)
+        # Flat data is DenseTensor's layout; psi_inverse takes the matrix only.
+        with pytest.raises(DimensionError, match=r"^matrix shape \(24,\) is not the split's m x n, \(6, 4\)$"):
+            tc.psi_inverse(tc.psi(t).ravel(order="F"), (2, 3), (2, 2))
 
     def test_psi_inverse_validates_shape(self):
         with pytest.raises(DimensionError):
@@ -234,6 +262,12 @@ class TestUnfoldings:
             tc.psi_inverse(np.zeros((4, 3)), (2,), (3,))
         with pytest.raises(DimensionError):
             tc.psi_inverse(np.zeros(11), (2, 2), (3,))
+
+    @pytest.mark.parametrize("entries", [np.zeros((2, 3)), np.zeros(6)], ids=["matrix", "flat"])
+    def test_psi_inverse_checks_extents_first(self, entries):
+        # The extents rule comes before any shape test, whatever the input's shape.
+        with pytest.raises(DimensionError, match=r"^row extents must be positive integers, got \(2\.5,\)$"):
+            tc.psi_inverse(entries, (2.5,), (3,))
 
     def test_vec_stacks_row_blocks(self, rng):
         t = random_tensor(rng, (2, 2), (3,))
