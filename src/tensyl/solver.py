@@ -11,9 +11,9 @@ tensor yields the least-Frobenius-norm solution.
 
 ``solve`` runs on the psi unfoldings in buffers allocated once per solve:
 its products all go through one kernel, a x + x c into a preallocated
-buffer, entered through ``dot`` or ``matmul`` by the size of X (see
-``_sylvester_for``), and its norms are BLAS dots, so an iteration costs four
-GEMMs and a few vector operations.
+buffer, bound once per solve through ``dot`` or ``matmul`` by the size of X
+(see ``_bind_sylvester``), and its norms are BLAS dots, so an iteration costs
+four GEMMs and a few vector operations, with nothing rebuilt in the loop.
 """
 
 import math
@@ -118,63 +118,57 @@ def _fold(like, mat):
     return tc.psi_inverse(mat, like.row_extents, like.col_extents)
 
 
-# From this many entries of X up, a solve forms its products with matmul.
+# From this many entries of X up, _bind_sylvester binds matmul, below it dot.
 # Measured per kernel call on 2 cores with OpenBLAS 0.3.31: matmul took
 # 1.02-1.34x the time of dot at m*n = 108 to 3072, tied at 4096 and 5120,
 # and was 2-6% faster from 6144 to 131072.
 MATMUL_MIN_ENTRIES = 4096
 
 
-def _sylvester_dot(a, c, x, out, tmp):
-    """a x + x c into the F-order buffer ``out``, with F-order scratch ``tmp``.
+def _bind_sylvester(a, c, x, out, tmp):
+    """A zero-argument kernel writing a x + x c into the F-order buffer
+    ``out``, with F-order scratch ``tmp``; it reads ``x`` on every call.
 
-    ``ndarray.dot`` writes only into a C-contiguous array, so each product is
-    formed transposed into the buffers' C-order views: (a x)^T = x^T a^T and
-    (x c)^T = c^T x^T, the BLAS calls of ``a @ x + x @ c``, rounded alike.
+    Below MATMUL_MIN_ENTRIES entries it calls ``ndarray.dot``, which writes
+    only into a C-contiguous array, so each product is formed transposed into
+    the buffers' C-order views: (a x)^T = x^T a^T, (x c)^T = c^T x^T.  From
+    there up, ``np.matmul`` into the F-order buffers makes the same transposed
+    BLAS calls, without dot's zero-fill of its output: the bytes are equal.
     The adjoint is the same kernel on (a.T, c.T).
     """
-    x.T.dot(a.T, out.T)
-    c.T.dot(x.T, tmp.T)
-    out += tmp
-    return out
+    add = np.add
+    if x.size >= MATMUL_MIN_ENTRIES:
+        matmul = np.matmul
 
+        def matmul_kernel():
+            matmul(a, x, out)
+            matmul(x, c, tmp)
+            return add(out, tmp, out)
 
-def _sylvester_matmul(a, c, x, out, tmp):
-    """``_sylvester_dot`` through ``np.matmul``: into an F-order output
-    matmul makes the same transposed BLAS calls, so the bytes are equal."""
-    np.matmul(a, x, out)
-    np.matmul(x, c, tmp)
-    out += tmp
-    return out
+        return matmul_kernel
+    xt_dot, ct_dot = x.T.dot, c.T.dot
+    at, xt, out_t, tmp_t = a.T, x.T, out.T, tmp.T
 
+    def dot_kernel():
+        xt_dot(at, out_t)
+        ct_dot(xt, tmp_t)
+        return add(out, tmp, out)
 
-def _sylvester_for(x):
-    """The kernel for buffers shaped like ``x``, chosen once per solve.
-
-    ``dot`` dispatches faster than ``matmul`` but zero-fills its output
-    first; from MATMUL_MIN_ENTRIES entries up the fill costs more than the
-    faster dispatch saves.
-    """
-    return _sylvester_matmul if x.size >= MATMUL_MIN_ENTRIES else _sylvester_dot
+    return dot_kernel
 
 
 def apply_operator(A, C, X):
     """A *_M X + X *_N C."""
     _check_operands(A, C, X, "X")
     x = tc.psi(X)
-    return _fold(X, _sylvester_for(x)(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x)))
+    return _fold(X, _bind_sylvester(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x))())
 
 
 def apply_adjoint(A, C, R):
     """A^T *_M R + R *_N C^T, the adjoint of apply_operator."""
     _check_operands(A, C, R, "R")
     r = tc.psi(R)
-    return _fold(R, _sylvester_for(r)(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r)))
-
-
-def _check_finite(value, what, k):
-    if not math.isfinite(value):
-        raise NumericalBreakdownError(f"{what} is not finite", k)
+    return _fold(R, _bind_sylvester(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r))())
 
 
 def solve(problem, x1, opts=None):
@@ -188,28 +182,32 @@ def solve(problem, x1, opts=None):
     A, C, D = problem.A, problem.C, problem.D
     _check_operands(A, C, x1, "initial iterate")
     a, c, d = tc.psi(A), tc.psi(C), tc.psi(D)
-    at, ct = a.T, c.T  # the adjoint's operands, as views
-    sqrt, add, subtract, multiply = math.sqrt, np.add, np.subtract, np.multiply
+    sqrt, isfinite, add, subtract, multiply = math.sqrt, math.isfinite, np.add, np.subtract, np.multiply
     threshold, k_max, epsilon_p = opts.epsilon, opts.k_max, opts.epsilon_p
 
     x = np.array(tc.psi(x1), order="F")
-    sylvester = _sylvester_for(x)
     r, p, s1, s2 = (np.empty_like(x) for _ in range(4))
+    operator = _bind_sylvester(a, c, x, s1, s2)  # A X + X C into s1
+    adjoint = _bind_sylvester(a.T, c.T, r, s1, s2)  # A^T R + R C^T into s1
     rf, pf = r.ravel(order="K"), p.ravel(order="K")  # flat views, for the norms
+    rdot, pdot = rf.dot, pf.dot
 
-    subtract(d, sylvester(a, c, x, s1, s2), r)  # R = D - (AX + XC)
-    res = sqrt(rf.dot(rf))
+    subtract(d, operator(), r)  # R = D - (AX + XC)
+    res = sqrt(rdot(rf))
     history = [res]
     if res < threshold:
         return SolveOutcome(Status.CONVERGED, _fold(D, x), history)
 
-    sylvester(at, ct, r, p, s2)
-    p_first = sqrt(pf.dot(pf))
+    np.copyto(p, adjoint())
+    p_first = sqrt(pdot(pf))
     res_first = res
+    res_limit = DIVERGENCE_FACTOR * res_first
+    scalar = np.empty(())  # holds alpha, then beta: multiply would make it from each float
+    append = history.append
 
     status = Status.ITERATION_LIMIT
     for k in range(1, k_max + 1):
-        p_norm = sqrt(pf.dot(pf))
+        p_norm = sqrt(pdot(pf))
         # Dimensionless zero-direction test.  The direction shrinks in
         # proportion to the residual on a consistent equation, so the floor
         # tracks the current residual level; a direction far below it while
@@ -220,16 +218,19 @@ def solve(problem, x1, opts=None):
             status = Status.INCONSISTENT
             break
         alpha = (res * res) / (p_norm * p_norm)
-        _check_finite(alpha, "step length alpha", k)
-        add(x, multiply(p, alpha, s1), x)
-        subtract(d, sylvester(a, c, x, s1, s2), r)
-        res_new = sqrt(rf.dot(rf))
-        _check_finite(res_new, "residual norm", k)
-        history.append(res_new)
+        if not isfinite(alpha):
+            raise NumericalBreakdownError("step length alpha is not finite", k)
+        scalar[()] = alpha
+        add(x, multiply(p, scalar, s1), x)
+        subtract(d, operator(), r)
+        res_new = sqrt(rdot(rf))
+        if not isfinite(res_new):
+            raise NumericalBreakdownError("residual norm is not finite", k)
+        append(res_new)
         if res_new < threshold:
             status = Status.CONVERGED
             break
-        if res_new > DIVERGENCE_FACTOR * res_first:
+        if res_new > res_limit:
             # On a consistent equation the residual never grows from a zero
             # start (finite-termination theory; confirmed empirically), while
             # an unsolvable one makes the step length blow up as the
@@ -238,11 +239,13 @@ def solve(problem, x1, opts=None):
             status = Status.INCONSISTENT
             break
         beta = (res_new * res_new) / (res * res)
-        _check_finite(beta, "conjugation coefficient beta", k)
+        if not isfinite(beta):
+            raise NumericalBreakdownError("conjugation coefficient beta is not finite", k)
         # P <- beta P + (A^T R + R C^T), the two products summed first: the
         # rounding order decides the iteration counts of the reference problems
-        multiply(p, beta, p)
-        add(p, sylvester(at, ct, r, s1, s2), p)
+        scalar[()] = beta
+        multiply(p, scalar, p)
+        add(p, adjoint(), p)
         res = res_new
 
     return SolveOutcome(status, _fold(D, x), history)

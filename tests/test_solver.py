@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from tensyl import solver
 from tensyl import tensor as tc
 from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.reference_problems import load_nearness_problem, load_reference_problem
@@ -14,9 +15,7 @@ from tensyl.solver import (
     Status,
     SylvesterProblem,
     MATMUL_MIN_ENTRIES,
-    _sylvester_dot,
-    _sylvester_for,
-    _sylvester_matmul,
+    _bind_sylvester,
     apply_adjoint,
     apply_operator,
     solve,
@@ -77,26 +76,38 @@ class TestOperators:
         assert np.allclose(got.data, want.data, atol=1e-13)
 
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (6, 1), (12, 9), (64, 48), (128, 96)])
-    def test_kernel_rounds_like_matmul(self, rng, m, n):
-        # Both entries of the solver's kernel must round exactly as
-        # a @ x + x @ c does, for the operator and the adjoint: the reference
-        # iteration counts depend on it.
+    def test_kernel_rounds_like_matmul(self, rng, monkeypatch, m, n):
+        # The kernel's dot and matmul closures must round exactly as np.matmul
+        # into F-order buffers followed by +=, the solver's layout, for the
+        # operator and the adjoint: the reference iteration counts depend on
+        # it.  a @ x + x @ c writes into fresh C-order arrays, which round
+        # differently at 12 x 9 under some OpenBLAS kernels, so it is no
+        # reference here.
         a, c, x = (np.asfortranarray(rng.standard_normal(shape)) for shape in ((m, m), (n, n), (m, n)))
-        out, tmp = np.empty_like(x), np.empty_like(x)
-        for kernel in (_sylvester_dot, _sylvester_matmul):
-            for aa, cc in ((a, c), (a.T, c.T)):
-                assert kernel(aa, cc, x, out, tmp) is out
-                assert out.tobytes() == (aa @ x + x @ cc).tobytes()
+        for aa, cc in ((a, c), (a.T, c.T)):
+            want, tmp = np.empty_like(x), np.empty_like(x)
+            np.matmul(aa, x, want)
+            np.matmul(x, cc, tmp)
+            want += tmp
+            for threshold, name in ((x.size + 1, "dot_kernel"), (x.size, "matmul_kernel")):
+                monkeypatch.setattr(solver, "MATMUL_MIN_ENTRIES", threshold)
+                out = np.empty_like(x)
+                kernel = _bind_sylvester(aa, cc, x, out, np.empty_like(x))
+                assert kernel.__name__ == name
+                assert kernel() is out
+                assert out.tobytes() == want.tobytes()
 
     def test_kernel_entry_by_size(self):
         # dot below the threshold, matmul from it up; every small_solve and
         # cli_verify size (m*n <= 256) is below it, large_solve's is above.
+        # Binding only takes views, so the 1 x 1 operands need not fit X.
         def kernel(size):
-            return _sylvester_for(np.empty((size, 1), order="F"))
+            x, op = np.empty((size, 1), order="F"), np.empty((1, 1))
+            return _bind_sylvester(op, op, x, np.empty_like(x), np.empty_like(x)).__name__
 
         assert 256 < MATMUL_MIN_ENTRIES < 512 * 256
-        assert kernel(MATMUL_MIN_ENTRIES - 1) is _sylvester_dot
-        assert kernel(MATMUL_MIN_ENTRIES) is _sylvester_matmul
+        assert kernel(MATMUL_MIN_ENTRIES - 1) == "dot_kernel"
+        assert kernel(MATMUL_MIN_ENTRIES) == "matmul_kernel"
 
     def test_adjoint_identity(self, rng):
         # <L(x), y> = <x, L*(y)> for the Sylvester operator L
@@ -281,6 +292,8 @@ class TestInPlaceCore:
             ("inconsistent", ((2, 2), (3,)), 1000, Status.INCONSISTENT),
             ("inconsistent", ((2,), (3,)), 1000, Status.INCONSISTENT),
             ("consistent", ((2, 2), (3,)), 2, Status.ITERATION_LIMIT),
+            # m*n = 4096 takes the kernel's matmul entry
+            ("consistent", ((8, 8), (8, 8)), 40, Status.ITERATION_LIMIT),
         ],
     )
     def test_matches_textbook_loop(self, kind, split, k_max, status):

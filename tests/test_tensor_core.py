@@ -114,7 +114,7 @@ class TestDenseTensor:
             assert np.array_equal(other.data, t.data)
             assert not np.shares_memory(other.data, t.data)
 
-    def test_reshape_split_is_metadata_only(self, rng):
+    def test_reshape_split_keeps_entries_and_extent_products(self, rng):
         t = random_tensor(rng, (2, 3), (4,))
         r = t.reshape_split((6,), (2, 2))
         assert np.array_equal(r.data, t.data)
