@@ -153,12 +153,9 @@ def _cmd_verify(args):
 
 def _parse_extents(text):
     try:
-        extents = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad extent list {text!r}") from exc
-    if any(e < 1 for e in extents):
-        raise ValueError(f"bad extent list {text!r}")
-    return extents
 
 
 def _cmd_gen(args):
@@ -227,15 +224,6 @@ def _cmd_repro(args):
     return _fail("; ".join(failures)) if failures else EXIT_OK
 
 
-def _add_solver_flags(parser):
-    parser.add_argument("--epsilon", type=float, default=None, help="residual stop tolerance")
-    parser.add_argument("--epsilon-p", dest="epsilon_p", type=float, default=None,
-                        help="direction-zero tolerance, scaled by "
-                        "max(1, ||P_1|| * ||R_k|| / ||R_1||)")
-    parser.add_argument("--kmax", dest="k_max", metavar="KMAX", type=int, default=None,
-                        help="iteration cap")
-
-
 @functools.cache
 def build_parser():
     """The ``tensyl`` parser, built on the first call and reused after it.
@@ -253,49 +241,46 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run the iterative solver on a problem file")
-    p.add_argument("problem")
+    problem, solver_flags, out, csv, quiet = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    problem.add_argument("problem")
+    solver_flags.add_argument("--epsilon", type=float, help="residual stop tolerance")
+    solver_flags.add_argument("--epsilon-p", dest="epsilon_p", type=float,
+                              help="direction-zero tolerance, scaled by "
+                              "max(1, ||P_1|| * ||R_k|| / ||R_1||)")
+    solver_flags.add_argument("--kmax", dest="k_max", metavar="KMAX", type=int, help="iteration cap")
+    out.add_argument("--out", help="solution tensor path")
+    csv.add_argument("--csv", help="residual history CSV path")
+    quiet.add_argument("--quiet", action="store_true")
+
+    p = sub.add_parser("solve", parents=[problem, solver_flags, out, csv, quiet],
+                       help="run the iterative solver on a problem file")
     p.add_argument("--init", default="zero", help="zero or file:<path>")
-    _add_solver_flags(p)
-    p.add_argument("--out", default=None, help="solution tensor path")
-    p.add_argument("--csv", default=None, help="residual history CSV path")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("nearness", help="closest solution to the X0 in the file")
-    p.add_argument("problem")
-    _add_solver_flags(p)
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--quiet", action="store_true")
+    p = sub.add_parser("nearness", parents=[problem, solver_flags, out, csv, quiet],
+                       help="closest solution to the X0 in the file")
     p.set_defaults(func=_cmd_nearness)
 
-    p = sub.add_parser("oracle", help="dense unfolding oracle verdict and solution")
-    p.add_argument("problem")
-    p.add_argument("--out", default=None)
-    p.add_argument("--quiet", action="store_true")
+    p = sub.add_parser("oracle", parents=[problem, out, quiet],
+                       help="dense unfolding oracle verdict and solution")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("verify", help="cross-check solver against the oracle")
-    p.add_argument("problem")
-    _add_solver_flags(p)
+    p = sub.add_parser("verify", parents=[problem, solver_flags, quiet],
+                       help="cross-check solver against the oracle")
     p.add_argument("--tol", type=float, default=1.0e-6,
                    help="relative agreement tolerance on the solutions")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gen", help="emit a seeded random problem file")
+    p = sub.add_parser("gen", parents=[quiet], help="emit a seeded random problem file")
     p.add_argument("--I", required=True, help="row extents, e.g. 2,2")
     p.add_argument("--J", required=True, help="col extents, e.g. 3")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--inconsistent", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("repro", help="re-run the bundled reference problems")
+    p = sub.add_parser("repro", parents=[quiet], help="re-run the bundled reference problems")
     p.add_argument("--outdir", default="repro_out")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_repro)
 
     return parser

@@ -27,8 +27,8 @@ def random_consistent(rng, row_extents, col_extents, shift=0.0):
     unfolded system well conditioned (raw uniform operators can need far
     more iterations than the dimension bound suggests).
     """
-    row_extents = tuple(row_extents)
-    col_extents = tuple(col_extents)
+    row_extents = tc._check_extents(row_extents, "row extents")
+    col_extents = tc._check_extents(col_extents, "col extents")
     a = _uniform_tensor(rng, row_extents, row_extents)
     c = _uniform_tensor(rng, col_extents, col_extents)
     if shift:
@@ -57,8 +57,8 @@ def random_inconsistent(rng, row_extents, col_extents):
     a component in the orthogonal complement of the operator's range;
     every emitted instance is certified inconsistent by the dense oracle.
     """
-    row_extents = tuple(row_extents)
-    col_extents = tuple(col_extents)
+    row_extents = tc._check_extents(row_extents, "row extents")
+    col_extents = tc._check_extents(col_extents, "col extents")
     a = _rank_deficient_square(rng, row_extents)
     c = _rank_deficient_square(rng, col_extents)
     x = _uniform_tensor(rng, row_extents, col_extents)

@@ -256,7 +256,7 @@ class TestGen:
 
     def test_zero_extent(self, tmp_path, capsys):
         assert main(["gen", "--I", "0", "--J", "3", "--seed", "1", "--out", str(tmp_path / "o.json")]) == 1
-        assert capsys.readouterr().err == "error: bad extent list '0'\n"
+        assert capsys.readouterr().err == "error: row extents must be positive integers, got (0,)\n"
         assert not (tmp_path / "o.json").exists()
 
 
@@ -314,6 +314,29 @@ class TestUsageErrors:
     def test_no_command_maps_to_one(self, capsys):
         assert main([]) == 1
         capsys.readouterr()
+
+
+SOLVER_FLAGS = {"epsilon": None, "epsilon_p": None, "k_max": None}
+
+
+class TestArgumentSet:
+    @pytest.mark.parametrize("argv, want", [
+        (["solve", "p.json"], {"command": "solve", "problem": "p.json", "init": "zero", **SOLVER_FLAGS,
+                               "out": None, "csv": None, "quiet": False}),
+        (["nearness", "p.json"], {"command": "nearness", "problem": "p.json", **SOLVER_FLAGS,
+                                  "out": None, "csv": None, "quiet": False}),
+        (["oracle", "p.json"], {"command": "oracle", "problem": "p.json", "out": None, "quiet": False}),
+        (["verify", "p.json"], {"command": "verify", "problem": "p.json", **SOLVER_FLAGS, "tol": 1.0e-6,
+                                "quiet": False}),
+        (["gen", "--I", "2", "--J", "3", "--seed", "1", "--out", "o.json"],
+         {"command": "gen", "I": "2", "J": "3", "seed": 1, "inconsistent": False, "out": "o.json",
+          "quiet": False}),
+        (["repro"], {"command": "repro", "outdir": "repro_out", "quiet": False}),
+    ])
+    def test_every_dest_and_default(self, argv, want):
+        got = vars(cli.build_parser().parse_args(argv))
+        del got["func"]
+        assert got == want
 
 
 class TestParserReuse:

@@ -53,3 +53,13 @@ class TestRandomInconsistent:
         a = random_inconsistent(np.random.default_rng(9), (2,), (3,))
         b = random_inconsistent(np.random.default_rng(9), (2,), (3,))
         assert np.array_equal(a.D.data, b.D.data)
+
+
+@pytest.mark.parametrize("generate", [random_consistent, random_inconsistent])
+@pytest.mark.parametrize("rows, cols, which", [((0,), (2,), "row"), ((2,), (2.5,), "col"), ((2,), (3, -1), "col")])
+def test_bad_extents_refused_before_any_draw(generate, rows, cols, which):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(tc.DimensionError, match=f"^{which} extents must be positive integers"):
+        generate(rng, rows, cols)
+    assert rng.bit_generator.state == state
