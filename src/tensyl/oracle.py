@@ -62,16 +62,6 @@ def min_norm_lstsq(K, rhs):
     return x, residual, int(rank)
 
 
-def row_space_projection(K, v):
-    """Orthogonal projection of ``v`` onto the row space of ``K``.
-
-    Uses the pseudoinverse identity P_row = K^+ K, realized as the
-    minimum-norm solution of K x = K v.
-    """
-    x, _, _ = min_norm_lstsq(K, np.asarray(K) @ np.asarray(v))
-    return x
-
-
 def oracle_solve(problem):
     """Consistency verdict and min-norm solution from the dense unfolding."""
     D = problem.D

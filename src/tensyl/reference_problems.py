@@ -187,19 +187,6 @@ def tensor_from_slices(slices, row_extents, col_extents):
     return tc.from_array(array, len(row_extents))
 
 
-def operator_a():
-    return tensor_from_slices(A_SLICES, (4, 3), (4, 3))
-
-
-def operator_c():
-    return tensor_from_slices(C_SLICES, (3, 3), (3, 3))
-
-
-def exact_solution():
-    """X* = 1..108 filled first-index-fastest into shape 4x3x3x3."""
-    return tc.DenseTensor((4, 3), (3, 3), np.arange(1.0, 109.0))
-
-
 def nearness_start():
     return tensor_from_slices(X0_SLICES, (4, 3), (3, 3))
 
@@ -221,18 +208,22 @@ def nearness_reference_distance():
 
 
 def _reference_equation():
-    """(A, C, D) with D built from X* by an einsum pair."""
-    a, c, x_star = operator_a(), operator_c(), exact_solution()
+    """(problem, X*): A and C from their slices, X* = 1..108 filled
+    first-index-fastest, and D built from X* by an einsum pair."""
+    a = tensor_from_slices(A_SLICES, (4, 3), (4, 3))
+    c = tensor_from_slices(C_SLICES, (3, 3), (3, 3))
+    x_star = tc.DenseTensor((4, 3), (3, 3), np.arange(1.0, 109.0))
     A, C, X = tc.to_array(a), tc.to_array(c), tc.to_array(x_star)
     D = np.einsum("ijkl,klmn->ijmn", A, X) + np.einsum("ijkl,klmn->ijmn", X, C)
-    return SylvesterProblem(a, c, tc.from_array(D, 2))
+    return SylvesterProblem(a, c, tc.from_array(D, 2)), x_star
 
 
 def load_reference_problem():
     """The consistent reference problem (known exact solution recorded)."""
-    return ProblemFile(_reference_equation(), None, DEFAULT_OPTIONS, exact_solution())
+    problem, x_star = _reference_equation()
+    return ProblemFile(problem, None, DEFAULT_OPTIONS, x_star)
 
 
 def load_nearness_problem():
     """The nearness problem (same operator, X0 attached)."""
-    return ProblemFile(_reference_equation(), nearness_start(), DEFAULT_OPTIONS)
+    return ProblemFile(_reference_equation()[0], nearness_start(), DEFAULT_OPTIONS)

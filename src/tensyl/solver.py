@@ -113,11 +113,6 @@ class SolveOutcome:
         return self.residual_history[-1]
 
 
-def _fold(like, mat):
-    """A tensor with the split of ``like`` holding a copy of ``mat``."""
-    return tc.psi_inverse(mat, like.row_extents, like.col_extents)
-
-
 # From this many entries of X up, _bind_sylvester binds matmul, below it dot.
 # Measured per kernel call on 2 cores with OpenBLAS 0.3.31: matmul took
 # 1.02-1.34x the time of dot at m*n = 108 to 3072, tied at 4096 and 5120,
@@ -161,14 +156,16 @@ def apply_operator(A, C, X):
     """A *_M X + X *_N C."""
     _check_operands(A, C, X, "X")
     x = tc.psi(X)
-    return _fold(X, _bind_sylvester(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x))())
+    mat = _bind_sylvester(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x))()
+    return tc.psi_inverse(mat, X.row_extents, X.col_extents)
 
 
 def apply_adjoint(A, C, R):
     """A^T *_M R + R *_N C^T, the adjoint of apply_operator."""
     _check_operands(A, C, R, "R")
     r = tc.psi(R)
-    return _fold(R, _bind_sylvester(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r))())
+    mat = _bind_sylvester(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r))()
+    return tc.psi_inverse(mat, R.row_extents, R.col_extents)
 
 
 def solve(problem, x1, opts=None):
@@ -196,7 +193,7 @@ def solve(problem, x1, opts=None):
     res = sqrt(rdot(rf))
     history = [res]
     if res < threshold:
-        return SolveOutcome(Status.CONVERGED, _fold(D, x), history)
+        return SolveOutcome(Status.CONVERGED, tc.psi_inverse(x, D.row_extents, D.col_extents), history)
 
     np.copyto(p, adjoint())
     p_first = sqrt(pdot(pf))
@@ -248,7 +245,7 @@ def solve(problem, x1, opts=None):
         add(p, adjoint(), p)
         res = res_new
 
-    return SolveOutcome(status, _fold(D, x), history)
+    return SolveOutcome(status, tc.psi_inverse(x, D.row_extents, D.col_extents), history)
 
 
 def solve_min_norm(problem, opts=None):

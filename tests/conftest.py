@@ -1,5 +1,5 @@
 """Shared helpers: independent contraction oracles, a replay of the solver
-loop, and instance builders.
+loop, its exact-arithmetic shadow, and instance builders.
 
 The loop-based contraction here is written against the index definition
 directly (explicit sums over every multi-index) and never touches the
@@ -92,6 +92,114 @@ def textbook_solve(problem, opts=None, states=None):
         P = tc.add(apply_adjoint(A, C, R), tc.scale(res_new * res_new / (res * res), P))
         res = res_new
     return Status.ITERATION_LIMIT, X, opts.k_max, history
+
+
+EXACT_PRIME = 2**61 - 1
+
+
+def _exact_psi(T):
+    """psi(T) as Python ints mod EXACT_PRIME in an object array."""
+    mat = tc.psi(T)
+    assert np.array_equal(mat, np.trunc(mat)), "exact arithmetic needs integer entries"
+    return np.vectorize(lambda v: int(v) % EXACT_PRIME, otypes=[object])(mat)
+
+
+def exact_shadow(problem):
+    """``solve``'s recurrences from X = 0 over GF(p), p = EXACT_PRIME, on
+    integer A, C and D; returns ``(kind, step)``.
+
+    ``kind`` is "R=0" when the residual vanishes after ``step`` updates of X,
+    and "P=0" when the direction vanishes first: the exact inconsistency
+    certificate.  R and P are tested entry by entry, since a sum of squares
+    can vanish mod p on a nonzero vector; if one does, p divides a number the
+    rational run meets, so this run need not mirror it and it raises.
+    """
+    p = EXACT_PRIME
+    a, c, d = (_exact_psi(T) for T in (problem.A, problem.C, problem.D))
+
+    def square(v):
+        s = int((v * v).sum()) % p
+        if s == 0:
+            raise ArithmeticError(f"<v, v> = 0 mod {p} on a nonzero vector: unlucky prime")
+        return s
+
+    x = np.zeros_like(d)
+    r = (d - a @ x - x @ c) % p
+    if not any(r.flat):
+        return "R=0", 0
+    direction = (a.T @ r + r @ c.T) % p
+    rr = square(r)
+    for k in range(1, d.size + 2):
+        if not any(direction.flat):
+            return "P=0", k - 1
+        alpha = rr * pow(square(direction), -1, p) % p
+        x = (x + alpha * direction) % p
+        r = (d - a @ x - x @ c) % p  # recomputed from its definition, as in solve
+        if not any(r.flat):
+            return "R=0", k
+        rr_new = square(r)
+        beta = rr_new * pow(rr, -1, p) % p
+        direction = (beta * direction + a.T @ r + r @ c.T) % p
+        rr = rr_new
+    raise AssertionError(f"no exact stop within m*n + 1 = {d.size + 1} steps")
+
+
+def exact_ranks(problem):
+    """(rank K, rank [K | vec D]) over GF(p), p = EXACT_PRIME, by Gaussian
+    elimination on the Kronecker lift K of the integer operator: the equation
+    is consistent exactly when the two are equal."""
+    p = EXACT_PRIME
+    a, c, d = (_exact_psi(T) for T in (problem.A, problem.C, problem.D))
+    m, n = d.shape
+    eye_m, eye_n = (np.eye(k, dtype=np.int64).astype(object) for k in (m, n))
+    K = np.kron(eye_n, a) + np.kron(c.T, eye_m)
+    rows = [[v % p for v in row] + [rhs] for row, rhs in zip(K, d.ravel(order="F"))]
+    rank = 0
+    for col in range(m * n):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        lead = rows[rank] = [v * inverse % p for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col]
+            if factor:
+                rows[i] = [(u - factor * v) % p for u, v in zip(rows[i], lead)]
+        rank += 1
+    return rank, rank + any(row[-1] for row in rows[rank:])
+
+
+def integer_instance(seed, row_extents, col_extents, kind):
+    """Seeded problem with integer entries, of ``kind`` "nonsingular",
+    "singular" (consistent) or "inconsistent".
+
+    A nonsingular operator has uniform entries in [-9, 9].  A singular one
+    pairs psi(A) = S T S^-1, T upper triangular with the eigenvalue 2 and
+    S = I + N with N strictly lower (so S^-1 = sum (-N)^k is integer), with
+    an upper triangular psi(C) holding the eigenvalue -2: lambda + mu = 0.
+    D = L(X) for an integer X, plus entries in [-1, 1] when inconsistent.
+    """
+    rng = np.random.default_rng(seed)
+    m, n = prod(row_extents), prod(col_extents)
+    if kind == "nonsingular":
+        a, c = rng.integers(-9, 10, (m, m)), rng.integers(-9, 10, (n, n))
+    else:
+        t, c = np.triu(rng.integers(-3, 4, (m, m))), np.triu(rng.integers(-3, 4, (n, n)))
+        i, j = rng.integers(m), rng.integers(n)
+        t[i, i], c[j, j] = 2, -2
+        lower = np.tril(rng.integers(-1, 2, (m, m)), -1)
+        inverse = sum(np.linalg.matrix_power(-lower, k) for k in range(m))
+        a = (np.eye(m, dtype=np.int64) + lower) @ t @ inverse
+    x = rng.integers(-9, 10, (m, n))
+    d = a @ x + x @ c
+    if kind == "inconsistent":
+        d = d + rng.integers(-1, 2, (m, n))
+    return SylvesterProblem(
+        tc.psi_inverse(a.astype(np.float64), row_extents, row_extents),
+        tc.psi_inverse(c.astype(np.float64), col_extents, col_extents),
+        tc.psi_inverse(d.astype(np.float64), row_extents, col_extents),
+    )
 
 
 def random_tensor(rng, row_extents, col_extents):

@@ -1,9 +1,14 @@
 """Random instance generators: determinism, consistency, certification."""
 
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from tensyl import instances
 from tensyl import tensor as tc
+from tensyl.cli import main
 from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.oracle import oracle_solve
 from tensyl.solver import apply_operator
@@ -53,6 +58,27 @@ class TestRandomInconsistent:
         a = random_inconsistent(np.random.default_rng(9), (2,), (3,))
         b = random_inconsistent(np.random.default_rng(9), (2,), (3,))
         assert np.array_equal(a.D.data, b.D.data)
+
+    @pytest.mark.parametrize(
+        "name, replacement, message",
+        [
+            # K = I: the probe lies wholly in the range
+            ("unfold_system", lambda problem: np.eye(problem.D.m * problem.D.n),
+             r"probe left only \d\.\d{3}e[-+]\d+ outside the operator's range"),
+            ("oracle_solve", lambda problem: SimpleNamespace(consistent=True),
+             "the oracle found the generated instance consistent"),
+        ],
+    )
+    def test_generation_error(self, monkeypatch, tmp_path, capsys, name, replacement, message):
+        monkeypatch.setattr(instances, name, replacement)
+        with pytest.raises(instances.GenerationError, match=f"^{message}$"):
+            random_inconsistent(np.random.default_rng(0), (2,), (3,))
+        out = tmp_path / "bad.json"
+        assert main(["gen", "--I", "2", "--J", "3", "--seed", "0", "--inconsistent", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {message}\n", captured.err)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("generate", [random_consistent, random_inconsistent])

@@ -10,7 +10,6 @@ from tensyl.oracle import (
     SizeCapError,
     min_norm_lstsq,
     oracle_solve,
-    row_space_projection,
     unfold_system,
 )
 from tensyl.solver import Status, apply_operator, solve_min_norm
@@ -75,14 +74,6 @@ class TestMinNormLstsq:
         # keeping the 0.99 one would put a component of the size of ||x|| there.
         assert np.linalg.norm(v[:, rank:].T @ x) <= 1e-2 * np.linalg.norm(x)
         assert residual == pytest.approx(np.linalg.norm(K @ x - b), rel=1e-12)
-
-    def test_row_space_projection(self, rng):
-        A = rng.uniform(-1, 1, (3, 6))
-        v = rng.uniform(-1, 1, 6)
-        p = row_space_projection(A, v)
-        # projection lands in the row space and is idempotent
-        assert np.allclose(row_space_projection(A, p), p, atol=1e-10)
-        assert np.allclose(p, np.linalg.pinv(A) @ A @ v, atol=1e-10)
 
 
 class TestUnfoldSystem:

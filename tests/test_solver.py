@@ -9,6 +9,7 @@ import pytest
 from tensyl import solver
 from tensyl import tensor as tc
 from tensyl.instances import random_consistent, random_inconsistent
+from tensyl.oracle import oracle_solve
 from tensyl.reference_problems import load_nearness_problem, load_reference_problem
 from tensyl.solver import (
     NumericalBreakdownError,
@@ -210,16 +211,29 @@ class TestSolve:
                 solve_min_norm(problem)
         assert err.value.iteration >= 1
 
+    def test_overflowing_residual_raises_breakdown(self):
+        # Inconsistent, and finite up to the first update: the step length
+        # ||D||^2 / ||A^T D||^2 = 1e300 is finite, but A X then overflows.
+        a = tc.DenseTensor((2,), (2,), [1.0e10, 0.0, 0.0, 0.0])
+        d = tc.DenseTensor((2,), (1,), [1.0e-11, 1.0e149])
+        problem = SylvesterProblem(a, tc.DenseTensor((1,), (1,), [0.0]), d)
+        assert not oracle_solve(problem).consistent
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalBreakdownError, match=r"^residual norm is not finite \(iteration 1\)$"):
+                solve_min_norm(problem)
+
 
 # The reference problems' exact (min-norm, nearness) iteration counts under
 # each OpenBLAS kernel, by the name the library reports at run time
-# (OPENBLAS_CORETYPE=Prescott runs Katmai).  The counts are a rounding
+# (OPENBLAS_CORETYPE=Prescott runs Katmai; Nehalem, Atom and Barcelona run
+# Nehalem).  The counts are a rounding
 # property of the GEMM kernel.
 REFERENCE_COUNTS = {
     "SkylakeX": (82, 86),
     "Haswell": (80, 87),
     "Sandybridge": (91, 82),
     "Katmai": (87, 86),
+    "Nehalem": (87, 86),
 }
 
 
