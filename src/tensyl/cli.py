@@ -40,9 +40,10 @@ def _merge_options(file_options, args):
     return replace(file_options or DEFAULT_OPTIONS, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _initial_iterate(init_spec, d_like):
+def _initial_iterate(init_spec):
+    """The start tensor of ``--init``, or None for the solver's own zero start."""
     if init_spec == "zero":
-        return tc.zeros_like(d_like)
+        return None
     if init_spec.startswith("file:"):
         return fileio.read_tensor(init_spec[len("file:") :])
     raise ValueError(f"bad --init value {init_spec!r}; expected 'zero' or 'file:<path>'")
@@ -84,7 +85,7 @@ def _finish_run(args, outcome, tensor, suffix, what, measure, value):
 def _cmd_solve(args):
     loaded = fileio.read_problem(args.problem)
     opts = _merge_options(loaded.options, args)
-    x1 = _initial_iterate(args.init, loaded.problem.D)
+    x1 = _initial_iterate(args.init)
     outcome = solve(loaded.problem, x1, opts)
     return _finish_run(args, outcome, outcome.solution, "_solution.json", "solution",
                        "final residual", f"{outcome.final_residual:.6e}")

@@ -9,11 +9,16 @@ nonzero residual paired with a vanishing direction, and a residual grown
 past DIVERGENCE_FACTOR times the first one.  Starting from the zero
 tensor yields the least-Frobenius-norm solution.
 
-``solve`` runs on the psi unfoldings in buffers allocated once per solve:
-its products all go through one kernel, a x + x c into a preallocated
-buffer, bound once per solve through ``dot`` or ``matmul`` by the size of X
-(see ``_bind_sylvester``), and its norms are BLAS dots, so an iteration costs
-four GEMMs and a few vector operations, with nothing rebuilt in the loop.
+The loop, ``_iterate``, runs on F-order psi matrices in five buffers
+allocated once per solve: the iterate, the residual, the direction and two
+scratch arrays.  Its products all go through one kernel, a x + x c into a
+preallocated buffer, bound once per solve through ``dot`` or ``matmul`` by
+the size of X (see ``_bind_sylvester``), and its norms are BLAS dots, so an
+iteration costs four GEMMs and a few vector operations, with nothing rebuilt
+in the loop.  ``solve`` is its tensor edge: a zero start is a zero matrix,
+not a tensor, and the solution is folded into a tensor once, after the loop
+has returned and freed all but the iterate, so a solve's working set peaks
+at its five buffers.
 """
 
 import math
@@ -152,12 +157,21 @@ def _bind_sylvester(a, c, x, out, tmp):
     return dot_kernel
 
 
+def _fold_product(mat, T, product):
+    """Fold ``mat``, the value of ``product`` at T's split.  Its operands are
+    finite tensors, so a non-finite entry is an overflow of the product: an
+    ArithmeticError naming it, not a bad entry of some input."""
+    if not np.isfinite(mat).all():
+        raise ArithmeticError(f"{product} overflowed the double range")
+    return tc.psi_inverse(mat, T.row_extents, T.col_extents)
+
+
 def apply_operator(A, C, X):
     """A *_M X + X *_N C."""
     _check_operands(A, C, X, "X")
     x = tc.psi(X)
     mat = _bind_sylvester(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x))()
-    return tc.psi_inverse(mat, X.row_extents, X.col_extents)
+    return _fold_product(mat, X, "A *_M X + X *_N C")
 
 
 def apply_adjoint(A, C, R):
@@ -165,24 +179,21 @@ def apply_adjoint(A, C, R):
     _check_operands(A, C, R, "R")
     r = tc.psi(R)
     mat = _bind_sylvester(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r))()
-    return tc.psi_inverse(mat, R.row_extents, R.col_extents)
+    return _fold_product(mat, R, "A^T *_M R + R *_N C^T")
 
 
-def solve(problem, x1, opts=None):
-    """Run the iteration from initial iterate ``x1``.
+def _iterate(a, c, d, x, opts):
+    """The loop on F-order psi matrices: a x + x c = d from the iterate ``x``,
+    which it updates in place; returns ``(status, residual_history)``.
 
-    The buffers are F-order, like psi; each norm is ``sqrt(v.dot(v))`` on a
-    flat view, what ``np.linalg.norm`` computes, without its wrapper.  A
-    tensor is built only for the returned solution.
+    The residual, direction and two scratch buffers, the two bound kernels
+    and the flat views are its locals, so they are freed when it returns.
+    Each norm is ``sqrt(v.dot(v))`` on a flat view, what ``np.linalg.norm``
+    computes, without its wrapper.
     """
-    opts = opts or DEFAULT_OPTIONS
-    A, C, D = problem.A, problem.C, problem.D
-    _check_operands(A, C, x1, "initial iterate")
-    a, c, d = tc.psi(A), tc.psi(C), tc.psi(D)
     sqrt, isfinite, add, subtract, multiply = math.sqrt, math.isfinite, np.add, np.subtract, np.multiply
     threshold, k_max, epsilon_p = opts.epsilon, opts.k_max, opts.epsilon_p
 
-    x = np.array(tc.psi(x1), order="F")
     r, p, s1, s2 = (np.empty_like(x) for _ in range(4))
     operator = _bind_sylvester(a, c, x, s1, s2)  # A X + X C into s1
     adjoint = _bind_sylvester(a.T, c.T, r, s1, s2)  # A^T R + R C^T into s1
@@ -193,7 +204,7 @@ def solve(problem, x1, opts=None):
     res = sqrt(rdot(rf))
     history = [res]
     if res < threshold:
-        return SolveOutcome(Status.CONVERGED, tc.psi_inverse(x, D.row_extents, D.col_extents), history)
+        return Status.CONVERGED, history
 
     np.copyto(p, adjoint())
     p_first = sqrt(pdot(pf))
@@ -245,14 +256,34 @@ def solve(problem, x1, opts=None):
         add(p, adjoint(), p)
         res = res_new
 
+    return status, history
+
+
+def solve(problem, x1=None, opts=None):
+    """Run the iteration from the initial iterate ``x1``, or from zero when
+    it is None.
+
+    The zero start is an F-order zero matrix, with no tensor built for it; a
+    given ``x1`` is checked by the split rule and copied.  The solution
+    tensor is folded from the iterate once ``_iterate`` has returned and
+    freed its other buffers.
+    """
+    opts = opts or DEFAULT_OPTIONS
+    A, C, D = problem.A, problem.C, problem.D
+    d = tc.psi(D)
+    if x1 is None:
+        x = np.zeros(d.shape, order="F")
+    else:
+        _check_operands(A, C, x1, "initial iterate")
+        x = np.array(tc.psi(x1), order="F")
+    status, history = _iterate(tc.psi(A), tc.psi(C), d, x, opts)
     return SolveOutcome(status, tc.psi_inverse(x, D.row_extents, D.col_extents), history)
 
 
 def solve_min_norm(problem, opts=None):
     """Solve from the zero iterate; on a consistent equation the result is
     the unique least-Frobenius-norm solution."""
-    x1 = tc.zeros_like(problem.D)
-    return solve(problem, x1, opts)
+    return solve(problem, None, opts)
 
 
 def solve_nearness(problem, x0, opts=None):

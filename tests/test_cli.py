@@ -14,6 +14,7 @@ from tensyl import cli, fileio, reference_problems
 from tensyl import tensor as tc
 from tensyl.cli import main
 from tensyl.instances import random_consistent, random_inconsistent
+from tensyl.solver import SylvesterProblem
 
 from conftest import random_tensor, write_with_bad_entry
 
@@ -124,6 +125,18 @@ class TestNearness:
         code = main(["nearness", str(consistent_file)])
         assert code == 1
         assert "X0" in capsys.readouterr().err
+
+    def test_overflowed_shift_is_named(self, tmp_path, capsys):
+        # Every entry of the file is finite; A X0 = 1e400 is not.
+        a = tc.DenseTensor((2,), (2,), [1.0e200, 0.0, 0.0, 1.0e200])
+        problem = SylvesterProblem(a, tc.DenseTensor((1,), (1,), [1.0]), tc.DenseTensor((2,), (1,), [1.0, 1.0]))
+        path = tmp_path / "p.json"
+        fileio.write_problem(path, problem, x0=tc.DenseTensor((2,), (1,), [1.0e200, 1.0e200]))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["nearness", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: A *_M X + X *_N C overflowed the double range\n"
+        assert not (tmp_path / "p_nearest.json").exists()
 
     def test_success(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

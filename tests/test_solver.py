@@ -2,6 +2,7 @@
 
 import ctypes
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,20 @@ class TestOperators:
         lhs = tc.inner(apply_operator(a, c, x), y)
         rhs = tc.inner(x, apply_adjoint(a, c, y))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "apply, product",
+        [(apply_operator, "A *_M X + X *_N C"), (apply_adjoint, "A^T *_M R + R *_N C^T")],
+        ids=["operator", "adjoint"],
+    )
+    def test_overflowed_product_is_named(self, apply, product):
+        # Every operand is finite; the product 1e400 is not.
+        a = tc.DenseTensor((2,), (2,), [1.0e200, 0.0, 0.0, 1.0e200])
+        c = tc.DenseTensor((1,), (1,), [1.0])
+        x = tc.DenseTensor((2,), (1,), [1.0e200, 1.0e200])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ArithmeticError, match=f"^{re.escape(product)} overflowed the double range$"):
+                apply(a, c, x)
 
 
 class TestSolveOptions:
@@ -270,9 +285,9 @@ class TestMinNormAndNearness:
     def test_min_norm_starts_from_zero(self, rng):
         problem, _ = random_consistent(rng, (2,), (3,), shift=2.0)
         got = solve_min_norm(problem)
-        want = solve(problem, tc.zeros_like(problem.D))
-        assert got.residual_history == want.residual_history
-        assert got.solution.data.tobytes() == want.solution.data.tobytes()
+        for want in (solve(problem), solve(problem, tc.zeros_like(problem.D))):
+            assert got.residual_history == want.residual_history
+            assert got.solution.data.tobytes() == want.solution.data.tobytes()
 
     def test_nearness_solution_solves_equation(self, rng):
         problem, _ = random_consistent(rng, (2, 2), (3,), shift=2.0)
@@ -329,6 +344,24 @@ class TestInPlaceCore:
             assert not outcome.solution.data.flags.writeable
             assert not np.shares_memory(outcome.solution.data, start.data)
         assert outcome.iterations == 0
+
+    def test_working_set_is_five_buffers(self):
+        # The iterate, residual, direction and two scratch buffers, 8 m n
+        # bytes each, and no more than one further buffer's worth: no zero
+        # start tensor, and the solution folded after the others are freed.
+        # m*n = 4096 (the kernel's matmul entry), where fixed Python objects
+        # are small beside the buffers.
+        problem, _ = random_consistent(np.random.default_rng(5), (8, 8), (8, 8), shift=2.0)
+        opts = SolveOptions(k_max=40)
+        buffer_bytes = 8 * problem.D.m * problem.D.n
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            solve_min_norm(problem, opts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 6 * buffer_bytes, f"peak {(peak - start) / buffer_bytes:.2f} buffers"
 
     @pytest.mark.parametrize(
         "kind, split, k_max, status",
