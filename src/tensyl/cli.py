@@ -164,7 +164,7 @@ def _cmd_gen(args):
     col_extents = _parse_extents(args.J)
     rng = np.random.default_rng(args.seed)
     if args.inconsistent:
-        problem = instances.random_inconsistent(rng, row_extents, col_extents)
+        problem, _ = instances.random_inconsistent(rng, row_extents, col_extents)
         x_star = None
     else:
         problem, x_star = instances.random_consistent(rng, row_extents, col_extents)
@@ -297,7 +297,7 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (OSError, ValueError, ArithmeticError, instances.GenerationError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         return _fail(str(exc))
 
 

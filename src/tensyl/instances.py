@@ -1,16 +1,12 @@
-"""Seeded random problem instances, oracle-certified at generation time."""
+"""Seeded random problem instances: consistent ones built from a random X,
+inconsistent ones planted, with a returned witness."""
 
 from math import prod
 
 import numpy as np
 
 from . import tensor as tc
-from .oracle import min_norm_lstsq, oracle_solve, unfold_system
 from .solver import SylvesterProblem, apply_operator
-
-
-class GenerationError(RuntimeError):
-    """Could not certify an instance of the requested kind."""
 
 
 def _uniform_tensor(rng, row_extents, col_extents):
@@ -40,39 +36,31 @@ def random_consistent(rng, row_extents, col_extents, shift=0.0):
 
 
 def _rank_deficient_square(rng, extents):
-    # Product of thin uniform factors: singular, hence eigenvalue zero.
-    # For size 1 the factors are empty and the 1 x 1 is 0.
-    extents = tuple(extents)
+    """``(T, v)``: psi(T) = M - v (v^T M) for a uniform square M and a unit
+    vector v, so v spans the left null space of psi(T).  For size 1 psi(T)
+    is the 1 x 1 zero."""
     size = prod(extents)
-    r = size - 1
-    left = rng.uniform(-1.0, 1.0, (size, r))
-    right = rng.uniform(-1.0, 1.0, (r, size))
-    return tc.psi_inverse(left @ right, extents, extents)
+    m = rng.uniform(-1.0, 1.0, (size, size))
+    v = rng.uniform(-1.0, 1.0, size)
+    v /= np.linalg.norm(v)
+    return tc.psi_inverse(m - np.outer(v, v @ m), extents, extents), v
 
 
 def random_inconsistent(rng, row_extents, col_extents):
-    """Rank-deficient operator plus a right-hand side outside its range.
+    """Singular operator and a right-hand side off its range; returns
+    (problem, witness).
 
-    The perturbation is the least-squares residual of a random probe, i.e.
-    a component in the orthogonal complement of the operator's range;
-    every emitted instance is certified inconsistent by the dense oracle.
+    psi(A)^T u = 0 and psi(C) w = 0, so the unit-norm witness Y = u w^T has
+    L*(Y) = A^T *_M Y + Y *_N C^T = 0.  D = L(X) + max(1, ||L(X)||) Y for a
+    random X, so <D, Y> = max(1, ||L(X)||) while <L(Z), Y> = <Z, L*(Y)> = 0
+    for every Z: no Z solves L(Z) = D (the Fredholm alternative), at any size.
     """
     row_extents = tc._check_extents(row_extents, "row extents")
     col_extents = tc._check_extents(col_extents, "col extents")
-    a = _rank_deficient_square(rng, row_extents)
-    c = _rank_deficient_square(rng, col_extents)
-    x = _uniform_tensor(rng, row_extents, col_extents)
-    d = apply_operator(a, c, x)
-    K = unfold_system(SylvesterProblem(a, c, d))
-    probe = rng.uniform(-1.0, 1.0, d.m * d.n)
-    fit, _, _ = min_norm_lstsq(K, probe)
-    leftover = probe - K @ fit
-    norm = np.linalg.norm(leftover)
-    if norm < 1.0e-8:
-        raise GenerationError(f"probe left only {norm:.3e} outside the operator's range")
-    scale = max(1.0, np.linalg.norm(d.data)) / norm
-    bad = d.data + scale * leftover
-    problem = SylvesterProblem(a, c, tc.DenseTensor(d.row_extents, d.col_extents, bad))
-    if oracle_solve(problem).consistent:
-        raise GenerationError("the oracle found the generated instance consistent")
-    return problem
+    a, u = _rank_deficient_square(rng, row_extents)
+    c_t, w = _rank_deficient_square(rng, col_extents)
+    c = tc.psi_inverse(tc.psi(c_t).T, col_extents, col_extents)
+    d = apply_operator(a, c, _uniform_tensor(rng, row_extents, col_extents))
+    y = tc.psi_inverse(np.outer(u, w), row_extents, col_extents)
+    d = tc.add(d, tc.scale(max(1.0, tc.fro_norm(d)), y))
+    return SylvesterProblem(a, c, d), y

@@ -170,7 +170,8 @@ def apply_operator(A, C, X):
     """A *_M X + X *_N C."""
     _check_operands(A, C, X, "X")
     x = tc.psi(X)
-    mat = _bind_sylvester(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x))()
+    with np.errstate(over="ignore", invalid="ignore"):  # _fold_product names an overflow
+        mat = _bind_sylvester(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x))()
     return _fold_product(mat, X, "A *_M X + X *_N C")
 
 
@@ -178,7 +179,8 @@ def apply_adjoint(A, C, R):
     """A^T *_M R + R *_N C^T, the adjoint of apply_operator."""
     _check_operands(A, C, R, "R")
     r = tc.psi(R)
-    mat = _bind_sylvester(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r))()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = _bind_sylvester(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r))()
     return _fold_product(mat, R, "A^T *_M R + R *_N C^T")
 
 

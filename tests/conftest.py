@@ -212,8 +212,8 @@ def singular_consistent(rng, row_extents, col_extents):
 
     Draws A, C and then the witness from ``rng``; returns (problem, witness).
     """
-    a = _rank_deficient_square(rng, row_extents)
-    c = _rank_deficient_square(rng, col_extents)
+    a, _ = _rank_deficient_square(rng, row_extents)
+    c, _ = _rank_deficient_square(rng, col_extents)
     witness = random_tensor(rng, row_extents, col_extents)
     return SylvesterProblem(a, c, apply_operator(a, c, witness)), witness
 

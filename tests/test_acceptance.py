@@ -173,7 +173,7 @@ def test_oracle_equivalence_and_verdicts():
     for seed in range(25):
         row, col = SMALL_SHAPES[seed % len(SMALL_SHAPES)]
         rng = np.random.default_rng(1000 + seed)
-        problem = random_inconsistent(rng, row, col)
+        problem, _ = random_inconsistent(rng, row, col)
         outcome = solve_min_norm(problem)
         result = oracle_solve(problem)
         inconsistent_ok &= outcome.status == Status.INCONSISTENT and not result.consistent

@@ -32,9 +32,19 @@ def consistent_file(tmp_path):
 
 
 @pytest.fixture
+def overflowing_shift_file(tmp_path):
+    # Every entry of the file is finite; A X0 = 1e400 is not.
+    a = tc.DenseTensor((2,), (2,), [1.0e200, 0.0, 0.0, 1.0e200])
+    problem = SylvesterProblem(a, tc.DenseTensor((1,), (1,), [1.0]), tc.DenseTensor((2,), (1,), [1.0, 1.0]))
+    path = tmp_path / "p.json"
+    fileio.write_problem(path, problem, x0=tc.DenseTensor((2,), (1,), [1.0e200, 1.0e200]))
+    return path
+
+
+@pytest.fixture
 def inconsistent_file(tmp_path):
     rng = np.random.default_rng(2)
-    problem = random_inconsistent(rng, (2,), (3,))
+    problem, _ = random_inconsistent(rng, (2,), (3,))
     path = tmp_path / "bad.json"
     fileio.write_problem(path, problem)
     return path
@@ -126,14 +136,8 @@ class TestNearness:
         assert code == 1
         assert "X0" in capsys.readouterr().err
 
-    def test_overflowed_shift_is_named(self, tmp_path, capsys):
-        # Every entry of the file is finite; A X0 = 1e400 is not.
-        a = tc.DenseTensor((2,), (2,), [1.0e200, 0.0, 0.0, 1.0e200])
-        problem = SylvesterProblem(a, tc.DenseTensor((1,), (1,), [1.0]), tc.DenseTensor((2,), (1,), [1.0, 1.0]))
-        path = tmp_path / "p.json"
-        fileio.write_problem(path, problem, x0=tc.DenseTensor((2,), (1,), [1.0e200, 1.0e200]))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main(["nearness", str(path)])
+    def test_overflowed_shift_is_named(self, overflowing_shift_file, tmp_path, capsys):
+        code = main(["nearness", str(overflowing_shift_file)])
         assert code == 1
         assert capsys.readouterr().err == "error: A *_M X + X *_N C overflowed the double range\n"
         assert not (tmp_path / "p_nearest.json").exists()
@@ -412,6 +416,13 @@ class TestShellEntryPoint:
         assert gen.returncode == 0
         done = tensyl("solve", str(bad), "--quiet")
         assert (done.returncode, done.stdout.split()[0], done.stderr) == (2, "Inconsistent", "")
+
+    def test_overflowed_shift_is_one_error_line(self, overflowing_shift_file):
+        # No numpy RuntimeWarning, and no source line of the kernel, before it.
+        done = subprocess.run([sys.executable, "-m", "tensyl.cli", "nearness", str(overflowing_shift_file)],
+                              capture_output=True, text=True, env=SRC_ENV)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: A *_M X + X *_N C overflowed the double range\n"
 
     def test_deeply_nested_file_is_one_error_line(self, tmp_path):
         deep = tmp_path / "deep.json"

@@ -1,17 +1,14 @@
-"""Random instance generators: determinism, consistency, certification."""
-
-import re
-from types import SimpleNamespace
+"""Random instance generators: determinism, consistency, the planted witness."""
 
 import numpy as np
 import pytest
 
-from tensyl import instances
+from tensyl import fileio
 from tensyl import tensor as tc
 from tensyl.cli import main
 from tensyl.instances import random_consistent, random_inconsistent
-from tensyl.oracle import oracle_solve
-from tensyl.solver import apply_operator
+from tensyl.oracle import DEFAULT_SIZE_CAP, oracle_solve
+from tensyl.solver import apply_adjoint, apply_operator
 
 
 class TestRandomConsistent:
@@ -41,44 +38,47 @@ class TestRandomConsistent:
 class TestRandomInconsistent:
     def test_oracle_certifies_inconsistent(self):
         rng = np.random.default_rng(6)
-        problem = random_inconsistent(rng, (2, 2), (3,))
+        problem, _ = random_inconsistent(rng, (2, 2), (3,))
         assert not oracle_solve(problem).consistent
         # An extent product of 1 makes that singular operator the 1 x 1 zero.
         for split in [((1,), (3,)), ((3,), (1,)), ((1,), (1,)), ((1, 1), (2, 2))]:
-            problem = random_inconsistent(np.random.default_rng(0), *split)
+            problem, _ = random_inconsistent(np.random.default_rng(0), *split)
             assert not oracle_solve(problem).consistent
 
     def test_operators_are_singular(self):
         rng = np.random.default_rng(7)
-        problem = random_inconsistent(rng, (2,), (2, 2))
+        problem, _ = random_inconsistent(rng, (2,), (2, 2))
         assert np.linalg.matrix_rank(tc.psi(problem.A)) < problem.D.m
         assert np.linalg.matrix_rank(tc.psi(problem.C)) < problem.D.n
 
     def test_deterministic_for_seed(self):
-        a = random_inconsistent(np.random.default_rng(9), (2,), (3,))
-        b = random_inconsistent(np.random.default_rng(9), (2,), (3,))
+        a, y_a = random_inconsistent(np.random.default_rng(9), (2,), (3,))
+        b, y_b = random_inconsistent(np.random.default_rng(9), (2,), (3,))
         assert np.array_equal(a.D.data, b.D.data)
+        assert np.array_equal(y_a.data, y_b.data)
 
-    @pytest.mark.parametrize(
-        "name, replacement, message",
-        [
-            # K = I: the probe lies wholly in the range
-            ("unfold_system", lambda problem: np.eye(problem.D.m * problem.D.n),
-             r"probe left only \d\.\d{3}e[-+]\d+ outside the operator's range"),
-            ("oracle_solve", lambda problem: SimpleNamespace(consistent=True),
-             "the oracle found the generated instance consistent"),
-        ],
-    )
-    def test_generation_error(self, monkeypatch, tmp_path, capsys, name, replacement, message):
-        monkeypatch.setattr(instances, name, replacement)
-        with pytest.raises(instances.GenerationError, match=f"^{message}$"):
-            random_inconsistent(np.random.default_rng(0), (2,), (3,))
-        out = tmp_path / "bad.json"
-        assert main(["gen", "--I", "2", "--J", "3", "--seed", "0", "--inconsistent", "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert re.fullmatch(f"error: {message}\n", captured.err)
-        assert not out.exists()
+    @pytest.mark.parametrize("rows, cols", [((2, 2), (3,)), ((1,), (1,)), ((3,), (1,)), ((8, 8), (8, 9))])
+    def test_witness_certifies_inconsistency(self, rows, cols):
+        # L*(Y) = 0 and <D, Y> != 0: no X has L(X) = D, since <L(X), Y> =
+        # <X, L*(Y)>.  (8, 8) x (8, 9) has m*n = 4608, above the oracle's cap.
+        problem, y = random_inconsistent(np.random.default_rng(0), rows, cols)
+        a, c, d = problem.A, problem.C, problem.D
+        assert (y.row_extents, y.col_extents) == (d.row_extents, d.col_extents)
+        assert tc.fro_norm(y) == pytest.approx(1.0, rel=1e-15)
+        assert tc.fro_norm(apply_adjoint(a, c, y)) <= 1e-14 * (tc.fro_norm(a) + tc.fro_norm(c))
+        # <D, Y> = max(1, ||L(X)||) up to rounding
+        assert tc.inner(d, y) >= 1.0 - 1e-12
+
+    def test_gen_above_dense_cap(self, tmp_path, capsys):
+        out = tmp_path / "big.json"
+        argv = ["gen", "--I", "8,8", "--J", "8,9", "--seed", "0", "--inconsistent", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (f"wrote inconsistent instance to {out}\n", "")
+        written = fileio.read_problem(out)
+        assert written.problem.D.m * written.problem.D.n > DEFAULT_SIZE_CAP
+        assert written.x_star is None
+        problem, _ = random_inconsistent(np.random.default_rng(0), (8, 8), (8, 9))
+        assert written.problem.D.data.tobytes() == problem.D.data.tobytes()
 
 
 @pytest.mark.parametrize("generate", [random_consistent, random_inconsistent])

@@ -108,7 +108,7 @@ class TestOracleSolve:
 
     def test_inconsistent_verdict(self):
         rng = np.random.default_rng(5)
-        problem = random_inconsistent(rng, (2,), (3,))
+        problem, _ = random_inconsistent(rng, (2,), (3,))
         result = oracle_solve(problem)
         assert not result.consistent
         assert result.residual_norm > 1e-3
