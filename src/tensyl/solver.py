@@ -15,10 +15,10 @@ scratch arrays.  Its products all go through one kernel, a x + x c into a
 preallocated buffer, bound once per solve through ``dot`` or ``matmul`` by
 the size of X (see ``_bind_sylvester``), and its norms are BLAS dots, so an
 iteration costs four GEMMs and a few vector operations, with nothing rebuilt
-in the loop.  ``solve`` is its tensor edge: a zero start is a zero matrix,
-not a tensor, and the solution is folded into a tensor once, after the loop
-has returned and freed all but the iterate, so a solve's working set peaks
-at its five buffers.
+in the loop.  ``solve`` and ``solve_nearness`` are its tensor edges: they
+build no tensor but their results, folded once the loop has freed all but
+the iterate, so a solve peaks at its five buffers.  Everything runs under
+``np.errstate``: an overflow is one ArithmeticError naming it, no warning.
 """
 
 import math
@@ -31,7 +31,7 @@ import numpy as np
 from . import tensor as tc
 from .tensor import DenseTensor, DimensionError
 
-# A residual this many times the first one certifies inconsistency (see solve).
+# A residual this many times the first one certifies inconsistency (see _iterate).
 DIVERGENCE_FACTOR = 1.0e6
 
 
@@ -157,33 +157,36 @@ def _bind_sylvester(a, c, x, out, tmp):
     return dot_kernel
 
 
-def _fold_product(mat, T, product):
-    """Fold ``mat``, the value of ``product`` at T's split.  Its operands are
-    finite tensors, so a non-finite entry is an overflow of the product: an
-    ArithmeticError naming it, not a bad entry of some input."""
+@np.errstate(over="ignore", invalid="ignore")
+def _checked(quantity, compute, *operands):
+    """``compute(*operands)`` on finite operands; a non-finite entry is its
+    overflow: an ArithmeticError naming ``quantity``, not a numpy warning."""
+    mat = compute(*operands)
     if not np.isfinite(mat).all():
-        raise ArithmeticError(f"{product} overflowed the double range")
-    return tc.psi_inverse(mat, T.row_extents, T.col_extents)
+        raise ArithmeticError(f"{quantity} overflowed the double range")
+    return mat
+
+
+def _product(a, c, x, quantity):
+    """a x + x c on psi matrices, in a new F-order matrix checked as ``quantity``."""
+    return _checked(quantity, _bind_sylvester(a, c, x, np.empty_like(x), np.empty_like(x)))
 
 
 def apply_operator(A, C, X):
     """A *_M X + X *_N C."""
     _check_operands(A, C, X, "X")
-    x = tc.psi(X)
-    with np.errstate(over="ignore", invalid="ignore"):  # _fold_product names an overflow
-        mat = _bind_sylvester(tc.psi(A), tc.psi(C), x, np.empty_like(x), np.empty_like(x))()
-    return _fold_product(mat, X, "A *_M X + X *_N C")
+    mat = _product(tc.psi(A), tc.psi(C), tc.psi(X), "A *_M X + X *_N C")
+    return tc.psi_inverse(mat, X.row_extents, X.col_extents)
 
 
 def apply_adjoint(A, C, R):
     """A^T *_M R + R *_N C^T, the adjoint of apply_operator."""
     _check_operands(A, C, R, "R")
-    r = tc.psi(R)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mat = _bind_sylvester(tc.psi(A).T, tc.psi(C).T, r, np.empty_like(r), np.empty_like(r))()
-    return _fold_product(mat, R, "A^T *_M R + R *_N C^T")
+    mat = _product(tc.psi(A).T, tc.psi(C).T, tc.psi(R), "A^T *_M R + R *_N C^T")
+    return tc.psi_inverse(mat, R.row_extents, R.col_extents)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _iterate(a, c, d, x, opts):
     """The loop on F-order psi matrices: a x + x c = d from the iterate ``x``,
     which it updates in place; returns ``(status, residual_history)``.
@@ -263,13 +266,7 @@ def _iterate(a, c, d, x, opts):
 
 def solve(problem, x1=None, opts=None):
     """Run the iteration from the initial iterate ``x1``, or from zero when
-    it is None.
-
-    The zero start is an F-order zero matrix, with no tensor built for it; a
-    given ``x1`` is checked by the split rule and copied.  The solution
-    tensor is folded from the iterate once ``_iterate`` has returned and
-    freed its other buffers.
-    """
+    it is None; a given ``x1`` is checked by the split rule and copied."""
     opts = opts or DEFAULT_OPTIONS
     A, C, D = problem.A, problem.C, problem.D
     d = tc.psi(D)
@@ -297,9 +294,12 @@ def solve_nearness(problem, x0, opts=None):
     """
     A, C, D = problem.A, problem.C, problem.D
     _check_operands(A, C, x0, "X0")
-    d_shift = tc.subtract(D, apply_operator(A, C, x0))
-    shifted = SylvesterProblem(A, C, d_shift)
-    outcome = solve_min_norm(shifted, opts)
-    y_hat = outcome.solution
-    x_hat = tc.add(y_hat, x0)
-    return x_hat, tc.fro_norm(y_hat), outcome
+    a, c, x0_mat = tc.psi(A), tc.psi(C), tc.psi(x0)
+    d = _product(a, c, x0_mat, "A *_M X + X *_N C")  # L(X0), then D - L(X0) in place
+    _checked("D - (A *_M X0 + X0 *_N C)", np.subtract, tc.psi(D), d, d)
+    y = np.zeros(d.shape, order="F")
+    status, history = _iterate(a, c, d, y, opts or DEFAULT_OPTIONS)
+    x_hat = _checked("X_hat = X0 + Y_hat", np.add, y, x0_mat)
+    y_hat = tc.psi_inverse(y, D.row_extents, D.col_extents)
+    outcome = SolveOutcome(status, y_hat, history)
+    return tc.psi_inverse(x_hat, D.row_extents, D.col_extents), tc.fro_norm(y_hat), outcome

@@ -32,13 +32,21 @@ def consistent_file(tmp_path):
 
 
 @pytest.fixture
-def overflowing_shift_file(tmp_path):
-    # Every entry of the file is finite; A X0 = 1e400 is not.
+def overflowing_shift_files(tmp_path):
+    """Nearness files whose every entry is finite, each with its one error line."""
+    # A X0 = 1e400 overflows.
     a = tc.DenseTensor((2,), (2,), [1.0e200, 0.0, 0.0, 1.0e200])
     problem = SylvesterProblem(a, tc.DenseTensor((1,), (1,), [1.0]), tc.DenseTensor((2,), (1,), [1.0, 1.0]))
-    path = tmp_path / "p.json"
-    fileio.write_problem(path, problem, x0=tc.DenseTensor((2,), (1,), [1.0e200, 1.0e200]))
-    return path
+    product = tmp_path / "p.json"
+    fileio.write_problem(product, problem, x0=tc.DenseTensor((2,), (1,), [1.0e200, 1.0e200]))
+    # A X0 = -1.7e308 is finite; D - A X0 = 3.4e308 is not.
+    scalar = [tc.DenseTensor((1,), (1,), [v]) for v in (1.0, 0.0, 1.7e308, -1.7e308)]
+    difference = tmp_path / "q.json"
+    fileio.write_problem(difference, SylvesterProblem(*scalar[:3]), x0=scalar[3])
+    return [
+        (product, "error: A *_M X + X *_N C overflowed the double range\n"),
+        (difference, "error: D - (A *_M X0 + X0 *_N C) overflowed the double range\n"),
+    ]
 
 
 @pytest.fixture
@@ -136,11 +144,12 @@ class TestNearness:
         assert code == 1
         assert "X0" in capsys.readouterr().err
 
-    def test_overflowed_shift_is_named(self, overflowing_shift_file, tmp_path, capsys):
-        code = main(["nearness", str(overflowing_shift_file)])
-        assert code == 1
-        assert capsys.readouterr().err == "error: A *_M X + X *_N C overflowed the double range\n"
-        assert not (tmp_path / "p_nearest.json").exists()
+    def test_overflowed_shift_is_named(self, overflowing_shift_files, capsys):
+        for path, error in overflowing_shift_files:
+            code = main(["nearness", str(path)])
+            assert code == 1
+            assert capsys.readouterr().err == error
+            assert not path.with_name(f"{path.stem}_nearest.json").exists()
 
     def test_success(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -417,12 +426,23 @@ class TestShellEntryPoint:
         done = tensyl("solve", str(bad), "--quiet")
         assert (done.returncode, done.stdout.split()[0], done.stderr) == (2, "Inconsistent", "")
 
-    def test_overflowed_shift_is_one_error_line(self, overflowing_shift_file):
-        # No numpy RuntimeWarning, and no source line of the kernel, before it.
-        done = subprocess.run([sys.executable, "-m", "tensyl.cli", "nearness", str(overflowing_shift_file)],
-                              capture_output=True, text=True, env=SRC_ENV)
+    def test_overflowed_shift_is_one_error_line(self, overflowing_shift_files):
+        # No numpy RuntimeWarning, and no source line of tensyl, before it.
+        for path, error in overflowing_shift_files:
+            done = subprocess.run([sys.executable, "-m", "tensyl.cli", "nearness", str(path)],
+                                  capture_output=True, text=True, env=SRC_ENV)
+            assert (done.returncode, done.stdout, done.stderr) == (1, "", error)
+
+    def test_overflowing_solve_is_one_error_line(self, tmp_path):
+        # ||D||^2 overflows inside the solve loop, where no numpy warning may escape either.
+        rng = np.random.default_rng(0)
+        a, c = random_tensor(rng, (2,), (2,)), random_tensor(rng, (2,), (2,))
+        path = tmp_path / "huge.json"
+        fileio.write_problem(path, SylvesterProblem(a, c, tc.DenseTensor((2,), (2,), [1.0e200, 1.0, 1.0, 1.0])))
+        done = subprocess.run([sys.executable, "-m", "tensyl.cli", "solve", str(path)], capture_output=True,
+                              text=True, env=SRC_ENV)
         assert (done.returncode, done.stdout) == (1, "")
-        assert done.stderr == "error: A *_M X + X *_N C overflowed the double range\n"
+        assert done.stderr == "error: step length alpha is not finite (iteration 1)\n"
 
     def test_deeply_nested_file_is_one_error_line(self, tmp_path):
         deep = tmp_path / "deep.json"

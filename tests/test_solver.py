@@ -2,6 +2,7 @@
 
 import ctypes
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -221,9 +222,8 @@ class TestSolve:
         c = random_tensor(rng, (2,), (2,))
         huge = tc.DenseTensor((2,), (2,), [1.0e200, 1.0, 1.0, 1.0])
         problem = SylvesterProblem(a, c, huge)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(NumericalBreakdownError) as err:
-                solve_min_norm(problem)
+        with pytest.raises(NumericalBreakdownError) as err:  # and no numpy warning
+            solve_min_norm(problem)
         assert err.value.iteration >= 1
 
     def test_overflowing_residual_raises_breakdown(self):
@@ -233,9 +233,8 @@ class TestSolve:
         d = tc.DenseTensor((2,), (1,), [1.0e-11, 1.0e149])
         problem = SylvesterProblem(a, tc.DenseTensor((1,), (1,), [0.0]), d)
         assert not oracle_solve(problem).consistent
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(NumericalBreakdownError, match=r"^residual norm is not finite \(iteration 1\)$"):
-                solve_min_norm(problem)
+        with pytest.raises(NumericalBreakdownError, match=r"^residual norm is not finite \(iteration 1\)$"):
+            solve_min_norm(problem)
 
 
 # The reference problems' exact (min-norm, nearness) iteration counts under
@@ -320,6 +319,64 @@ class TestMinNormAndNearness:
         other = solve(problem, random_tensor(rng, (2, 2), (3,)))
         assert other.status == Status.CONVERGED
         assert distance <= tc.fro_norm(tc.subtract(other.solution, x0)) + 1e-8
+
+    @pytest.mark.parametrize("kind", ["reference", "consistent", "inconsistent", "matmul"])
+    def test_nearness_is_the_shifted_min_norm_solve(self, kind):
+        # The paper's route in public functions: Y = min-norm solution of
+        # L(Y) = D - L(X0), then X = Y + X0; solve_nearness runs it on psi
+        # matrices and must give the same bytes.
+        rng = np.random.default_rng(4)
+        if kind == "reference":
+            loaded = load_nearness_problem()
+            problem, x0 = loaded.problem, loaded.x0
+        else:
+            split = ((8, 8), (8, 8)) if kind == "matmul" else ((4, 3), (3, 3))  # m*n = 4096 binds matmul
+            if kind == "inconsistent":
+                problem, _ = random_inconsistent(rng, *split)
+            else:  # the shift keeps the solve well short of the iteration cap
+                problem, _ = random_consistent(rng, *split, shift=16.0 if kind == "matmul" else 2.0)
+            x0 = random_tensor(rng, *split)
+        A, C, D = problem.A, problem.C, problem.D
+        want = solve_min_norm(SylvesterProblem(A, C, tc.subtract(D, apply_operator(A, C, x0))))
+        x_hat, distance, outcome = solve_nearness(problem, x0)
+        assert outcome.status == want.status != Status.ITERATION_LIMIT
+        assert outcome.residual_history == want.residual_history
+        assert outcome.solution.data.tobytes() == want.solution.data.tobytes()
+        assert x_hat.data.tobytes() == tc.add(want.solution, x0).data.tobytes()
+        assert distance == tc.fro_norm(want.solution)
+
+    def test_nearness_folds_two_tensors(self, monkeypatch):
+        # Y-hat and X-hat: the shift and the solve run on psi matrices.
+        loaded = load_nearness_problem()
+        built = []
+        init = tc.DenseTensor.__init__
+
+        def counting_init(self, *args):
+            built.append(args[:2])
+            init(self, *args)
+
+        monkeypatch.setattr(tc.DenseTensor, "__init__", counting_init)
+        solve_nearness(loaded.problem, loaded.x0)
+        D = loaded.problem.D
+        assert built == [(D.row_extents, D.col_extents)] * 2
+
+    @pytest.mark.parametrize(
+        "a, d, x0, quantity",
+        [
+            (1.0, 1.7e308, -1.7e308, "D - (A *_M X0 + X0 *_N C)"),
+            # Y-hat = 1e300 is finite, and one step from zero reaches it
+            (1.0e-150, sys.float_info.max * 1.0e-150 + 1.0e150, sys.float_info.max, "X_hat = X0 + Y_hat"),
+        ],
+        ids=["shift", "sum"],
+    )
+    def test_overflowed_nearness_quantity_is_named(self, a, d, x0, quantity):
+        # Every operand is finite, and no numpy warning comes before the error.
+        def scalar(value):
+            return tc.DenseTensor((1,), (1,), [value])
+
+        problem = SylvesterProblem(scalar(a), scalar(0.0), scalar(d))
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(quantity)} overflowed the double range$"):
+            solve_nearness(problem, scalar(x0))
 
 
 class TestInPlaceCore:
