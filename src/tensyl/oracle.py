@@ -3,10 +3,18 @@
 The tensor equation A *_M X + X *_N C = D unfolds through psi to the
 matrix Sylvester equation psi(A) Xm + Xm psi(C) = psi(D), whose Kronecker
 lift is K x = d with K = I_n (x) psi(A) + psi(C)^T (x) I_m and d the
-column-major vectorization of psi(D), which is ``D.data`` itself.  The
-minimum-norm least-squares solution of that system comes from LAPACK's
-SVD-based least squares through numpy (``numpy.linalg.lstsq``): a direct
-dense solve that shares no code with the iterative solver.
+column-major vectorization of psi(D), which is ``D.data`` itself.  Its
+minimum-norm least-squares solution takes one of two dense LAPACK routes
+through numpy, neither sharing code with the iterative solver:
+
+- when a Cholesky factorization of K^T K shifted down by
+  ``CERTIFICATE_SHIFT`` ||K||_F^2 completes, K is proven nonsingular and
+  the system is solved by LU (``numpy.linalg.solve``);
+- otherwise (a failed Cholesky or a non-square K) by SVD-based least
+  squares (``numpy.linalg.lstsq``, LAPACK gelsd).
+
+Norms are taken as s ||v / s|| with s = max |v|, so their squares neither
+overflow nor underflow.
 """
 
 from dataclasses import dataclass
@@ -18,6 +26,9 @@ from .tensor import DenseTensor, DimensionError
 
 DEFAULT_SIZE_CAP = 4096
 DEFAULT_RANK_TOL = 1.0e-10
+# tau^2 of the nonsingularity certificate: a completed Cholesky proves
+# sigma_min(K)^2 > (tau^2 - 1e-12) ||K||_F^2 up to the size cap.
+CERTIFICATE_SHIFT = 1.0e-8
 
 
 class SizeCapError(ValueError):
@@ -42,12 +53,49 @@ def unfold_system(problem):
     return np.kron(np.eye(n), tc.psi(problem.A)) + np.kron(tc.psi(problem.C).T, np.eye(m))
 
 
+def _norm(v):
+    """2-norm of v as s ||v / s|| with s = max |v|: no overflow or underflow
+    in the squares; a non-finite entry gives inf or nan."""
+    s = float(np.max(np.abs(v)))
+    if not 0.0 < s < np.inf:
+        return s
+    return s * float(np.linalg.norm(v / s))
+
+
+def _certified_nonsingular(K):
+    """True when a Cholesky factorization of G = K^T K - tau^2 ||K||_F^2 I
+    completes, for a square finite K and tau^2 = ``CERTIFICATE_SHIFT``.
+
+    The rounding error in G is at most (2N+3) u ||K||_F^2: gamma_N for the
+    product and gamma_{N+1} trace(G) for the Cholesky (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.5; Rump, BIT 46, 2006).  Up to
+    ``DEFAULT_SIZE_CAP`` that is below 1e-12 ||K||_F^2, so a completed
+    factorization proves sigma_min(K) > 0.99e-4 sigma_max(K).  K is first
+    scaled by 2^-e, with 2^(e-1) <= max |K| < 2^e, so that K^T K cannot
+    overflow and underflow costs at most 2^-1074 of the largest entry: the
+    answer does not depend on the scale of K.
+    """
+    largest = max(K.max(), -K.min())
+    scaled = np.ldexp(K, -np.frexp(largest)[1])
+    g = scaled.T @ scaled
+    del scaled  # the Cholesky factor takes its memory
+    g.flat[:: len(g) + 1] -= CERTIFICATE_SHIFT * np.trace(g)
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def min_norm_lstsq(K, rhs):
     """Minimum-2-norm solution of min ||K x - rhs||; returns (x, residual, rank).
 
-    LAPACK's SVD-based least squares (gelsd): the numerical rank counts the
-    singular values above ``DEFAULT_RANK_TOL`` times the largest, and the
-    smaller ones are treated as zero.
+    A square K that ``_certified_nonsingular`` proves nonsingular has
+    sigma_min > 0.99e-4 sigma_max, so its numerical rank is N and x is the
+    unique solution, computed by LU.  Every other K goes to LAPACK's
+    SVD-based least squares (gelsd): the numerical rank counts the singular
+    values above ``DEFAULT_RANK_TOL`` times the largest, and the smaller
+    ones are treated as zero.
     """
     K = np.asarray(K, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64).ravel()
@@ -57,15 +105,17 @@ def min_norm_lstsq(K, rhs):
         raise ArithmeticError("non-finite entries in the unfolded system")
     if rhs.size != K.shape[0]:
         raise DimensionError(f"rhs length {rhs.size} does not match {K.shape[0]} rows")
-    x, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=DEFAULT_RANK_TOL)
-    residual = float(np.linalg.norm(K @ x - rhs))
-    return x, residual, int(rank)
+    if K.shape[0] == K.shape[1] and _certified_nonsingular(K):
+        x, rank = np.linalg.solve(K, rhs), K.shape[0]
+    else:
+        x, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=DEFAULT_RANK_TOL)
+    return x, _norm(K @ x - rhs), int(rank)
 
 
 def oracle_solve(problem):
     """Consistency verdict and min-norm solution from the dense unfolding."""
     D = problem.D
     x, residual, rank = min_norm_lstsq(unfold_system(problem), D.data)
-    tol = DEFAULT_RANK_TOL * float(np.linalg.norm(D.data)) * D.m * D.n
+    tol = DEFAULT_RANK_TOL * _norm(D.data) * D.m * D.n
     solution = DenseTensor(D.row_extents, D.col_extents, x)
     return OracleResult(residual <= tol, solution, residual, rank)

@@ -218,6 +218,13 @@ def singular_consistent(rng, row_extents, col_extents):
     return SylvesterProblem(a, c, apply_operator(a, c, witness)), witness
 
 
+def scaled_problem(problem, k):
+    """The problem with A, C and D all multiplied by 2^k, exactly while no entry leaves the normal range."""
+    return SylvesterProblem(*(
+        tc.DenseTensor(t.row_extents, t.col_extents, np.ldexp(t.data, k)) for t in (problem.A, problem.C, problem.D)
+    ))
+
+
 def write_with_bad_entry(path, problem, token):
     """A problem file whose D has the JSON number ``token`` as its second entry."""
     fileio.write_problem(path, problem)

@@ -16,7 +16,7 @@ from tensyl.cli import main
 from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.solver import SylvesterProblem
 
-from conftest import random_tensor, write_with_bad_entry
+from conftest import random_tensor, scaled_problem, write_with_bad_entry
 
 # The environment of a shell run of the package from this source tree.
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -440,6 +440,20 @@ class TestShellEntryPoint:
         path = tmp_path / "huge.json"
         fileio.write_problem(path, SylvesterProblem(a, c, tc.DenseTensor((2,), (2,), [1.0e200, 1.0, 1.0, 1.0])))
         done = subprocess.run([sys.executable, "-m", "tensyl.cli", "solve", str(path)], capture_output=True,
+                              text=True, env=SRC_ENV)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: step length alpha is not finite (iteration 1)\n"
+
+    def test_oracle_norms_do_not_overflow(self, tmp_path):
+        # ||D||^2 and the residual's square overflow at 2^600 times a normal problem; the norms may not.
+        problem, _ = random_consistent(np.random.default_rng(3), (2, 2), (3,))
+        path = tmp_path / "huge.json"
+        fileio.write_problem(path, scaled_problem(problem, 600))
+        done = subprocess.run([sys.executable, "-m", "tensyl.cli", "oracle", str(path), "--quiet"],
+                              capture_output=True, text=True, env=SRC_ENV)
+        assert (done.returncode, done.stdout.split()[:2], done.stderr) == (0, ["consistent", "12"], "")
+        assert float(done.stdout.split()[2]) < 1e-10 * 2.0**600
+        done = subprocess.run([sys.executable, "-m", "tensyl.cli", "verify", str(path)], capture_output=True,
                               text=True, env=SRC_ENV)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: step length alpha is not finite (iteration 1)\n"

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensyl import tensor as tc
 from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.oracle import (
     DEFAULT_RANK_TOL,
     SizeCapError,
+    _certified_nonsingular,
     min_norm_lstsq,
     oracle_solve,
     unfold_system,
@@ -15,7 +18,7 @@ from tensyl.oracle import (
 from tensyl.solver import Status, apply_operator, solve_min_norm
 from tensyl.tensor import DimensionError
 
-from conftest import random_tensor, singular_consistent
+from conftest import random_tensor, scaled_problem, singular_consistent
 
 
 class TestMinNormLstsq:
@@ -76,6 +79,77 @@ class TestMinNormLstsq:
         assert residual == pytest.approx(np.linalg.norm(K @ x - b), rel=1e-12)
 
 
+def _prescribed(rng, sigma):
+    """Q diag(sigma) Z^T for random orthogonal Q and Z."""
+    q, _ = np.linalg.qr(rng.standard_normal((sigma.size, sigma.size)))
+    z, _ = np.linalg.qr(rng.standard_normal((sigma.size, sigma.size)))
+    return q @ np.diag(sigma) @ z.T
+
+
+def _fallbacks(rng):
+    """Systems that must go to gelsd: no Cholesky certificate, or not square."""
+    m = rng.uniform(-1.0, 1.0, (8, 8))
+    v = rng.uniform(-1.0, 1.0, 8)
+    v /= np.linalg.norm(v)
+    return {
+        "kappa 1e6": _prescribed(rng, np.geomspace(1.0, 1.0e-6, 8)),
+        "planted singular": m - np.outer(v, v @ m),
+        "zero": np.zeros((5, 5)),
+        "1x1 zero": np.zeros((1, 1)),
+        "rectangular": rng.uniform(-1.0, 1.0, (8, 5)),
+    }
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("n", [1, 6, 40])
+    def test_well_conditioned_takes_the_lu_route(self, rng, n):
+        K = rng.uniform(-1.0, 1.0, (n, n)) + 3.0 * np.sqrt(n) * np.eye(n)
+        b = rng.uniform(-1.0, 1.0, n)
+        assert _certified_nonsingular(K)
+        x, residual, rank = min_norm_lstsq(K, b)
+        assert rank == n
+        assert np.array_equal(x, np.linalg.solve(K, b))
+        want = np.linalg.lstsq(K, b, rcond=DEFAULT_RANK_TOL)[0]
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        assert residual == pytest.approx(np.linalg.norm(K @ x - b), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["kappa 1e6", "planted singular", "zero", "1x1 zero", "rectangular"])
+    def test_fallback_equals_lstsq_bytes(self, rng, name):
+        K = _fallbacks(rng)[name]
+        b = rng.uniform(-1.0, 1.0, K.shape[0])
+        if K.shape[0] == K.shape[1]:
+            assert not _certified_nonsingular(K)
+        x, _, rank = min_norm_lstsq(K, b)
+        want, _, want_rank, _ = np.linalg.lstsq(K, b, rcond=DEFAULT_RANK_TOL)
+        assert (x.tobytes(), rank) == (want.tobytes(), want_rank)
+
+    @pytest.mark.parametrize("k", [-600, -300, 300, 600])
+    def test_route_does_not_depend_on_scale(self, rng, k):
+        cases = {**_fallbacks(rng), "shifted": rng.uniform(-1.0, 1.0, (8, 8)) + 4.0 * np.eye(8)}
+        for K in cases.values():
+            if K.shape[0] == K.shape[1]:
+                assert _certified_nonsingular(np.ldexp(K, k)) == _certified_nonsingular(K)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        log_ratio=st.floats(-14.0, 0.0),
+    )
+    def test_certificate_bounds_the_condition_number(self, seed, n, log_ratio):
+        # sigma_min / sigma_max = 10^log_ratio, the others log-uniform between.
+        rng = np.random.default_rng(seed)
+        sigma = np.sort(10.0 ** rng.uniform(log_ratio, 0.0, n))[::-1]
+        sigma[0], sigma[-1] = 1.0, 10.0**log_ratio
+        K = _prescribed(rng, sigma)
+        s = np.linalg.svd(K, compute_uv=False)
+        if _certified_nonsingular(K):
+            assert s[-1] / s[0] > 1e-5
+        # The shift is 1e-8 ||K||_F^2 <= 1e-8 n sigma_max^2, far below sigma_min^2 here.
+        if s[-1] / s[0] > 1e-3:
+            assert _certified_nonsingular(K)
+
+
 class TestUnfoldSystem:
     def test_kronecker_structure(self, rng):
         problem, _ = random_consistent(rng, (2, 2), (3,))
@@ -129,3 +203,12 @@ class TestOracleSolve:
         assert result.consistent and result.numerical_rank == 1296
         gap = tc.fro_norm(tc.subtract(outcome.solution, result.min_norm_solution))
         assert gap <= 1e-10 * tc.fro_norm(result.min_norm_solution)
+
+    @pytest.mark.parametrize("k", [-600, -300, 300, 515, 560, 600])
+    def test_verdict_and_rank_hold_across_the_double_range(self, k):
+        # The norms of D and of the residual would overflow from about 2^515 as plain sums of squares.
+        problems = [random_consistent(np.random.default_rng(3), (2, 2), (3,))[0]]
+        problems += [random_inconsistent(np.random.default_rng(s), (2, 2), (3,))[0] for s in range(10)]
+        for problem in problems:
+            want, got = oracle_solve(problem), oracle_solve(scaled_problem(problem, k))
+            assert (got.consistent, got.numerical_rank) == (want.consistent, want.numerical_rank)
