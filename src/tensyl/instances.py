@@ -42,7 +42,7 @@ def _rank_deficient_square(rng, extents):
     size = prod(extents)
     m = rng.uniform(-1.0, 1.0, (size, size))
     v = rng.uniform(-1.0, 1.0, size)
-    v /= np.linalg.norm(v)
+    v /= tc._norm(v)
     return tc.psi_inverse(m - np.outer(v, v @ m), extents, extents), v
 
 

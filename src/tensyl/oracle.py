@@ -13,8 +13,8 @@ through numpy, neither sharing code with the iterative solver:
 - otherwise (a failed Cholesky or a non-square K) by SVD-based least
   squares (``numpy.linalg.lstsq``, LAPACK gelsd).
 
-Norms are taken as s ||v / s|| with s = max |v|, so their squares neither
-overflow nor underflow.
+Its norms are ``tensor._norm``, whose squares neither overflow nor underflow,
+and the certificate scales K by the power of two of ``tensor._exponent``.
 """
 
 from dataclasses import dataclass
@@ -53,15 +53,6 @@ def unfold_system(problem):
     return np.kron(np.eye(n), tc.psi(problem.A)) + np.kron(tc.psi(problem.C).T, np.eye(m))
 
 
-def _norm(v):
-    """2-norm of v as s ||v / s|| with s = max |v|: no overflow or underflow
-    in the squares; a non-finite entry gives inf or nan."""
-    s = float(np.max(np.abs(v)))
-    if not 0.0 < s < np.inf:
-        return s
-    return s * float(np.linalg.norm(v / s))
-
-
 def _certified_nonsingular(K):
     """True when a Cholesky factorization of G = K^T K - tau^2 ||K||_F^2 I
     completes, for a square finite K and tau^2 = ``CERTIFICATE_SHIFT``.
@@ -75,8 +66,7 @@ def _certified_nonsingular(K):
     overflow and underflow costs at most 2^-1074 of the largest entry: the
     answer does not depend on the scale of K.
     """
-    largest = max(K.max(), -K.min())
-    scaled = np.ldexp(K, -np.frexp(largest)[1])
+    scaled = np.ldexp(K, -tc._exponent(K))
     g = scaled.T @ scaled
     del scaled  # the Cholesky factor takes its memory
     g.flat[:: len(g) + 1] -= CERTIFICATE_SHIFT * np.trace(g)
@@ -109,13 +99,13 @@ def min_norm_lstsq(K, rhs):
         x, rank = np.linalg.solve(K, rhs), K.shape[0]
     else:
         x, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=DEFAULT_RANK_TOL)
-    return x, _norm(K @ x - rhs), int(rank)
+    return x, tc._norm(K @ x - rhs), int(rank)
 
 
 def oracle_solve(problem):
     """Consistency verdict and min-norm solution from the dense unfolding."""
     D = problem.D
     x, residual, rank = min_norm_lstsq(unfold_system(problem), D.data)
-    tol = DEFAULT_RANK_TOL * _norm(D.data) * D.m * D.n
+    tol = DEFAULT_RANK_TOL * tc._norm(D.data) * D.m * D.n
     solution = DenseTensor(D.row_extents, D.col_extents, x)
     return OracleResult(residual <= tol, solution, residual, rank)

@@ -2,9 +2,9 @@
 
 The operator slices below are hand-transcribed integer data, and the exact
 solution X* is 1..108.  The right-hand side D = A *_2 X* + X* *_2 C is built
-here by ``numpy.einsum`` on the full arrays, apart from the unfolding kernel
-the solver uses.  Every operand is an integer, so D is exact in any
-summation order.
+here by two Einstein products of the tensor algebra, GEMMs apart from the
+solver's kernel.  Every operand is an integer, so D is exact in any
+summation order; the tests check it against an explicit loop.
 """
 
 import numpy as np
@@ -209,13 +209,12 @@ def nearness_reference_distance():
 
 def _reference_equation():
     """(problem, X*): A and C from their slices, X* = 1..108 filled
-    first-index-fastest, and D built from X* by an einsum pair."""
+    first-index-fastest, and D built from X* by two Einstein products."""
     a = tensor_from_slices(A_SLICES, (4, 3), (4, 3))
     c = tensor_from_slices(C_SLICES, (3, 3), (3, 3))
     x_star = tc.DenseTensor((4, 3), (3, 3), np.arange(1.0, 109.0))
-    A, C, X = tc.to_array(a), tc.to_array(c), tc.to_array(x_star)
-    D = np.einsum("ijkl,klmn->ijmn", A, X) + np.einsum("ijkl,klmn->ijmn", X, C)
-    return SylvesterProblem(a, c, tc.from_array(D, 2)), x_star
+    d = tc.add(tc.einstein_product(a, x_star, 2), tc.einstein_product(x_star, c, 2))
+    return SylvesterProblem(a, c, d), x_star
 
 
 def load_reference_problem():

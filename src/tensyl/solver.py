@@ -17,8 +17,10 @@ the size of X (see ``_bind_sylvester``), and its norms are BLAS dots, so an
 iteration costs four GEMMs and a few vector operations, with nothing rebuilt
 in the loop.  ``solve`` and ``solve_nearness`` are its tensor edges: they
 build no tensor but their results, folded once the loop has freed all but
-the iterate, so a solve peaks at its five buffers.  Everything runs under
-``np.errstate``: an overflow is one ArithmeticError naming it, no warning.
+the iterate, so a solve peaks at its five buffers.  The products outside
+the loop, the nearness shift and the sum X0 + Y-hat go through the algebra's
+overflow rule, ``tensor._checked``, and the loop runs under ``np.errstate``:
+an overflow is one ArithmeticError naming it, with no numpy warning.
 """
 
 import math
@@ -56,10 +58,8 @@ def _check_operands(A, C, X, what):
         if op.row_extents != op.col_extents:
             raise DimensionError(f"{name} must have a square split, got {op.row_extents} x {op.col_extents}")
     if (X.row_extents, X.col_extents) != (A.row_extents, C.row_extents):
-        raise DimensionError(
-            f"{what} split {X.row_extents} x {X.col_extents} does not fit "
-            f"A {A.row_extents} and C {C.row_extents}"
-        )
+        raise DimensionError(f"{what} split {X.row_extents} x {X.col_extents} does not fit "
+                             f"A {A.row_extents} and C {C.row_extents}")
 
 
 @dataclass(frozen=True)
@@ -157,19 +157,9 @@ def _bind_sylvester(a, c, x, out, tmp):
     return dot_kernel
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _checked(quantity, compute, *operands):
-    """``compute(*operands)`` on finite operands; a non-finite entry is its
-    overflow: an ArithmeticError naming ``quantity``, not a numpy warning."""
-    mat = compute(*operands)
-    if not np.isfinite(mat).all():
-        raise ArithmeticError(f"{quantity} overflowed the double range")
-    return mat
-
-
 def _product(a, c, x, quantity):
     """a x + x c on psi matrices, in a new F-order matrix checked as ``quantity``."""
-    return _checked(quantity, _bind_sylvester(a, c, x, np.empty_like(x), np.empty_like(x)))
+    return tc._checked(quantity, _bind_sylvester(a, c, x, np.empty_like(x), np.empty_like(x)))
 
 
 def apply_operator(A, C, X):
@@ -296,10 +286,10 @@ def solve_nearness(problem, x0, opts=None):
     _check_operands(A, C, x0, "X0")
     a, c, x0_mat = tc.psi(A), tc.psi(C), tc.psi(x0)
     d = _product(a, c, x0_mat, "A *_M X + X *_N C")  # L(X0), then D - L(X0) in place
-    _checked("D - (A *_M X0 + X0 *_N C)", np.subtract, tc.psi(D), d, d)
+    tc._checked("D - (A *_M X0 + X0 *_N C)", np.subtract, tc.psi(D), d, d)
     y = np.zeros(d.shape, order="F")
     status, history = _iterate(a, c, d, y, opts or DEFAULT_OPTIONS)
-    x_hat = _checked("X_hat = X0 + Y_hat", np.add, y, x0_mat)
+    x_hat = tc._checked("X_hat = X0 + Y_hat", np.add, y, x0_mat)
     y_hat = tc.psi_inverse(y, D.row_extents, D.col_extents)
     outcome = SolveOutcome(status, y_hat, history)
     return tc.psi_inverse(x_hat, D.row_extents, D.col_extents), tc.fro_norm(y_hat), outcome

@@ -12,11 +12,16 @@ read-only view through ``_unfold``, the one reshape.  Each constructor takes
 one layout: flat ivec data goes to ``DenseTensor``, an m x n matrix to
 ``psi_inverse``, the one fold, and a full array to ``from_array``; any other
 shape is refused.  Every other module unfolds and folds through these.
+
+The package's overflow rule and its one norm live here too: the algebra's
+arithmetic runs through ``_checked``, so an overflow is one ArithmeticError
+naming the operation and no numpy warning, and ``_norm`` is 2^e ||2^-e v||,
+exact in its scaling and so rounded as ``np.linalg.norm`` is.
 """
 
 import sys
 from dataclasses import dataclass
-from math import prod
+from math import frexp, isfinite, prod
 
 import numpy as np
 
@@ -65,10 +70,8 @@ class DenseTensor:
                                  "matrix with psi_inverse and a full array with from_array")
         expected = prod(row_extents) * prod(col_extents)
         if flat.size != expected:
-            raise DimensionError(
-                f"data length {flat.size} does not match extents "
-                f"{row_extents} x {col_extents} (expected {expected})"
-            )
+            raise DimensionError(f"data length {flat.size} does not match extents "
+                                 f"{row_extents} x {col_extents} (expected {expected})")
         finite = np.isfinite(flat)
         if not finite.all():
             i = finite.argmin()
@@ -113,9 +116,7 @@ class DenseTensor:
 def ivec(indices, extents):
     """First-index-fastest linearization of a 1-based multi-index."""
     if len(indices) != len(extents) or not extents:
-        raise DimensionError(
-            f"index {indices} incompatible with extents {extents}"
-        )
+        raise DimensionError(f"index {indices} incompatible with extents {extents}")
     pos = 0
     stride = 1
     for i, e in zip(indices, extents):
@@ -160,24 +161,48 @@ def identity(extents):
 
 def _check_same_split(op, a, b):
     if not a.same_split(b):
-        raise DimensionError(
-            f"{op}: splits differ ({a.row_extents}x{a.col_extents} vs "
-            f"{b.row_extents}x{b.col_extents})"
-        )
+        raise DimensionError(f"{op}: splits differ ({a.row_extents}x{a.col_extents} vs "
+                             f"{b.row_extents}x{b.col_extents})")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _checked(quantity, compute, *operands):
+    """``compute(*operands)`` on finite operands; a non-finite entry is its
+    overflow: an ArithmeticError naming ``quantity``, not a numpy warning."""
+    result = compute(*operands)
+    if not np.isfinite(result).all():
+        raise ArithmeticError(f"{quantity} overflowed the double range")
+    return result
+
+
+def _exponent(v):
+    """e with 2^(e-1) <= max |v| < 2^e, and 0 for a zero v: 2^-e v is exact
+    barring underflow, and its entries lie below 1 in magnitude."""
+    return frexp(max(v.max(), -v.min()))[1]
+
+
+def _norm(v):
+    """2-norm of v as 2^e ||2^-e v||, e from ``_exponent``: its squares neither overflow
+    nor underflow, and it is bit-equal to ``np.linalg.norm`` wherever that is finite."""
+    e = _exponent(v)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
 
 
 def add(a, b):
     _check_same_split("add", a, b)
-    return DenseTensor(a.row_extents, a.col_extents, a.data + b.data)
+    return DenseTensor(a.row_extents, a.col_extents, _checked("add", np.add, a.data, b.data))
 
 
 def subtract(a, b):
     _check_same_split("subtract", a, b)
-    return DenseTensor(a.row_extents, a.col_extents, a.data - b.data)
+    return DenseTensor(a.row_extents, a.col_extents, _checked("subtract", np.subtract, a.data, b.data))
 
 
 def scale(factor, a):
-    return DenseTensor(a.row_extents, a.col_extents, float(factor) * a.data)
+    factor = float(factor)
+    if not isfinite(factor):
+        raise ValueError(f"scale factor {factor} is not a finite number")
+    return DenseTensor(a.row_extents, a.col_extents, _checked("scale", np.multiply, factor, a.data))
 
 
 def einstein_product(a, b, num_contracted):
@@ -185,18 +210,14 @@ def einstein_product(a, b, num_contracted):
     leading ``num_contracted`` modes of ``b``."""
     k = num_contracted
     if int(k) != k or not 1 <= k <= min(a.order, b.order):
-        raise DimensionError(
-            f"contraction count {k} invalid for orders {a.order} and {b.order}"
-        )
+        raise DimensionError(f"contraction count {k} invalid for orders {a.order} and {b.order}")
     k = int(k)
     shared = a.extents[a.order - k :]
     if shared != b.extents[:k]:
-        raise DimensionError(
-            f"contraction extents mismatch: {shared} vs {b.extents[:k]}"
-        )
+        raise DimensionError(f"contraction extents mismatch: {shared} vs {b.extents[:k]}")
     lead = a.extents[: a.order - k]
-    product = _unfold(a.data, prod(lead)) @ _unfold(b.data, prod(shared))
-    return psi_inverse(product, lead, b.extents[k:])
+    left, right = _unfold(a.data, prod(lead)), _unfold(b.data, prod(shared))
+    return psi_inverse(_checked("einstein_product", np.matmul, left, right), lead, b.extents[k:])
 
 
 def transpose(a):
@@ -208,20 +229,20 @@ def transpose(a):
 
 def trace(a):
     if a.row_extents != a.col_extents:
-        raise DimensionError(
-            f"trace requires a square split, got {a.row_extents} x {a.col_extents}"
-        )
-    return float(np.trace(psi(a)))
+        raise DimensionError(f"trace requires a square split, got {a.row_extents} x {a.col_extents}")
+    return float(_checked("trace", np.trace, psi(a)))
 
 
 def inner(a, b):
-    """Frobenius inner product <a, b> = tr(b^T * a)."""
+    """Frobenius inner product <a, b> = tr(b^T * a), one BLAS dot.  Scaling
+    each operand by its own power of two would flush cross terms such as
+    1e200 * 1e-200 to zero, so an overflow is reported, not avoided."""
     _check_same_split("inner", a, b)
-    return float(np.dot(a.data, b.data))
+    return float(_checked("inner", np.dot, a.data, b.data))
 
 
 def fro_norm(a):
-    return float(np.linalg.norm(a.data))
+    return _checked("fro_norm", _norm, a.data)
 
 
 def kron(a, b):
@@ -230,7 +251,7 @@ def kron(a, b):
     if not (a.row_extents and a.col_extents and b.row_extents and b.col_extents):
         raise DimensionError("kron requires nonempty row and column blocks")
     return psi_inverse(
-        np.kron(psi(a), psi(b)),
+        _checked("kron", np.kron, psi(a), psi(b)),
         b.row_extents + a.row_extents,
         b.col_extents + a.col_extents,
     )

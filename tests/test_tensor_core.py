@@ -1,9 +1,12 @@
 """Core tensor algebra: storage layout, unfoldings, and operations."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tensyl import tensor as tc
 from tensyl.solver import SylvesterProblem
@@ -236,6 +239,61 @@ class TestTransposeTraceInner:
     def test_fro_norm_of_integer_ramp(self):
         t = DenseTensor((4, 3), (3, 3), np.arange(1.0, 109.0))
         assert tc.fro_norm(t) == pytest.approx(np.sqrt(425754.0))
+
+    def test_inner_keeps_cross_terms_of_extreme_magnitude(self):
+        # Scaling each operand by its own power of two would flush both terms to zero.
+        a = DenseTensor((2,), (1,), [1.0e200, 1.0e-200])
+        b = DenseTensor((2,), (1,), [1.0e-200, 1.0e200])
+        assert tc.inner(a, b) == 2.0
+
+
+def _column(entries):
+    return DenseTensor((len(entries),), (1,), entries)
+
+
+# Finite operands whose result leaves the double range, by operation.
+OVERFLOWS = {
+    "add": lambda: tc.add(_column([1.0e308, 1.0]), _column([1.0e308, 1.0])),
+    "subtract": lambda: tc.subtract(_column([1.0e308, 1.0]), _column([-1.0e308, 1.0])),
+    "scale": lambda: tc.scale(1.0e10, _column([1.0e300, 1.0])),
+    "einstein_product": lambda: tc.einstein_product(
+        DenseTensor((1,), (2,), [1.0e200, 1.0e200]), _column([1.0e200, 1.0e200]), 1),
+    "kron": lambda: tc.kron(_column([1.0e200]), _column([1.0e200])),
+    "inner": lambda: tc.inner(_column([1.0e200, 1.0]), _column([1.0e200, 1.0])),
+    "trace": lambda: tc.trace(DenseTensor((2,), (2,), [1.0e308, 0.0, 0.0, 1.0e308])),
+    "fro_norm": lambda: tc.fro_norm(_column([1.7e308, 1.7e308])),
+}
+
+
+class TestNormAndOverflow:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4096), k=st.integers(-500, 500))
+    @example(seed=0, size=1, k=-500)
+    @example(seed=0, size=4096, k=500)
+    def test_fro_norm_is_numpy_norm_bit_for_bit(self, seed, size, k):
+        data = np.ldexp(np.random.default_rng(seed).uniform(-1.0, 1.0, size), k)
+        assert tc.fro_norm(_column(data)) == float(np.linalg.norm(data))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[1.0e200, 1.0e200], [2.0**1000, 0.75 * 2.0**1000, 2.0**999], [2.0**-1000, 0.75 * 2.0**-1000, 2.0**-1001]],
+        ids=["1e200", "2^1000", "2^-1000"],
+    )
+    def test_fro_norm_beyond_the_range_of_the_squares(self, entries):
+        got, want = tc.fro_norm(_column(entries)), math.hypot(*entries)
+        assert math.isfinite(got) and got > 0.0
+        assert abs(got - want) <= math.ulp(want)
+
+    @pytest.mark.parametrize("op", list(OVERFLOWS))
+    def test_overflow_names_the_operation(self, op):
+        # Under the suite's filterwarnings = ["error"], a numpy RuntimeWarning would fail the test.
+        with pytest.raises(ArithmeticError, match=f"^{op} overflowed the double range$"):
+            OVERFLOWS[op]()
+
+    @pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
+    def test_scale_refuses_a_non_finite_factor(self, factor):
+        with pytest.raises(ValueError, match=f"^scale factor {factor} is not a finite number$"):
+            tc.scale(factor, _column([0.0, 1.0]))
 
 
 class TestUnfoldings:
