@@ -28,18 +28,15 @@ from .tensor import (
     from_array,
     identity,
     inner,
-    ivec,
     kron,
     psi,
     psi_inverse,
     scale,
     subtract,
-    to_array,
     trace,
     transpose,
     vec,
     zeros,
-    zeros_like,
 )
 
 __version__ = "0.1.0"

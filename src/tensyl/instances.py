@@ -59,7 +59,7 @@ def random_inconsistent(rng, row_extents, col_extents):
     col_extents = tc._check_extents(col_extents, "col extents")
     a, u = _rank_deficient_square(rng, row_extents)
     c_t, w = _rank_deficient_square(rng, col_extents)
-    c = tc.psi_inverse(tc.psi(c_t).T, col_extents, col_extents)
+    c = tc.transpose(c_t)
     d = apply_operator(a, c, _uniform_tensor(rng, row_extents, col_extents))
     y = tc.psi_inverse(np.outer(u, w), row_extents, col_extents)
     d = tc.add(d, tc.scale(max(1.0, tc.fro_norm(d)), y))

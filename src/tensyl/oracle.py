@@ -14,7 +14,8 @@ through numpy, neither sharing code with the iterative solver:
   squares (``numpy.linalg.lstsq``, LAPACK gelsd).
 
 Its norms are ``tensor._norm``, whose squares neither overflow nor underflow,
-and the certificate scales K by the power of two of ``tensor._exponent``.
+the certificate scales K by the power of two of ``tensor._exponent``, and the
+lift, the solution and the residual run through ``tensor._checked``.
 """
 
 from dataclasses import dataclass
@@ -50,7 +51,8 @@ def unfold_system(problem):
         raise SizeCapError(
             f"unfolded system of size {m * n} exceeds the dense cap {DEFAULT_SIZE_CAP}"
         )
-    return np.kron(np.eye(n), tc.psi(problem.A)) + np.kron(tc.psi(problem.C).T, np.eye(m))
+    return tc._checked("Kronecker lift", np.add, np.kron(np.eye(n), tc.psi(problem.A)),
+                       np.kron(tc.psi(problem.C).T, np.eye(m)))
 
 
 def _certified_nonsingular(K):
@@ -85,7 +87,8 @@ def min_norm_lstsq(K, rhs):
     unique solution, computed by LU.  Every other K goes to LAPACK's
     SVD-based least squares (gelsd): the numerical rank counts the singular
     values above ``DEFAULT_RANK_TOL`` times the largest, and the smaller
-    ones are treated as zero.
+    ones are treated as zero.  Non-finite input is refused; an overflowed
+    solution or residual is an ArithmeticError naming it.
     """
     K = np.asarray(K, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64).ravel()
@@ -99,7 +102,8 @@ def min_norm_lstsq(K, rhs):
         x, rank = np.linalg.solve(K, rhs), K.shape[0]
     else:
         x, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=DEFAULT_RANK_TOL)
-    return x, tc._norm(K @ x - rhs), int(rank)
+    x = tc._checked("least-squares solution", np.asarray, x)
+    return x, tc._norm(tc._checked("least-squares residual", lambda: K @ x - rhs)), int(rank)
 
 
 def oracle_solve(problem):

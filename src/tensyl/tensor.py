@@ -2,9 +2,13 @@
 
 A tensor carries an explicit split of its modes into a row block
 ``I_1 x ... x I_M`` and a column block ``J_1 x ... x J_N``.  The flat
-storage follows the first-index-fastest linearization (``ivec``) over the
+storage follows the first-index-fastest linearization (ivec order) over the
 concatenated index, so the ``m x n`` unfolding ``psi`` is a view of the
 buffer, and ``vec`` and ``reshape_split`` copy it in the same entry order.
+
+The public algebra is what the paper states its results in (the Einstein
+product, transpose, trace, inner, fro_norm, kron, vec, reshape_split) with
+add, subtract and scale, ``identity`` for the generators and ``zeros``.
 
 ``psi`` is the isomorphism that turns A *_M X + X *_N C = D into the matrix
 Sylvester equation psi(A) psi(X) + psi(X) psi(C) = psi(D).  It returns a
@@ -106,26 +110,6 @@ class DenseTensor:
         """
         return DenseTensor(row_extents, col_extents, self.data)
 
-    def same_split(self, other):
-        return (
-            self.row_extents == other.row_extents
-            and self.col_extents == other.col_extents
-        )
-
-
-def ivec(indices, extents):
-    """First-index-fastest linearization of a 1-based multi-index."""
-    if len(indices) != len(extents) or not extents:
-        raise DimensionError(f"index {indices} incompatible with extents {extents}")
-    pos = 0
-    stride = 1
-    for i, e in zip(indices, extents):
-        if int(i) != i or not 1 <= i <= e:
-            raise DimensionError(f"index {indices} out of range for {extents}")
-        pos += (i - 1) * stride
-        stride *= e
-    return pos + 1
-
 
 def from_array(array, num_row_modes):
     """Build a tensor from an ndarray, splitting after ``num_row_modes`` modes."""
@@ -137,20 +121,10 @@ def from_array(array, num_row_modes):
     return DenseTensor(array.shape[:k], array.shape[k:], array.ravel(order="F"))
 
 
-def to_array(tensor):
-    """Full ndarray over the concatenated modes (read-only view semantics)."""
-    shape = tensor.extents if tensor.extents else (1,)
-    return tensor.data.reshape(shape, order="F")
-
-
 def zeros(row_extents, col_extents):
     row_extents = _check_extents(row_extents, "row extents")
     col_extents = _check_extents(col_extents, "col extents")
     return DenseTensor(row_extents, col_extents, np.zeros(prod(row_extents) * prod(col_extents)))
-
-
-def zeros_like(tensor):
-    return zeros(tensor.row_extents, tensor.col_extents)
 
 
 def identity(extents):
@@ -160,7 +134,7 @@ def identity(extents):
 
 
 def _check_same_split(op, a, b):
-    if not a.same_split(b):
+    if (a.row_extents, a.col_extents) != (b.row_extents, b.col_extents):
         raise DimensionError(f"{op}: splits differ ({a.row_extents}x{a.col_extents} vs "
                              f"{b.row_extents}x{b.col_extents})")
 

@@ -29,8 +29,8 @@ from tensyl.solver import (
 
 def loop_einstein_product(a, b, num_contracted):
     """Entrywise-definition Einstein product, independent of the library kernel."""
-    A = tc.to_array(a)
-    B = tc.to_array(b)
+    A = a.data.reshape(a.extents, order="F")
+    B = b.data.reshape(b.extents, order="F")
     lead = a.extents[: a.order - num_contracted]
     shared = a.extents[a.order - num_contracted :]
     trail = b.extents[num_contracted:]
@@ -67,7 +67,7 @@ def textbook_solve(problem, opts=None, states=None):
     """
     opts = opts or SolveOptions()
     A, C, D = problem.A, problem.C, problem.D
-    X = tc.zeros_like(D)
+    X = tc.zeros(D.row_extents, D.col_extents)
     R = tc.subtract(D, apply_operator(A, C, X))
     res = tc.fro_norm(R)
     history = [res]
@@ -123,7 +123,7 @@ def exact_shadow(problem):
             raise ArithmeticError(f"<v, v> = 0 mod {p} on a nonzero vector: unlucky prime")
         return s
 
-    x = np.zeros_like(d)
+    x = np.zeros(d.shape, dtype=object)
     r = (d - a @ x - x @ c) % p
     if not any(r.flat):
         return "R=0", 0

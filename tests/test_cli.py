@@ -458,6 +458,18 @@ class TestShellEntryPoint:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: step length alpha is not finite (iteration 1)\n"
 
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    def test_overflowing_lift_is_one_error_line(self, tmp_path, command):
+        # Every entry is finite, but the Kronecker lift 1e308 I + 1e308 I is not.
+        a, c = tc.scale(1.0e308, tc.identity((2,))), tc.DenseTensor((1,), (1,), [1.0e308])
+        problem = SylvesterProblem(a, c, tc.DenseTensor((2,), (1,), [1.0, 1.0]))
+        path = tmp_path / "lift.json"
+        fileio.write_problem(path, problem)
+        done = subprocess.run([sys.executable, "-m", "tensyl.cli", command, str(path)], capture_output=True,
+                              text=True, env=SRC_ENV)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: Kronecker lift overflowed the double range\n"
+
     def test_deeply_nested_file_is_one_error_line(self, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text('{"A": ' + "[" * 5000 + "]" * 5000 + "}")

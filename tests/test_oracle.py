@@ -123,6 +123,14 @@ class TestRoutes:
         want, _, want_rank, _ = np.linalg.lstsq(K, b, rcond=DEFAULT_RANK_TOL)
         assert (x.tobytes(), rank) == (want.tobytes(), want_rank)
 
+    @pytest.mark.parametrize("certified", [True, False], ids=["lu", "gelsd"])
+    def test_overflowed_solution_is_named(self, certified):
+        # Finite K and rhs whose solution 1e300 * 2^1000 overflows, on either route.
+        K = np.diag([2.0**-1000, 2.0**-1000 if certified else 0.0])
+        assert _certified_nonsingular(K) == certified
+        with pytest.raises(ArithmeticError, match="^least-squares solution overflowed the double range$"):
+            min_norm_lstsq(K, [1.0e300, 1.0])
+
     @pytest.mark.parametrize("k", [-600, -300, 300, 600])
     def test_route_does_not_depend_on_scale(self, rng, k):
         cases = {**_fallbacks(rng), "shifted": rng.uniform(-1.0, 1.0, (8, 8)) + 4.0 * np.eye(8)}

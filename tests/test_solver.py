@@ -284,7 +284,7 @@ class TestMinNormAndNearness:
     def test_min_norm_starts_from_zero(self, rng):
         problem, _ = random_consistent(rng, (2,), (3,), shift=2.0)
         got = solve_min_norm(problem)
-        for want in (solve(problem), solve(problem, tc.zeros_like(problem.D))):
+        for want in (solve(problem), solve(problem, tc.zeros(problem.D.row_extents, problem.D.col_extents))):
             assert got.residual_history == want.residual_history
             assert got.solution.data.tobytes() == want.solution.data.tobytes()
 

@@ -16,33 +16,16 @@ from conftest import loop_einstein_product, random_tensor
 
 
 class TestIvec:
-    def test_first_index_fastest(self):
-        assert tc.ivec([1, 1], (4, 3)) == 1
-        assert tc.ivec([2, 1], (4, 3)) == 2
-        assert tc.ivec([1, 2], (4, 3)) == 5
-        assert tc.ivec([4, 3], (4, 3)) == 12
-
-    def test_known_value(self):
-        assert tc.ivec([4, 3, 3], (4, 3, 3)) == 36
-
-    def test_single_mode(self):
-        assert tc.ivec([3], (5,)) == 3
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DimensionError):
-            tc.ivec([0, 1], (4, 3))
-        with pytest.raises(DimensionError):
-            tc.ivec([5, 1], (4, 3))
-        with pytest.raises(DimensionError):
-            tc.ivec([1], (4, 3))
-
-    def test_matches_storage_position(self, rng):
-        t = random_tensor(rng, (3, 2), (2, 4))
-        arr = tc.to_array(t)
-        for idx in np.ndindex(*t.extents):
-            one_based = tuple(i + 1 for i in idx)
-            pos = tc.ivec(one_based, t.extents)
-            assert t.data[pos - 1] == arr[idx]
+    def test_matches_storage_position(self):
+        # The layout, pinned on distinct entries: ivec order is first index
+        # fastest, and psi puts entry (i, j) at row ivec(i), column ivec(j).
+        arr = np.arange(36.0).reshape((4, 3, 3))
+        t = tc.from_array(arr, 2)
+        assert t.data[1] == arr[1, 0, 0]  # 1-based (2, 1, 1)
+        assert t.data[4] == arr[0, 1, 0]  # 1-based (1, 2, 1)
+        assert t.data[12] == arr[0, 0, 1]  # 1-based (1, 1, 2)
+        for i1, i2, j in np.ndindex(*arr.shape):
+            assert tc.psi(t)[i1 + 4 * i2, j] == arr[i1, i2, j]
 
 
 class TestDenseTensor:
@@ -130,7 +113,8 @@ class TestArrayConversion:
         arr = rng.uniform(-1, 1, (2, 3, 4, 2))
         t = tc.from_array(arr, 2)
         assert t.row_extents == (2, 3) and t.col_extents == (4, 2)
-        assert np.array_equal(tc.to_array(t), arr)
+        assert np.array_equal(t.data, arr.ravel(order="F"))
+        assert np.array_equal(tc.psi(t).reshape(arr.shape, order="F"), arr)
 
     def test_from_array_bad_split(self):
         with pytest.raises(DimensionError):
@@ -199,7 +183,7 @@ class TestTransposeTraceInner:
     def test_double_transpose(self, rng):
         t = random_tensor(rng, (2, 3), (4,))
         back = tc.transpose(tc.transpose(t))
-        assert back.same_split(t)
+        assert (back.row_extents, back.col_extents) == (t.row_extents, t.col_extents)
         assert np.array_equal(back.data, t.data)
 
     def test_trace_requires_square_split(self, rng):
@@ -307,7 +291,7 @@ class TestUnfoldings:
     def test_psi_inverse_round_trip(self, rng):
         t = random_tensor(rng, (2, 3), (2, 2))
         back = tc.psi_inverse(tc.psi(t), (2, 3), (2, 2))
-        assert back.same_split(t)
+        assert (back.row_extents, back.col_extents) == (t.row_extents, t.col_extents)
         assert np.array_equal(back.data, t.data)
         # Flat data is DenseTensor's layout; psi_inverse takes the matrix only.
         with pytest.raises(DimensionError, match=r"^matrix shape \(24,\) is not the split's m x n, \(6, 4\)$"):
@@ -328,16 +312,15 @@ class TestUnfoldings:
             tc.psi_inverse(entries, (2.5,), (3,))
 
     def test_vec_stacks_row_blocks(self, rng):
-        t = random_tensor(rng, (2, 2), (3,))
+        arr = rng.uniform(-1, 1, (2, 2, 3))
+        t = tc.from_array(arr, 2)
         v = tc.vec(t)
         assert v.row_extents == (4,) and v.col_extents == (3,)
         assert np.array_equal(v.data, t.data)
-        arr = tc.to_array(t)
-        varr = tc.to_array(v)
         for i1 in range(2):
             for i2 in range(2):
-                k = tc.ivec((i1 + 1, i2 + 1), (2, 2))
-                assert np.array_equal(varr[k - 1], arr[i1, i2])
+                # row ivec(i1, i2) of psi(vec(t)) is the row-block subtensor t[i1, i2, :]
+                assert np.array_equal(tc.psi(v)[i1 + 2 * i2], arr[i1, i2])
 
 
 class TestKron:
