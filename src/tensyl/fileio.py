@@ -59,8 +59,10 @@ def tensor_from_obj(obj, where):
         raise FileFormatError(f"{where}: field 'data' entry {i} is {data[i]!r}, not a number")
     try:
         return DenseTensor(obj["row_extents"], obj["col_extents"], data)
-    except ValueError as exc:  # DimensionError, or an entry that is not finite
+    except DimensionError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
+    except ValueError as exc:  # an entry that is not a finite double
+        raise FileFormatError(f"{where}: field 'data' {exc}") from exc
 
 
 def _dump_json(obj, path):

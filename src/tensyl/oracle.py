@@ -4,18 +4,32 @@ The tensor equation A *_M X + X *_N C = D unfolds through psi to the
 matrix Sylvester equation psi(A) Xm + Xm psi(C) = psi(D), whose Kronecker
 lift is K x = d with K = I_n (x) psi(A) + psi(C)^T (x) I_m and d the
 column-major vectorization of psi(D), which is ``D.data`` itself.  Its
-minimum-norm least-squares solution takes one of two dense LAPACK routes
-through numpy, neither sharing code with the iterative solver:
+minimum-norm least-squares solution takes one of three dense LAPACK routes
+through numpy, none sharing code with the iterative solver:
 
-- when a Cholesky factorization of K^T K shifted down by
-  ``CERTIFICATE_SHIFT`` ||K||_F^2 completes, K is proven nonsingular and
-  the system is solved by LU (``numpy.linalg.solve``);
-- otherwise (a failed Cholesky or a non-square K) by SVD-based least
+- when a factor psi(A) or psi(C) is proven nonsingular or has no numerical
+  null space (or K does not annihilate the factors' null vectors, below),
+  and a Cholesky factorization of K^T K shifted down by
+  ``CERTIFICATE_SHIFT`` ||K||_F^2 completes, K is proven nonsingular and the
+  system is solved by LU (``numpy.linalg.solve``);
+- when both factors have null spaces, Z = null(psi(C)^T) (x) null(psi(A))
+  and W = null(psi(C)) (x) null(psi(A)^T), r orthonormal columns each, have
+  K Z ~ 0 and K^T W ~ 0.  If ||K Z||_F and ||K^T W||_F are at most
+  ``DEFAULT_RANK_TOL`` ||K||_F / sqrt(mn) and the same certificate proves the
+  bordered matrix B = [[K, 2^e W], [2^e Z^T, 0]] nonsingular, one LU solve of
+  B [x; y] = [d; 0] gives x, and the rank is mn - r.  K is the leading block
+  of B, so singular-value interlacing gives sigma_{mn-r}(K) >= sigma_min(B)
+  > 0.99e-4 sigma_max(B) >= 0.99e-4 sigma_1(K), while sigma_{mn-r+1}(K) <=
+  ||K Z||_2 <= 1e-10 sigma_1(K): gelsd's rank rule counts exactly mn - r.
+  With x orthogonal to range(Z) = null(K) and K x the projection of d onto
+  range(W)^perp = range(K), x is gelsd's truncated solution;
+- otherwise (failed certificates, or a non-square K) by SVD-based least
   squares (``numpy.linalg.lstsq``, LAPACK gelsd).
 
 Its norms are ``tensor._norm``, whose squares neither overflow nor underflow,
-the certificate scales K by the power of two of ``tensor._exponent``, and the
-lift, the solution and the residual run through ``tensor._checked``.
+the certificate scales its matrix by the power of two of ``tensor._exponent``,
+as do the null-space test and the border, and the lift, the solution and the
+residual run through ``tensor._checked``.
 """
 
 from dataclasses import dataclass
@@ -62,11 +76,11 @@ def _certified_nonsingular(K):
     The rounding error in G is at most (2N+3) u ||K||_F^2: gamma_N for the
     product and gamma_{N+1} trace(G) for the Cholesky (Higham, Accuracy and
     Stability of Numerical Algorithms, Thm 10.5; Rump, BIT 46, 2006).  Up to
-    ``DEFAULT_SIZE_CAP`` that is below 1e-12 ||K||_F^2, so a completed
-    factorization proves sigma_min(K) > 0.99e-4 sigma_max(K).  K is first
-    scaled by 2^-e, with 2^(e-1) <= max |K| < 2^e, so that K^T K cannot
-    overflow and underflow costs at most 2^-1074 of the largest entry: the
-    answer does not depend on the scale of K.
+    N = 2 ``DEFAULT_SIZE_CAP``, the largest bordered matrix, that is below
+    2e-12 ||K||_F^2, so a completed factorization proves sigma_min(K) >
+    0.99e-4 sigma_max(K).  K is first scaled by 2^-e, with 2^(e-1) <= max |K|
+    < 2^e, so that K^T K cannot overflow and underflow costs at most 2^-1074
+    of the largest entry: the answer does not depend on the scale of K.
     """
     scaled = np.ldexp(K, -tc._exponent(K))
     g = scaled.T @ scaled
@@ -77,6 +91,48 @@ def _certified_nonsingular(K):
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _null_spaces(f):
+    """(right, left): orthonormal bases of the null spaces of the square
+    factor f, the trailing columns of V and of U in one SVD, for the singular
+    values at most ``DEFAULT_RANK_TOL`` times the largest.  None when
+    ``_certified_nonsingular`` proves f nonsingular or no singular value is
+    that small."""
+    if _certified_nonsingular(f):
+        return None
+    u, s, vt = np.linalg.svd(f)
+    k = np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])
+    return (vt[k:].T, u[:, k:]) if k < len(s) else None
+
+
+def _null_bases(a, c):
+    """(Z, W) = (null(c^T) (x) null(a), null(c) (x) null(a^T)) for the
+    factors a = psi(A) and c = psi(C), so that K Z ~ 0 and K^T W ~ 0; None
+    when either factor has no null space.  The smaller factor goes first, so
+    the larger one is examined only when the smaller has a null space."""
+    swap = len(c) < len(a)
+    first = _null_spaces(c if swap else a)
+    second = first and _null_spaces(a if swap else c)
+    if second is None:
+        return None
+    (a_right, a_left), (c_right, c_left) = (second, first) if swap else (first, second)
+    return np.kron(c_left, a_right), np.kron(c_right, a_left)
+
+
+def _annihilated(K, z, w):
+    """True when ||K Z||_F and ||K^T W||_F are at most ``DEFAULT_RANK_TOL``
+    ||K||_F / sqrt(N), so that sigma_{N-r+1}(K) <= 1e-10 sigma_1(K); taken
+    on 2^-e K, whose products cannot overflow."""
+    scaled = np.ldexp(K, -tc._exponent(K))
+    bound = DEFAULT_RANK_TOL * np.linalg.norm(scaled) / np.sqrt(len(K))
+    return max(np.linalg.norm(scaled @ z), np.linalg.norm(scaled.T @ w)) <= bound
+
+
+def _with_residual(K, rhs, x, rank):
+    """(x, ||K x - rhs||, rank), with an overflowed x or residual an ArithmeticError naming it."""
+    x = tc._checked("least-squares solution", np.asarray, x)
+    return x, tc._norm(tc._checked("least-squares residual", lambda: K @ x - rhs)), int(rank)
 
 
 def min_norm_lstsq(K, rhs):
@@ -102,14 +158,38 @@ def min_norm_lstsq(K, rhs):
         x, rank = np.linalg.solve(K, rhs), K.shape[0]
     else:
         x, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=DEFAULT_RANK_TOL)
-    x = tc._checked("least-squares solution", np.asarray, x)
-    return x, tc._norm(tc._checked("least-squares residual", lambda: K @ x - rhs)), int(rank)
+    return _with_residual(K, rhs, x, rank)
+
+
+def _bordered(K, z, w):
+    """B = [[K, 2^e W], [2^e Z^T, 0]], its border scaled to K by e from ``tensor._exponent``."""
+    e = tc._exponent(K)
+    return np.block([[K, np.ldexp(w, e)], [np.ldexp(z.T, e), np.zeros((z.shape[1],) * 2)]])
+
+
+def _bordered_lstsq(K, z, w, rhs):
+    """``min_norm_lstsq`` for a K with near-null bases Z and W of r columns
+    each (module docstring): one LU solve of B from ``_bordered`` with rank
+    N - r when B is certified, and otherwise gelsd, without K's own
+    certificate, which cannot complete when sigma_min(K) <= ||K Z||."""
+    n, r = len(K), z.shape[1]
+    bordered = _bordered(K, z, w)
+    if _certified_nonsingular(bordered):
+        x, rank = np.linalg.solve(bordered, np.concatenate((rhs, np.zeros(r))))[:n], n - r
+    else:
+        x, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=DEFAULT_RANK_TOL)
+    return _with_residual(K, rhs, x, rank)
 
 
 def oracle_solve(problem):
     """Consistency verdict and min-norm solution from the dense unfolding."""
     D = problem.D
-    x, residual, rank = min_norm_lstsq(unfold_system(problem), D.data)
+    K = unfold_system(problem)
+    bases = _null_bases(tc.psi(problem.A), tc.psi(problem.C))
+    if bases is not None and _annihilated(K, *bases):
+        x, residual, rank = _bordered_lstsq(K, *bases, D.data)
+    else:
+        x, residual, rank = min_norm_lstsq(K, D.data)
     tol = DEFAULT_RANK_TOL * tc._norm(D.data) * D.m * D.n
     solution = DenseTensor(D.row_extents, D.col_extents, x)
     return OracleResult(residual <= tol, solution, residual, rank)

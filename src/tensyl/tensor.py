@@ -43,6 +43,29 @@ def _check_extents(extents, what):
     return tuple(int(e) for e in extents)
 
 
+def _doubles(data):
+    """``data`` as a new float64 array of its own shape.  The first entry, in
+    ivec order, that is not a finite double is a ValueError naming its index
+    in ``data``: ``entry 1`` of a flat list, ``entry (0, 1)`` of a matrix."""
+    try:
+        array = np.array(data, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the double range
+        entries = np.asarray(data, dtype=object)
+        raise ValueError(f"entry {_first(abs(entries) > sys.float_info.max)}: {exc}") from exc
+    finite = np.isfinite(array)
+    if not finite.all():
+        i = _first(~finite)
+        raise ValueError(f"entry {i} is {array[i]}, not a finite number")
+    return array
+
+
+def _first(mask):
+    """Index of the first true entry of ``mask`` in ivec order: an int when
+    ``mask`` is flat, a tuple otherwise."""
+    index = np.unravel_index(np.ravel(mask, order="F").argmax(), mask.shape, order="F")
+    return int(index[0]) if len(index) == 1 else tuple(map(int, index))
+
+
 @dataclass(frozen=True, eq=False)
 class DenseTensor:
     """Order-(M+N) real tensor with row/column mode split and flat storage.
@@ -52,8 +75,8 @@ class DenseTensor:
     ``row_extents + col_extents`` shape, taken in that flat form only and
     copied.  Every entry is a finite double; the constructor rejects NaN,
     infinities and integers beyond the double range with a ValueError naming
-    the first such entry.  Tensors compare and hash by identity: a
-    field-wise ``==`` would compare the arrays.
+    the first such entry by its index in ``data``.  Tensors compare and hash
+    by identity: a field-wise ``==`` would compare the arrays.
     """
 
     row_extents: tuple
@@ -63,12 +86,7 @@ class DenseTensor:
     def __init__(self, row_extents, col_extents, data):
         row_extents = _check_extents(row_extents, "row extents")
         col_extents = _check_extents(col_extents, "col extents")
-        try:
-            flat = np.array(data, dtype=np.float64)
-        except OverflowError as exc:  # an integer beyond the double range
-            entries = np.asarray(data, dtype=object).reshape(-1)
-            i = next(i for i, v in enumerate(entries) if abs(v) > sys.float_info.max)
-            raise ValueError(f"field 'data' entry {i}: {exc}") from exc
+        flat = _doubles(data)
         if flat.ndim != 1:
             raise DimensionError(f"data of shape {flat.shape} must be flat in ivec order; fold an m x n "
                                  "matrix with psi_inverse and a full array with from_array")
@@ -76,10 +94,6 @@ class DenseTensor:
         if flat.size != expected:
             raise DimensionError(f"data length {flat.size} does not match extents "
                                  f"{row_extents} x {col_extents} (expected {expected})")
-        finite = np.isfinite(flat)
-        if not finite.all():
-            i = finite.argmin()
-            raise ValueError(f"field 'data' entry {i} is {flat[i]}, not a finite number")
         flat.flags.writeable = False
         object.__setattr__(self, "row_extents", row_extents)
         object.__setattr__(self, "col_extents", col_extents)
@@ -113,12 +127,12 @@ class DenseTensor:
 
 def from_array(array, num_row_modes):
     """Build a tensor from an ndarray, splitting after ``num_row_modes`` modes."""
-    array = np.asarray(array, dtype=np.float64)
+    array = np.asarray(array)
     k = num_row_modes
     if int(k) != k or not 0 <= k <= array.ndim:
         raise DimensionError(f"row mode count {k} out of range for shape {array.shape}")
     k = int(k)
-    return DenseTensor(array.shape[:k], array.shape[k:], array.ravel(order="F"))
+    return _fold(array, array.shape[:k], array.shape[k:])
 
 
 def zeros(row_extents, col_extents):
@@ -257,9 +271,21 @@ def psi(a):
 
 def psi_inverse(matrix, row_extents, col_extents):
     """Fold an m x n matrix to a tensor; the one fold.  DenseTensor checks
-    the extents and the entry count before the matrix shape."""
+    the extents, the entries and the entry count before the matrix shape."""
     matrix = np.asarray(matrix)
-    tensor = DenseTensor(row_extents, col_extents, matrix.ravel(order="F"))
+    tensor = _fold(matrix, row_extents, col_extents)
     if matrix.shape != (tensor.m, tensor.n):
         raise DimensionError(f"matrix shape {matrix.shape} is not the split's m x n, {(tensor.m, tensor.n)}")
     return tensor
+
+
+def _fold(array, row_extents, col_extents):
+    """DenseTensor of ``array``'s entries in ivec order.  An entry that is
+    not a finite double is named by its index in ``array``, not in the flat
+    data the constructor saw."""
+    try:
+        return DenseTensor(row_extents, col_extents, array.ravel(order="F"))
+    except ValueError as exc:
+        if not isinstance(exc, DimensionError):
+            _doubles(array)
+        raise

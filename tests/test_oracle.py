@@ -10,15 +10,18 @@ from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.oracle import (
     DEFAULT_RANK_TOL,
     SizeCapError,
+    _annihilated,
+    _bordered,
     _certified_nonsingular,
+    _null_bases,
     min_norm_lstsq,
     oracle_solve,
     unfold_system,
 )
-from tensyl.solver import Status, apply_operator, solve_min_norm
+from tensyl.solver import Status, SylvesterProblem, apply_operator, solve_min_norm
 from tensyl.tensor import DimensionError
 
-from conftest import random_tensor, scaled_problem, singular_consistent
+from conftest import SMALL_SHAPES, random_tensor, scaled_problem, singular_consistent
 
 
 class TestMinNormLstsq:
@@ -156,6 +159,130 @@ class TestRoutes:
         # The shift is 1e-8 ||K||_F^2 <= 1e-8 n sigma_max^2, far below sigma_min^2 here.
         if s[-1] / s[0] > 1e-3:
             assert _certified_nonsingular(K)
+
+
+def _route(problem):
+    """The route ``oracle_solve`` takes: "bordered" when both factors have null
+    spaces that K annihilates and the bordered matrix is certified, "gelsd" when
+    it is not, and "K" for ``min_norm_lstsq`` on K alone."""
+    K = unfold_system(problem)
+    bases = _null_bases(tc.psi(problem.A), tc.psi(problem.C))
+    if bases is None or not _annihilated(K, *bases):
+        return "K"
+    return "bordered" if _certified_nonsingular(_bordered(K, *bases)) else "gelsd"
+
+
+def _lstsq_answer(problem):
+    """(consistent, rank, x) from numpy's gelsd on K, by the oracle's own verdict rule."""
+    D = problem.D
+    K = unfold_system(problem)
+    x, _, rank, _ = np.linalg.lstsq(K, D.data, rcond=DEFAULT_RANK_TOL)
+    tol = DEFAULT_RANK_TOL * np.linalg.norm(D.data) * D.m * D.n
+    return np.linalg.norm(K @ x - D.data) <= tol, rank, x
+
+
+def _laplacian(k):
+    """Neumann path Laplacian: tridiagonal (-1, 2, -1) with both end entries 1, null space the constants."""
+    lap = 2.0 * np.eye(k) - np.eye(k, k, 1) - np.eye(k, k, -1)
+    lap[0, 0] = lap[-1, -1] = 1.0
+    return lap
+
+
+def _laplacian_problem(rng, m, n, consistent):
+    """A = L_m and C = L_n; D = L(X) for a random X, plus a constant block when inconsistent,
+    which the left null space (the constants) sees."""
+    a, c = tc.psi_inverse(_laplacian(m), (m,), (m,)), tc.psi_inverse(_laplacian(n), (n,), (n,))
+    d = apply_operator(a, c, random_tensor(rng, (m,), (n,)))
+    if not consistent:
+        d = tc.add(d, tc.psi_inverse(np.ones((m, n)), (m,), (n,)))
+    return SylvesterProblem(a, c, d)
+
+
+def _factor_singular_problems():
+    problems = []
+    for seed in range(10):
+        for rows, cols in SMALL_SHAPES:
+            problems.append(random_inconsistent(np.random.default_rng(seed), rows, cols)[0])
+            problems.append(singular_consistent(np.random.default_rng(seed), rows, cols)[0])
+    return problems
+
+
+class TestBorderedRoute:
+    def test_matches_gelsd_wherever_certified(self):
+        # gelsd's own error is bounded by N u kappa (2 + kappa ||r|| / (sigma_1 ||x||)) (Wedin, BIT 13,
+        # 1973), kappa = sigma_1 / sigma_rank; it reaches 1.8e-9 on these problems, where the bordered
+        # solution stays within 1.5e-10 of a 40-digit SVD reference.
+        taken = 0
+        for problem in _factor_singular_problems():
+            if _route(problem) != "bordered":
+                continue
+            taken += 1
+            result = oracle_solve(problem)
+            consistent, rank, x = _lstsq_answer(problem)
+            assert (result.consistent, result.numerical_rank) == (consistent, rank)
+            K = unfold_system(problem)
+            s = np.linalg.svd(K, compute_uv=False)
+            kappa, u = s[0] / s[rank - 1], np.finfo(float).eps / 2
+            residual = np.linalg.norm(K @ x - problem.D.data)
+            bound = len(K) * u * kappa * (2 + kappa * residual / (s[0] * np.linalg.norm(x)))
+            assert np.linalg.norm(result.min_norm_solution.data - x) <= max(bound, 1e-9) * np.linalg.norm(x)
+        assert taken >= 100  # of the 120 problems
+
+    @pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
+    @pytest.mark.parametrize("m, n", [(12, 9), (16, 16)])
+    def test_neumann_laplacians(self, rng, m, n, consistent):
+        problem = _laplacian_problem(rng, m, n, consistent)
+        assert _route(problem) == "bordered"
+        result = oracle_solve(problem)
+        want_consistent, rank, x = _lstsq_answer(problem)
+        assert (result.consistent, result.numerical_rank) == (consistent, m * n - 1)
+        assert (want_consistent, rank) == (consistent, m * n - 1)
+        assert np.linalg.norm(result.min_norm_solution.data - x) <= 1e-10 * np.linalg.norm(x)
+
+    def test_uncertified_border_keeps_gelsd_bytes(self):
+        # sigma_{mn-1} / ||K||_F = 7.5e-5 here, below what the certificate can prove.
+        problem, _ = random_inconsistent(np.random.default_rng(0), (4, 4), (4, 4))
+        assert _route(problem) == "gelsd"
+        result = oracle_solve(problem)
+        _, rank, x = _lstsq_answer(problem)
+        assert (result.min_norm_solution.data.tobytes(), result.numerical_rank) == (x.tobytes(), rank)
+
+    def test_singular_operator_with_nonsingular_factors_keeps_gelsd_bytes(self):
+        # lambda(A) + mu(C) = 1 + (-1) = 0 makes K singular, yet neither factor has a null space.
+        a = tc.psi_inverse(np.diag([1.0, 2.0]), (2,), (2,))
+        c = tc.psi_inverse(np.diag([-1.0, 3.0]), (2,), (2,))
+        problem = SylvesterProblem(a, c, tc.DenseTensor((2,), (2,), [1.0, 2.0, 3.0, 4.0]))
+        assert _null_bases(tc.psi(a), tc.psi(c)) is None
+        assert not _certified_nonsingular(unfold_system(problem))
+        result = oracle_solve(problem)
+        consistent, rank, x = _lstsq_answer(problem)
+        assert (result.min_norm_solution.data.tobytes(), result.numerical_rank) == (x.tobytes(), rank)
+        assert (result.consistent, rank) == (consistent, 3)
+
+    @pytest.mark.parametrize("k", [-600, -300, 300, 600])
+    def test_route_and_rank_do_not_depend_on_scale(self, rng, k):
+        problems = _factor_singular_problems()[::7] + [_laplacian_problem(rng, 12, 9, False)]
+        for problem in problems:
+            scaled = scaled_problem(problem, k)
+            assert _route(scaled) == _route(problem)
+            want, got = oracle_solve(problem), oracle_solve(scaled)
+            assert (got.consistent, got.numerical_rank) == (want.consistent, want.numerical_rank)
+
+    def test_zero_operator(self):
+        zero = tc.zeros((2, 2), (2, 2))
+        problem = SylvesterProblem(zero, zero, tc.DenseTensor((2, 2), (2, 2), np.arange(1.0, 17.0)))
+        assert _route(problem) == "bordered"  # r = mn: every direction is bordered off
+        result = oracle_solve(problem)
+        assert result.numerical_rank == 0 and not result.consistent
+        assert np.all(result.min_norm_solution.data == 0.0)
+
+    def test_overflowed_solution_is_named(self):
+        # K = diag(2^-1000, 0): the solution 1e300 * 2^1000 overflows on the bordered route.
+        a = tc.psi_inverse(np.diag([2.0**-1000, 0.0]), (2,), (2,))
+        problem = SylvesterProblem(a, tc.zeros((1,), (1,)), tc.DenseTensor((2,), (1,), [1.0e300, 1.0]))
+        assert _route(problem) == "bordered"
+        with pytest.raises(ArithmeticError, match="^least-squares solution overflowed the double range$"):
+            oracle_solve(problem)
 
 
 class TestUnfoldSystem:

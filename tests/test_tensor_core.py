@@ -75,8 +75,18 @@ class TestDenseTensor:
     )
     def test_non_finite_entry_rejected(self, bad, text):
         # No tensor holds such an entry, so no file writer can be given one.
-        with pytest.raises(ValueError, match=f"^field 'data' {text}$"):
+        with pytest.raises(ValueError, match=f"^{text}$"):
             DenseTensor((2,), (2,), [1.0, bad, 3.0, 4.0])
+
+    @pytest.mark.parametrize("bad, text", [(np.inf, "entry (0, 1) is inf, not a finite number"),
+                                           (10**400, "entry (0, 1): int too large to convert to float")],
+                             ids=["inf", "1e400"])
+    def test_folds_name_the_entry_in_the_callers_array(self, bad, text):
+        # The bad entry is flat entry 2 of the ivec data, and (0, 1) of the array the caller gave.
+        array = np.array([[1.0, bad], [3.0, 4.0]], dtype=object)
+        for fold in (lambda: tc.from_array(array, 1), lambda: tc.psi_inverse(array, (2,), (2,))):
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                fold()
 
     def test_properties(self):
         t = tc.zeros((2, 3), (4,))
