@@ -297,7 +297,7 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (OSError, ValueError, ArithmeticError) as exc:
+    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
         return _fail(str(exc))
 
 

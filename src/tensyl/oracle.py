@@ -4,27 +4,26 @@ The tensor equation A *_M X + X *_N C = D unfolds through psi to the
 matrix Sylvester equation psi(A) Xm + Xm psi(C) = psi(D), whose Kronecker
 lift is K x = d with K = I_n (x) psi(A) + psi(C)^T (x) I_m and d the
 column-major vectorization of psi(D), which is ``D.data`` itself.  Its
-minimum-norm least-squares solution takes one of three dense LAPACK routes
+minimum-norm least-squares solution takes one of two dense LAPACK routes
 through numpy, none sharing code with the iterative solver:
 
-- when a factor psi(A) or psi(C) is proven nonsingular or has no numerical
-  null space (or K does not annihilate the factors' null vectors, below),
-  and a Cholesky factorization of K^T K shifted down by
-  ``CERTIFICATE_SHIFT`` ||K||_F^2 completes, K is proven nonsingular and the
-  system is solved by LU (``numpy.linalg.solve``);
-- when both factors have null spaces, Z = null(psi(C)^T) (x) null(psi(A))
-  and W = null(psi(C)) (x) null(psi(A)^T), r orthonormal columns each, have
-  K Z ~ 0 and K^T W ~ 0.  If ||K Z||_F and ||K^T W||_F are at most
-  ``DEFAULT_RANK_TOL`` ||K||_F / sqrt(mn) and the same certificate proves the
-  bordered matrix B = [[K, 2^e W], [2^e Z^T, 0]] nonsingular, one LU solve of
-  B [x; y] = [d; 0] gives x, and the rank is mn - r.  K is the leading block
-  of B, so singular-value interlacing gives sigma_{mn-r}(K) >= sigma_min(B)
-  > 0.99e-4 sigma_max(B) >= 0.99e-4 sigma_1(K), while sigma_{mn-r+1}(K) <=
-  ||K Z||_2 <= 1e-10 sigma_1(K): gelsd's rank rule counts exactly mn - r.
-  With x orthogonal to range(Z) = null(K) and K x the projection of d onto
-  range(W)^perp = range(K), x is gelsd's truncated solution;
-- otherwise (failed certificates, or a non-square K) by SVD-based least
-  squares (``numpy.linalg.lstsq``, LAPACK gelsd).
+- a certified LU solve (``numpy.linalg.solve``) of the bordered matrix
+  B = [[K, 2^e W], [2^e Z^T, 0]] with r >= 0 border columns (B = K when
+  r = 0), when a Cholesky factorization of B^T B shifted down by
+  ``CERTIFICATE_SHIFT`` ||B||_F^2 completes.  When both factors have null
+  spaces, Z = null(psi(C)^T) (x) null(psi(A)) and W = null(psi(C)) (x)
+  null(psi(A)^T), r orthonormal columns each, have K Z ~ 0 and K^T W ~ 0;
+  they border K if ||K Z||_F and ||K^T W||_F are at most
+  ``DEFAULT_RANK_TOL`` ||K||_F / sqrt(mn), and otherwise r = 0.
+  B [x; y] = [d; 0] gives x, and the rank is mn - r.  K is the leading
+  block of B, so singular-value interlacing gives sigma_{mn-r}(K) >=
+  sigma_min(B) > 0.99e-4 sigma_max(B) >= 0.99e-4 sigma_1(K), while
+  sigma_{mn-r+1}(K) <= ||K Z||_2 <= 1e-10 sigma_1(K): gelsd's rank rule
+  counts exactly mn - r.  With x orthogonal to range(Z) = null(K) and K x
+  the projection of d onto range(W)^perp = range(K), x is gelsd's
+  truncated solution;
+- otherwise (a failed certificate, or a non-square K) SVD-based least
+  squares on K (``numpy.linalg.lstsq``, LAPACK gelsd).
 
 Its norms are ``tensor._norm``, whose squares neither overflow nor underflow,
 the certificate scales its matrix by the power of two of ``tensor._exponent``,
@@ -106,41 +105,42 @@ def _null_spaces(f):
     return (vt[k:].T, u[:, k:]) if k < len(s) else None
 
 
-def _null_bases(a, c):
+def _null_bases(K, a, c):
     """(Z, W) = (null(c^T) (x) null(a), null(c) (x) null(a^T)) for the
-    factors a = psi(A) and c = psi(C), so that K Z ~ 0 and K^T W ~ 0; None
-    when either factor has no null space.  The smaller factor goes first, so
-    the larger one is examined only when the smaller has a null space."""
+    factors a = psi(A) and c = psi(C) of K, so that K Z ~ 0 and K^T W ~ 0.
+    None when either factor has no null space, or when ||K Z||_F or
+    ||K^T W||_F exceeds ``DEFAULT_RANK_TOL`` ||K||_F / sqrt(N), the bound
+    that gives sigma_{N-r+1}(K) <= 1e-10 sigma_1(K), tested on 2^-e K, whose
+    products cannot overflow.  The smaller factor goes first, so the larger
+    one is examined only when the smaller has a null space."""
     swap = len(c) < len(a)
     first = _null_spaces(c if swap else a)
     second = first and _null_spaces(a if swap else c)
     if second is None:
         return None
     (a_right, a_left), (c_right, c_left) = (second, first) if swap else (first, second)
-    return np.kron(c_left, a_right), np.kron(c_right, a_left)
-
-
-def _annihilated(K, z, w):
-    """True when ||K Z||_F and ||K^T W||_F are at most ``DEFAULT_RANK_TOL``
-    ||K||_F / sqrt(N), so that sigma_{N-r+1}(K) <= 1e-10 sigma_1(K); taken
-    on 2^-e K, whose products cannot overflow."""
+    z, w = np.kron(c_left, a_right), np.kron(c_right, a_left)
     scaled = np.ldexp(K, -tc._exponent(K))
     bound = DEFAULT_RANK_TOL * np.linalg.norm(scaled) / np.sqrt(len(K))
-    return max(np.linalg.norm(scaled @ z), np.linalg.norm(scaled.T @ w)) <= bound
+    return (z, w) if max(np.linalg.norm(scaled @ z), np.linalg.norm(scaled.T @ w)) <= bound else None
 
 
-def _with_residual(K, rhs, x, rank):
-    """(x, ||K x - rhs||, rank), with an overflowed x or residual an ArithmeticError naming it."""
-    x = tc._checked("least-squares solution", np.asarray, x)
-    return x, tc._norm(tc._checked("least-squares residual", lambda: K @ x - rhs)), int(rank)
+def _bordered(K, z, w):
+    """B = [[K, 2^e W], [2^e Z^T, 0]], its border scaled to K by e from ``tensor._exponent``."""
+    e = tc._exponent(K)
+    return np.block([[K, np.ldexp(w, e)], [np.ldexp(z.T, e), np.zeros((z.shape[1],) * 2)]])
 
 
-def min_norm_lstsq(K, rhs):
+def min_norm_lstsq(K, rhs, bases=None):
     """Minimum-2-norm solution of min ||K x - rhs||; returns (x, residual, rank).
 
-    A square K that ``_certified_nonsingular`` proves nonsingular has
-    sigma_min > 0.99e-4 sigma_max, so its numerical rank is N and x is the
-    unique solution, computed by LU.  Every other K goes to LAPACK's
+    ``bases`` is None or the pair (Z, W) of ``_null_bases``: r orthonormal
+    columns each with K Z ~ 0 and K^T W ~ 0, bordering K into B from
+    ``_bordered``; without it B = K and r = 0.  For a square K whose B
+    ``_certified_nonsingular`` proves nonsingular, one LU solve of
+    B [x; y] = [rhs; 0] gives x with numerical rank N - r (module
+    docstring); K's own certificate is not tried then, since it cannot
+    complete when sigma_min(K) <= ||K Z||.  Every other K goes to LAPACK's
     SVD-based least squares (gelsd): the numerical rank counts the singular
     values above ``DEFAULT_RANK_TOL`` times the largest, and the smaller
     ones are treated as zero.  Non-finite input is refused; an overflowed
@@ -154,42 +154,22 @@ def min_norm_lstsq(K, rhs):
         raise ArithmeticError("non-finite entries in the unfolded system")
     if rhs.size != K.shape[0]:
         raise DimensionError(f"rhs length {rhs.size} does not match {K.shape[0]} rows")
-    if K.shape[0] == K.shape[1] and _certified_nonsingular(K):
-        x, rank = np.linalg.solve(K, rhs), K.shape[0]
+    n = len(K)
+    system = K if bases is None else _bordered(K, *bases)
+    if n == K.shape[1] and _certified_nonsingular(system):
+        r = len(system) - n
+        x, rank = np.linalg.solve(system, np.concatenate((rhs, np.zeros(r))))[:n], n - r
     else:
         x, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=DEFAULT_RANK_TOL)
-    return _with_residual(K, rhs, x, rank)
-
-
-def _bordered(K, z, w):
-    """B = [[K, 2^e W], [2^e Z^T, 0]], its border scaled to K by e from ``tensor._exponent``."""
-    e = tc._exponent(K)
-    return np.block([[K, np.ldexp(w, e)], [np.ldexp(z.T, e), np.zeros((z.shape[1],) * 2)]])
-
-
-def _bordered_lstsq(K, z, w, rhs):
-    """``min_norm_lstsq`` for a K with near-null bases Z and W of r columns
-    each (module docstring): one LU solve of B from ``_bordered`` with rank
-    N - r when B is certified, and otherwise gelsd, without K's own
-    certificate, which cannot complete when sigma_min(K) <= ||K Z||."""
-    n, r = len(K), z.shape[1]
-    bordered = _bordered(K, z, w)
-    if _certified_nonsingular(bordered):
-        x, rank = np.linalg.solve(bordered, np.concatenate((rhs, np.zeros(r))))[:n], n - r
-    else:
-        x, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=DEFAULT_RANK_TOL)
-    return _with_residual(K, rhs, x, rank)
+    x = tc._checked("least-squares solution", np.asarray, x)
+    return x, tc._norm(tc._checked("least-squares residual", lambda: K @ x - rhs)), int(rank)
 
 
 def oracle_solve(problem):
     """Consistency verdict and min-norm solution from the dense unfolding."""
     D = problem.D
     K = unfold_system(problem)
-    bases = _null_bases(tc.psi(problem.A), tc.psi(problem.C))
-    if bases is not None and _annihilated(K, *bases):
-        x, residual, rank = _bordered_lstsq(K, *bases, D.data)
-    else:
-        x, residual, rank = min_norm_lstsq(K, D.data)
+    x, residual, rank = min_norm_lstsq(K, D.data, _null_bases(K, tc.psi(problem.A), tc.psi(problem.C)))
     tol = DEFAULT_RANK_TOL * tc._norm(D.data) * D.m * D.n
     solution = DenseTensor(D.row_extents, D.col_extents, x)
     return OracleResult(residual <= tol, solution, residual, rank)

@@ -21,6 +21,10 @@ from conftest import random_tensor, scaled_problem, write_with_bad_entry
 # The environment of a shell run of the package from this source tree.
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
+# Extents whose A has 2^56 doubles, 2^59 bytes: beyond any 57-bit address
+# space, so numpy refuses the allocation before it touches memory.
+UNALLOCATABLE = ["--I", "16384,16384", "--J", "1"]
+
 
 @pytest.fixture
 def consistent_file(tmp_path):
@@ -285,6 +289,15 @@ class TestGen:
         assert capsys.readouterr().err == "error: row extents must be positive integers, got (0,)\n"
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--inconsistent"]], ids=["consistent", "inconsistent"])
+    def test_unallocatable_size_is_one_error_line(self, tmp_path, capsys, flags):
+        out = tmp_path / "o.json"
+        assert main(["gen", *UNALLOCATABLE, "--seed", "0", "--out", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestRepro:
     def test_runs_and_reports(self, tmp_path, capsys):
@@ -425,6 +438,14 @@ class TestShellEntryPoint:
         assert gen.returncode == 0
         done = tensyl("solve", str(bad), "--quiet")
         assert (done.returncode, done.stdout.split()[0], done.stderr) == (2, "Inconsistent", "")
+
+    def test_unallocatable_gen_is_one_error_line(self, tmp_path):
+        out = tmp_path / "o.json"
+        done = subprocess.run([sys.executable, "-m", "tensyl.cli", "gen", *UNALLOCATABLE, "--seed", "0",
+                               "--out", str(out)], capture_output=True, text=True, env=SRC_ENV)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: Unable to allocate ") and done.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_overflowed_shift_is_one_error_line(self, overflowing_shift_files):
         # No numpy RuntimeWarning, and no source line of tensyl, before it.

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensyl import tensor as tc
+from tensyl import oracle, tensor as tc
 from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.oracle import (
     DEFAULT_RANK_TOL,
     SizeCapError,
-    _annihilated,
     _bordered,
     _certified_nonsingular,
     _null_bases,
@@ -164,10 +163,10 @@ class TestRoutes:
 def _route(problem):
     """The route ``oracle_solve`` takes: "bordered" when both factors have null
     spaces that K annihilates and the bordered matrix is certified, "gelsd" when
-    it is not, and "K" for ``min_norm_lstsq`` on K alone."""
+    it is not, and "K" when K has no border."""
     K = unfold_system(problem)
-    bases = _null_bases(tc.psi(problem.A), tc.psi(problem.C))
-    if bases is None or not _annihilated(K, *bases):
+    bases = _null_bases(K, tc.psi(problem.A), tc.psi(problem.C))
+    if bases is None:
         return "K"
     return "bordered" if _certified_nonsingular(_bordered(K, *bases)) else "gelsd"
 
@@ -252,7 +251,7 @@ class TestBorderedRoute:
         a = tc.psi_inverse(np.diag([1.0, 2.0]), (2,), (2,))
         c = tc.psi_inverse(np.diag([-1.0, 3.0]), (2,), (2,))
         problem = SylvesterProblem(a, c, tc.DenseTensor((2,), (2,), [1.0, 2.0, 3.0, 4.0]))
-        assert _null_bases(tc.psi(a), tc.psi(c)) is None
+        assert _null_bases(unfold_system(problem), tc.psi(a), tc.psi(c)) is None
         assert not _certified_nonsingular(unfold_system(problem))
         result = oracle_solve(problem)
         consistent, rank, x = _lstsq_answer(problem)
@@ -338,6 +337,28 @@ class TestOracleSolve:
         assert result.consistent and result.numerical_rank == 1296
         gap = tc.fro_norm(tc.subtract(outcome.solution, result.min_norm_solution))
         assert gap <= 1e-10 * tc.fro_norm(result.min_norm_solution)
+
+    @pytest.mark.parametrize(
+        "route, make, rows, cols",
+        [
+            ("K", random_consistent, (2, 2), (3,)),
+            ("bordered", random_inconsistent, (3, 2), (2, 2)),
+            ("gelsd", random_inconsistent, (4, 4), (4, 4)),
+        ],
+        ids=["unbordered", "bordered", "uncertified-border"],
+    )
+    def test_one_min_norm_lstsq_call_on_every_route(self, monkeypatch, route, make, rows, cols):
+        problem, _ = make(np.random.default_rng(0), rows, cols)
+        assert _route(problem) == route
+        bordered = []
+
+        def counting(K, rhs, bases=None):
+            bordered.append(bases is not None)
+            return min_norm_lstsq(K, rhs, bases)
+
+        monkeypatch.setattr(oracle, "min_norm_lstsq", counting)
+        oracle_solve(problem)
+        assert bordered == [route != "K"]
 
     @pytest.mark.parametrize("k", [-600, -300, 300, 515, 560, 600])
     def test_verdict_and_rank_hold_across_the_double_range(self, k):
