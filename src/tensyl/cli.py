@@ -245,9 +245,6 @@ def build_parser():
     problem, solver_flags, out, csv, quiet = (argparse.ArgumentParser(add_help=False) for _ in range(5))
     problem.add_argument("problem")
     solver_flags.add_argument("--epsilon", type=float, help="residual stop tolerance")
-    solver_flags.add_argument("--epsilon-p", dest="epsilon_p", type=float,
-                              help="direction-zero tolerance, scaled by "
-                              "max(1, ||P_1|| * ||R_k|| / ||R_1||)")
     solver_flags.add_argument("--kmax", dest="k_max", metavar="KMAX", type=int, help="iteration cap")
     out.add_argument("--out", help="solution tensor path")
     csv.add_argument("--csv", help="residual history CSV path")

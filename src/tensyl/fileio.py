@@ -85,6 +85,8 @@ def _load_json(path):
             raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
         except RecursionError as exc:
             raise FileFormatError(f"{path}: JSON nested too deeply to read") from exc
+        except ValueError as exc:  # e.g. an integer past the int-string digit limit
+            raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def read_tensor(path):

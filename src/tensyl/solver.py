@@ -5,9 +5,9 @@ alpha = ||R||^2 / ||P||^2, recomputes the residual from its defining
 formula, and conjugates the next direction with beta = ||R_new||^2 / ||R||^2.
 For a consistent equation the iterates reach a solution in finitely many
 steps in exact arithmetic.  Two tests certify that no solution exists: a
-nonzero residual paired with a vanishing direction, and a residual grown
-past DIVERGENCE_FACTOR times the first one.  Starting from the zero
-tensor yields the least-Frobenius-norm solution.
+nonzero residual paired with a direction vanishing by DIRECTION_TOL, and
+a residual grown past DIVERGENCE_FACTOR times the first one.  Starting
+from the zero tensor yields the least-Frobenius-norm solution.
 
 The loop, ``_iterate``, runs on F-order psi matrices in five buffers
 allocated once per solve: the iterate, the residual, the direction and two
@@ -35,6 +35,8 @@ from .tensor import DenseTensor, DimensionError
 
 # A residual this many times the first one certifies inconsistency (see _iterate).
 DIVERGENCE_FACTOR = 1.0e6
+# A direction at most this times max(1, ||P_1|| ||R_k|| / ||R_1||) certifies inconsistency (see _iterate).
+DIRECTION_TOL = 1.0e-12
 
 
 class NumericalBreakdownError(ArithmeticError):
@@ -77,21 +79,18 @@ class SylvesterProblem:
 @dataclass(frozen=True)
 class SolveOptions:
     epsilon: float = 1.0e-10
-    epsilon_p: float = 1.0e-12
     k_max: int = 1000
 
     def __post_init__(self):
-        for name in ("epsilon", "epsilon_p"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError as exc:
-                raise ValueError(f"{name}: {exc}") from exc
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-            object.__setattr__(self, name, value)
+        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, numbers.Real):
+            raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
+        try:
+            epsilon = float(self.epsilon)
+        except OverflowError as exc:
+            raise ValueError(f"epsilon: {exc}") from exc
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        object.__setattr__(self, "epsilon", epsilon)
         if isinstance(self.k_max, bool) or not isinstance(self.k_max, numbers.Integral):
             raise ValueError(f"k_max must be an integer, got {self.k_max!r}")
         if self.k_max < 1:
@@ -187,7 +186,7 @@ def _iterate(a, c, d, x, opts):
     computes, without its wrapper.
     """
     sqrt, isfinite, add, subtract, multiply = math.sqrt, math.isfinite, np.add, np.subtract, np.multiply
-    threshold, k_max, epsilon_p = opts.epsilon, opts.k_max, opts.epsilon_p
+    threshold, k_max, direction_tol = opts.epsilon, opts.k_max, DIRECTION_TOL
 
     r, p, s1, s2 = (np.empty_like(x) for _ in range(4))
     operator = _bind_sylvester(a, c, x, s1, s2)  # A X + X C into s1
@@ -215,7 +214,7 @@ def _iterate(a, c, d, x, opts):
         # proportion to the residual on a consistent equation, so the floor
         # tracks the current residual level; a direction far below it while
         # the residual is still large certifies inconsistency.
-        dir_floor = epsilon_p * max(1.0, p_first * (res / res_first))
+        dir_floor = direction_tol * max(1.0, p_first * (res / res_first))
         if p_norm <= dir_floor:
             # Nonzero residual with vanishing direction: no solution exists.
             status = Status.INCONSISTENT

@@ -18,6 +18,7 @@ from tensyl import fileio
 from tensyl import tensor as tc
 from tensyl.instances import _rank_deficient_square, random_consistent
 from tensyl.solver import (
+    DIRECTION_TOL,
     DIVERGENCE_FACTOR,
     SolveOptions,
     Status,
@@ -79,7 +80,7 @@ def textbook_solve(problem, opts=None, states=None):
         p_norm = tc.fro_norm(P)
         if states is not None:
             states.append((X, R, P, res * res))
-        if p_norm <= opts.epsilon_p * max(1.0, p_first * (res / res_first)):
+        if p_norm <= DIRECTION_TOL * max(1.0, p_first * (res / res_first)):
             return Status.INCONSISTENT, X, k - 1, history
         X = tc.add(X, tc.scale(res * res / (p_norm * p_norm), P))
         R = tc.subtract(D, apply_operator(A, C, X))

@@ -354,8 +354,13 @@ class TestUsageErrors:
         assert main([]) == 1
         capsys.readouterr()
 
+    def test_epsilon_p_flag_refused(self, consistent_file, capsys):
+        # The direction tolerance is the constant solver.DIRECTION_TOL, not a flag.
+        assert main(["solve", str(consistent_file), "--epsilon-p", "1e-12"]) == 1
+        assert capsys.readouterr().out == ""
 
-SOLVER_FLAGS = {"epsilon": None, "epsilon_p": None, "k_max": None}
+
+SOLVER_FLAGS = {"epsilon": None, "k_max": None}
 
 
 class TestArgumentSet:
@@ -490,6 +495,14 @@ class TestShellEntryPoint:
                               text=True, env=SRC_ENV)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: Kronecker lift overflowed the double range\n"
+
+    def test_int_past_digit_limit_is_one_error_line(self, tmp_path):
+        path = tmp_path / "big.json"
+        write_with_bad_entry(path, random_consistent(np.random.default_rng(3), (2,), (3,))[0], "9" * 5000)
+        done = subprocess.run([sys.executable, "-m", "tensyl.cli", "solve", str(path)], capture_output=True,
+                              text=True, env=SRC_ENV)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith(f"error: {path}: ") and done.stderr.count("\n") == 1
 
     def test_deeply_nested_file_is_one_error_line(self, tmp_path):
         deep = tmp_path / "deep.json"

@@ -48,7 +48,10 @@ class TestTensorFiles:
     @pytest.mark.parametrize("content, message", [
         (b'{"A": ' + b"[" * 5000 + b"]" * 5000 + b"}", "JSON nested too deeply to read"),
         (b"\xff{}", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"),
-    ], ids=["deep", "not-utf8"])
+        # Past Python's int-string digit limit json.load raises a plain ValueError; the
+        # message, and with the limit lifted the error, depend on PYTHONINTMAXSTRDIGITS.
+        (b"[" + b"9" * 5000 + b"]", ""),
+    ], ids=["deep", "not-utf8", "past-digit-limit"])
     @pytest.mark.parametrize("read", [fileio.read_tensor, fileio.read_problem], ids=["tensor", "problem"])
     def test_unreadable_json_names_path(self, tmp_path, read, content, message):
         path = tmp_path / "bad.json"
@@ -67,7 +70,7 @@ class TestProblemFiles:
     def test_round_trip_with_everything(self, rng, tmp_path):
         problem, x_star = random_consistent(rng, (2, 2), (3,))
         x0 = random_tensor(rng, (2, 2), (3,))
-        opts = SolveOptions(epsilon=1e-8, epsilon_p=1e-11, k_max=123)
+        opts = SolveOptions(epsilon=1e-8, k_max=123)
         path = tmp_path / "p.json"
         fileio.write_problem(path, problem, x0=x0, options=opts, x_star=x_star)
         loaded = fileio.read_problem(path)
@@ -148,6 +151,7 @@ class TestProblemFiles:
             ("options", "epsilon", float("inf")),
             ("options", "kmax", 7),
             ("options", "relative", True),
+            ("options", "epsilon_p", 1e-12),  # the constant solver.DIRECTION_TOL, not a field
         ],
     )
     def test_malformed_field_rejected(self, rng, tmp_path, block, key, value):

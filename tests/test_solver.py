@@ -4,6 +4,7 @@ import ctypes
 import re
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.oracle import oracle_solve
 from tensyl.reference_problems import load_nearness_problem, load_reference_problem
 from tensyl.solver import (
+    DIRECTION_TOL,
     DIVERGENCE_FACTOR,
     NumericalBreakdownError,
     SolveOptions,
@@ -142,15 +144,15 @@ class TestSolveOptions:
     def test_defaults(self):
         opts = SolveOptions()
         assert opts.epsilon == 1.0e-10
-        assert opts.epsilon_p == 1.0e-12
         assert opts.k_max == 1000
+        assert [f.name for f in fields(SolveOptions)] == ["epsilon", "k_max"]
+        assert DIRECTION_TOL == 1.0e-12
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"epsilon": 0.0},
             {"epsilon": -1.0},
-            {"epsilon_p": 0.0},
             {"k_max": 0},
             {"k_max": 2.5},
             {"k_max": True},
