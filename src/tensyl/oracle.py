@@ -9,8 +9,7 @@ through numpy, none sharing code with the iterative solver:
 
 - a certified LU solve (``numpy.linalg.solve``) of the bordered matrix
   B = [[K, 2^e W], [2^e Z^T, 0]] with r >= 0 border columns (B = K when
-  r = 0), when a Cholesky factorization of B^T B shifted down by
-  ``CERTIFICATE_SHIFT`` ||B||_F^2 completes.  When both factors have null
+  r = 0), when B is proven nonsingular.  When both factors have null
   spaces, Z = null(psi(C)^T) (x) null(psi(A)) and W = null(psi(C)) (x)
   null(psi(A)^T), r orthonormal columns each, have K Z ~ 0 and K^T W ~ 0;
   they border K if ||K Z||_F and ||K^T W||_F are at most
@@ -22,11 +21,30 @@ through numpy, none sharing code with the iterative solver:
   counts exactly mn - r.  With x orthogonal to range(Z) = null(K) and K x
   the projection of d onto range(W)^perp = range(K), x is gelsd's
   truncated solution;
-- otherwise (a failed certificate, or a non-square K) SVD-based least
-  squares on K (``numpy.linalg.lstsq``, LAPACK gelsd).
+- otherwise (no proof, or a non-square K) SVD-based least squares on K
+  (``numpy.linalg.lstsq``, LAPACK gelsd).
+
+B has two proofs of nonsingularity.  The Gram certificate,
+``_certified_nonsingular``, completes a Cholesky factorization of B^T B
+shifted down by ``CERTIFICATE_SHIFT`` ||B||_F^2, at O((mn)^3) cost.  For
+r = 0 the factor proof, ``_definite_symmetric_part``, is tried first, at
+O(m^3 + n^3): when K's symmetric part I (x) S_a + S_c (x) I (S the
+symmetric part of a factor) is definite, the field of values gives
+sigma_min(K) >= |x^T K x| / ||x||^2 >= low, the smallest |eigenvalue| of
+that symmetric part (Horn & Johnson, Topics in Matrix Analysis, 1991,
+sections 1.2 and 4.4).  The proof holds when low, less a rounding
+allowance, exceeds 2 tau U with tau^2 = ``CERTIFICATE_SHIFT`` and U >=
+||K||_F, so sigma_min(K)^2 > 4 tau^2 ||K||_F^2.  The Gram certificate
+would then have completed too: its shifted matrix has smallest eigenvalue
+at least 3 tau^2 ||K||_F^2 and diagonal at most ||K||_F^2, far above the
+2e-12 ||K||_F^2 rounding of its product and the mn gamma_{mn+1} <= 2e-9
+relative bound under which Cholesky completes (Demmel; Higham, Accuracy and
+Stability of Numerical Algorithms, Thm 10.7).  Either proof takes the same
+LU solve, so the route and every output byte are those of the Gram
+certificate alone.
 
 Its norms are ``tensor._norm``, whose squares neither overflow nor underflow,
-the certificate scales its matrix by the power of two of ``tensor._exponent``,
+both proofs scale their matrices by the power of two of ``tensor._exponent``,
 as do the null-space test and the border, and the lift, the solution and the
 residual run through ``tensor._checked``.
 """
@@ -58,14 +76,25 @@ class OracleResult:
 
 
 def unfold_system(problem):
-    """Kronecker lift K of the Sylvester operator: K vec(psi(X)) = vec(psi(D)) = D.data."""
+    """Kronecker lift K of the Sylvester operator: K vec(psi(X)) = vec(psi(D)) = D.data.
+
+    K = I_n (x) psi(A) + psi(C)^T (x) I_m, written into a zero matrix viewed
+    as n x n blocks of m x m: psi(A) on the diagonal blocks, then psi(C)^T
+    added onto the diagonals of all blocks.  Its entries are those of the
+    two ``np.kron`` products and their sum but for the sign of a zero; the
+    only sums are a_kk + c_ll, whose overflow is an ArithmeticError.
+    """
     m, n = problem.D.m, problem.D.n
     if m * n > DEFAULT_SIZE_CAP:
         raise SizeCapError(
             f"unfolded system of size {m * n} exceeds the dense cap {DEFAULT_SIZE_CAP}"
         )
-    return tc._checked("Kronecker lift", np.add, np.kron(np.eye(n), tc.psi(problem.A)),
-                       np.kron(tc.psi(problem.C).T, np.eye(m)))
+    K = np.zeros((m * n, m * n))
+    blocks = K.reshape(n, m, n, m)  # blocks[j, :, l, :] is block (j, l)
+    blocks[range(n), :, range(n), :] = tc.psi(problem.A)
+    diagonals = blocks[:, range(m), :, range(m)]  # [i, j, l] = K[j m + i, l m + i]
+    blocks[:, range(m), :, range(m)] = tc._checked("Kronecker lift", np.add, diagonals, tc.psi(problem.C).T)
+    return K
 
 
 def _certified_nonsingular(K):
@@ -90,6 +119,35 @@ def _certified_nonsingular(K):
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _definite_symmetric_part(a, c):
+    """True when the factors a = psi(A) and c = psi(C) prove their lift K
+    nonsingular, with sigma_min(K) > 2 tau ||K||_F for tau^2 =
+    ``CERTIFICATE_SHIFT``, from two symmetric eigenproblems of orders m and n.
+
+    K's symmetric part is I (x) S_a + S_c (x) I with S_a = (a + a^T) / 2 and
+    S_c = (c + c^T) / 2, whose eigenvalues are the sums of theirs.  When it
+    is definite, |x^T K x| >= low ||x||^2 with low = max(lambda_min(S_a) +
+    lambda_min(S_c), -(lambda_max(S_a) + lambda_max(S_c))), so sigma_min(K)
+    >= low (module docstring).  From the computed low an allowance is taken
+    off for eigvalsh's backward error, (m + n) u (||S_a||_F + ||S_c||_F), and
+    for the rounded diagonal sums a_kk + c_ll of K, u max |K_ii|; the rest
+    must exceed 2 tau U, with U = sqrt(n) ||a||_F + sqrt(m) ||c||_F >= ||K||_F.
+    Both factors are first scaled by one 2^-e, e the larger ``tensor._exponent``
+    of the two, so the decision does not depend on the scale of (A, C).
+    """
+    e = max(tc._exponent(a), tc._exponent(c))
+    a, c = np.ldexp(a, -e), np.ldexp(c, -e)
+    sym_a, sym_c = 0.5 * (a + a.T), 0.5 * (c + c.T)
+    lam_a, lam_c = np.linalg.eigvalsh(sym_a), np.linalg.eigvalsh(sym_c)
+    low = max(lam_a[0] + lam_c[0], -(lam_a[-1] + lam_c[-1]))
+    m, n = len(a), len(c)
+    u = np.finfo(np.float64).eps / 2
+    allowance = u * ((m + n) * (np.linalg.norm(sym_a) + np.linalg.norm(sym_c))
+                     + np.abs(a.diagonal()).max() + np.abs(c.diagonal()).max())
+    bound = np.sqrt(n) * np.linalg.norm(a) + np.sqrt(m) * np.linalg.norm(c)
+    return bool(low - allowance > 2.0 * np.sqrt(CERTIFICATE_SHIFT) * bound)
 
 
 def _null_spaces(f):
@@ -131,20 +189,23 @@ def _bordered(K, z, w):
     return np.block([[K, np.ldexp(w, e)], [np.ldexp(z.T, e), np.zeros((z.shape[1],) * 2)]])
 
 
-def min_norm_lstsq(K, rhs, bases=None):
+def min_norm_lstsq(K, rhs, bases=None, factors=None):
     """Minimum-2-norm solution of min ||K x - rhs||; returns (x, residual, rank).
 
     ``bases`` is None or the pair (Z, W) of ``_null_bases``: r orthonormal
     columns each with K Z ~ 0 and K^T W ~ 0, bordering K into B from
-    ``_bordered``; without it B = K and r = 0.  For a square K whose B
-    ``_certified_nonsingular`` proves nonsingular, one LU solve of
-    B [x; y] = [rhs; 0] gives x with numerical rank N - r (module
-    docstring); K's own certificate is not tried then, since it cannot
-    complete when sigma_min(K) <= ||K Z||.  Every other K goes to LAPACK's
-    SVD-based least squares (gelsd): the numerical rank counts the singular
-    values above ``DEFAULT_RANK_TOL`` times the largest, and the smaller
-    ones are treated as zero.  Non-finite input is refused; an overflowed
-    solution or residual is an ArithmeticError naming it.
+    ``_bordered``; without it B = K and r = 0.  ``factors`` is None or the
+    pair (psi(A), psi(C)) that K was lifted from.  A square K with no border
+    is proven nonsingular by ``_definite_symmetric_part`` of its factors when
+    it holds, and otherwise, like every bordered B, by
+    ``_certified_nonsingular``; a proven B gives x by one LU solve of
+    B [x; y] = [rhs; 0], with numerical rank N - r (module docstring).  K's
+    own certificate is not tried on a bordered K, since it cannot complete
+    when sigma_min(K) <= ||K Z||.  Every other K goes to LAPACK's SVD-based
+    least squares (gelsd): the numerical rank counts the singular values
+    above ``DEFAULT_RANK_TOL`` times the largest, and the smaller ones are
+    treated as zero.  Non-finite input is refused; an overflowed solution or
+    residual is an ArithmeticError naming it.
     """
     K = np.asarray(K, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64).ravel()
@@ -156,7 +217,8 @@ def min_norm_lstsq(K, rhs, bases=None):
         raise DimensionError(f"rhs length {rhs.size} does not match {K.shape[0]} rows")
     n = len(K)
     system = K if bases is None else _bordered(K, *bases)
-    if n == K.shape[1] and _certified_nonsingular(system):
+    proven = bases is None and factors is not None and _definite_symmetric_part(*factors)
+    if n == K.shape[1] and (proven or _certified_nonsingular(system)):
         r = len(system) - n
         x, rank = np.linalg.solve(system, np.concatenate((rhs, np.zeros(r))))[:n], n - r
     else:
@@ -169,7 +231,8 @@ def oracle_solve(problem):
     """Consistency verdict and min-norm solution from the dense unfolding."""
     D = problem.D
     K = unfold_system(problem)
-    x, residual, rank = min_norm_lstsq(K, D.data, _null_bases(K, tc.psi(problem.A), tc.psi(problem.C)))
+    a, c = tc.psi(problem.A), tc.psi(problem.C)
+    x, residual, rank = min_norm_lstsq(K, D.data, _null_bases(K, a, c), (a, c))
     tol = DEFAULT_RANK_TOL * tc._norm(D.data) * D.m * D.n
     solution = DenseTensor(D.row_extents, D.col_extents, x)
     return OracleResult(residual <= tol, solution, residual, rank)

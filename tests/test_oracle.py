@@ -1,5 +1,7 @@
 """Dense unfolding oracle: min-norm least squares, unfolding, verdicts."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,18 @@ from hypothesis import strategies as st
 from tensyl import oracle, tensor as tc
 from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.oracle import (
+    CERTIFICATE_SHIFT,
     DEFAULT_RANK_TOL,
     SizeCapError,
     _bordered,
     _certified_nonsingular,
+    _definite_symmetric_part,
     _null_bases,
     min_norm_lstsq,
     oracle_solve,
     unfold_system,
 )
+from tensyl.reference_problems import load_reference_problem
 from tensyl.solver import Status, SylvesterProblem, apply_operator, solve_min_norm
 from tensyl.tensor import DimensionError
 
@@ -163,11 +168,13 @@ class TestRoutes:
 def _route(problem):
     """The route ``oracle_solve`` takes: "bordered" when both factors have null
     spaces that K annihilates and the bordered matrix is certified, "gelsd" when
-    it is not, and "K" when K has no border."""
+    it is not, "factors" when K has no border and its factors prove it
+    nonsingular, and "K" when K has no border and the factors do not."""
     K = unfold_system(problem)
-    bases = _null_bases(K, tc.psi(problem.A), tc.psi(problem.C))
+    a, c = tc.psi(problem.A), tc.psi(problem.C)
+    bases = _null_bases(K, a, c)
     if bases is None:
-        return "K"
+        return "factors" if _definite_symmetric_part(a, c) else "K"
     return "bordered" if _certified_nonsingular(_bordered(K, *bases)) else "gelsd"
 
 
@@ -284,12 +291,85 @@ class TestBorderedRoute:
             oracle_solve(problem)
 
 
+def _at_margin(rng, m, n, ratio):
+    """Factors (a, c) with lambda_min(S_a) + lambda_min(S_c) equal to ``ratio``
+    times the factor proof's threshold 2 tau (sqrt(n) ||a||_F + sqrt(m) ||c||_F),
+    S the symmetric parts: random a, c, then a + s I with s from a fixed-point
+    iteration (the threshold moves by about 2e-4 sqrt(mn) s)."""
+    a0, c = rng.uniform(-1.0, 1.0, (m, m)), rng.uniform(-1.0, 1.0, (n, n))
+    low_c = np.linalg.eigvalsh(c + c.T)[0] / 2
+    s = 0.0
+    for _ in range(8):
+        a = a0 + s * np.eye(m)
+        bound = 2.0 * np.sqrt(CERTIFICATE_SHIFT) * (np.sqrt(n) * np.linalg.norm(a) + np.sqrt(m) * np.linalg.norm(c))
+        s += ratio * bound - np.linalg.eigvalsh(a + a.T)[0] / 2 - low_c
+    return a0 + s * np.eye(m), c
+
+
+class TestFactorProof:
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 5),
+        n=st.integers(1, 5),
+        ratio=st.one_of(st.floats(1.01, 10.0), st.floats(0.1, 0.99)),
+        sign=st.sampled_from([1.0, -1.0]),
+        k=st.sampled_from([0, -600, 600]),
+    )
+    def test_proof_implies_the_gram_certificate(self, seed, m, n, ratio, sign, k):
+        # Margins 1.01-10x the threshold and below it, negative-definite operators
+        # (-a, -c), m or n = 1 and 2^+-600 scalings; the solve with the proof
+        # patched off takes the Gram certificate, and every byte must agree.
+        rng = np.random.default_rng(seed)
+        a, c = (np.ldexp(sign * f, k) for f in _at_margin(rng, m, n, ratio))
+        problem = SylvesterProblem(tc.psi_inverse(a, (m,), (m,)), tc.psi_inverse(c, (n,), (n,)),
+                                   tc.DenseTensor((m,), (n,), np.ldexp(rng.uniform(-1.0, 1.0, m * n), k)))
+        proven = _definite_symmetric_part(a, c)
+        assert proven == (ratio > 1.0)  # the allowance is far below 1% of the threshold
+        if proven:
+            assert _certified_nonsingular(unfold_system(problem))
+        result = oracle_solve(problem)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_definite_symmetric_part", lambda a, c: False)
+            gram = oracle_solve(problem)
+        assert (result.consistent, result.numerical_rank, result.residual_norm) == (
+            gram.consistent, gram.numerical_rank, gram.residual_norm)
+        assert result.min_norm_solution.data.tobytes() == gram.min_norm_solution.data.tobytes()
+
+    @pytest.mark.parametrize("k", [-600, -300, 300, 600])
+    def test_decision_does_not_depend_on_scale(self, k):
+        factors = [_at_margin(np.random.default_rng(seed), 3, 4, ratio)
+                   for seed in range(4) for ratio in (0.99, 1.01, 2.0)]
+        for seed, shift in [(0, 0.0), (0, 4.0), (3, 0.0), (3, 4.0)]:
+            problem, _ = random_consistent(np.random.default_rng(seed), (2, 2), (3,), shift=shift)
+            factors += [(tc.psi(problem.A), tc.psi(problem.C)), (-tc.psi(problem.A), -tc.psi(problem.C))]
+        decisions = [_definite_symmetric_part(a, c) for a, c in factors]
+        assert [_definite_symmetric_part(np.ldexp(a, k), np.ldexp(c, k)) for a, c in factors] == decisions
+        assert decisions.count(True) == 12  # ratios 1.01 and 2, and shift 4 with either sign
+
+    def test_factors_far_apart_in_scale(self):
+        # One 2^-e for both factors: 2^-1000 a next to 2^1000 c neither overflows nor decides otherwise.
+        problem, _ = random_consistent(np.random.default_rng(0), (3,), (2, 2), shift=4.0)
+        a, c = tc.psi(problem.A), tc.psi(problem.C)
+        assert _definite_symmetric_part(np.ldexp(a, -1000), np.ldexp(c, 1000))
+        assert _definite_symmetric_part(np.ldexp(a, 1000), np.ldexp(c, -1000))
+
+
 class TestUnfoldSystem:
-    def test_kronecker_structure(self, rng):
-        problem, _ = random_consistent(rng, (2, 2), (3,))
-        a_mat = tc.psi(problem.A)
-        c_mat = tc.psi(problem.C)
-        want = np.kron(np.eye(3), a_mat) + np.kron(c_mat.T, np.eye(4))
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [((1,), (5,)), ((5,), (1,)), ((2, 2), (3,)), ((3,), (2, 2, 2))],
+        ids=["1x5", "5x1", "2.2x3", "3x2.2.2"],
+    )
+    def test_kronecker_structure(self, rng, rows, cols):
+        # Factors with negative entries and zeros; np.array_equal takes -0.0 == 0.0,
+        # the one way np.kron's 0 * x can differ from the lift's written zeros.
+        problem, _ = random_consistent(rng, rows, cols)
+        a_mat = np.where(rng.random((problem.A.m,) * 2) < 0.3, 0.0, tc.psi(problem.A))
+        c_mat = np.where(rng.random((problem.C.m,) * 2) < 0.3, 0.0, tc.psi(problem.C))
+        problem = SylvesterProblem(tc.psi_inverse(a_mat, rows, rows), tc.psi_inverse(c_mat, cols, cols), problem.D)
+        m, n = len(a_mat), len(c_mat)
+        want = np.kron(np.eye(n), a_mat) + np.kron(c_mat.T, np.eye(m))
         assert np.array_equal(unfold_system(problem), want)
 
     def test_operator_equivalence(self, rng):
@@ -304,6 +384,18 @@ class TestUnfoldSystem:
         problem, _ = random_consistent(rng, (65,), (64,))  # m * n = 4160
         with pytest.raises(SizeCapError):
             unfold_system(problem)
+
+
+def _gram_sizes(monkeypatch):
+    """The orders of the matrices ``_certified_nonsingular`` is called on from now on."""
+    sizes = []
+
+    def gram(K):
+        sizes.append(len(K))
+        return _certified_nonsingular(K)
+
+    monkeypatch.setattr(oracle, "_certified_nonsingular", gram)
+    return sizes
 
 
 class TestOracleSolve:
@@ -344,21 +436,34 @@ class TestOracleSolve:
             ("K", random_consistent, (2, 2), (3,)),
             ("bordered", random_inconsistent, (3, 2), (2, 2)),
             ("gelsd", random_inconsistent, (4, 4), (4, 4)),
+            ("factors", partial(random_consistent, shift=4.0), (2, 2), (3,)),
         ],
-        ids=["unbordered", "bordered", "uncertified-border"],
+        ids=["unbordered", "bordered", "uncertified-border", "factor-proof"],
     )
     def test_one_min_norm_lstsq_call_on_every_route(self, monkeypatch, route, make, rows, cols):
         problem, _ = make(np.random.default_rng(0), rows, cols)
         assert _route(problem) == route
         bordered = []
 
-        def counting(K, rhs, bases=None):
+        def counting(K, rhs, bases=None, factors=None):
             bordered.append(bases is not None)
-            return min_norm_lstsq(K, rhs, bases)
+            return min_norm_lstsq(K, rhs, bases, factors)
 
         monkeypatch.setattr(oracle, "min_norm_lstsq", counting)
+        gram_sizes = _gram_sizes(monkeypatch)
         oracle_solve(problem)
-        assert bordered == [route != "K"]
+        assert bordered == [route in ("bordered", "gelsd")]
+        # The factor proof replaces the Gram product and Cholesky on K (or on B, at least as large).
+        mn = problem.D.m * problem.D.n
+        assert any(size >= mn for size in gram_sizes) == (route != "factors")
+
+    def test_reference_problem_keeps_the_gram_route(self, monkeypatch):
+        # Its symmetric part is indefinite (margin -0.15 ||K||_F): no factor proof.
+        problem = load_reference_problem().problem
+        assert not _definite_symmetric_part(tc.psi(problem.A), tc.psi(problem.C))
+        gram_sizes = _gram_sizes(monkeypatch)
+        oracle_solve(problem)
+        assert max(gram_sizes) > problem.D.m * problem.D.n  # the bordered matrix B
 
     @pytest.mark.parametrize("k", [-600, -300, 300, 515, 560, 600])
     def test_verdict_and_rank_hold_across_the_double_range(self, k):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,63 @@ class TestNormAndOverflow:
     def test_scale_refuses_a_non_finite_factor(self, factor):
         with pytest.raises(ValueError, match=f"^scale factor {factor} is not a finite number$"):
             tc.scale(factor, _column([0.0, 1.0]))
+
+
+# Each public tensor function on tensors a, b of one split, a square s on a's
+# row block and a scale factor f.
+ALGEBRA = {
+    "add": lambda a, b, s, f: tc.add(a, b),
+    "subtract": lambda a, b, s, f: tc.subtract(a, b),
+    "scale": lambda a, b, s, f: tc.scale(f, a),
+    "einstein_product": lambda a, b, s, f: tc.einstein_product(s, a, len(a.row_extents)),
+    "transpose": lambda a, b, s, f: tc.transpose(a),
+    "trace": lambda a, b, s, f: tc.trace(s),
+    "inner": lambda a, b, s, f: tc.inner(a, b),
+    "fro_norm": lambda a, b, s, f: tc.fro_norm(a),
+    "kron": lambda a, b, s, f: tc.kron(a, b),
+    "vec": lambda a, b, s, f: tc.vec(a),
+    "reshape_split": lambda a, b, s, f: a.reshape_split((a.n,), (a.m,)),
+    "from_array": lambda a, b, s, f: tc.from_array(a.data.reshape(a.extents, order="F"), len(a.row_extents)),
+    "psi_inverse": lambda a, b, s, f: tc.psi_inverse(tc.psi(a), a.row_extents, a.col_extents),
+}
+
+
+@st.composite
+def _operands(draw):
+    """Entries +-2^k u, u uniform in [1/2, 1), k uniform in a drawn window of
+    the exponent range (subnormals from 2^-1074 up; narrow windows near its
+    edges make overflows and underflows), and a drawn share of zeros."""
+    rows = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    cols = tuple(draw(st.lists(st.integers(1, 24 // math.prod(rows)), min_size=1, max_size=2)
+                      .filter(lambda c: math.prod(rows) * math.prod(c) <= 24)))
+    edges = st.sampled_from([-1074, -1022, 0, 511, 512, 1023, 1024])
+    low = draw(st.one_of(edges, st.integers(-1074, 1024)))
+    high = min(1024, low + draw(st.sampled_from([0, 1, 2, 8, 64, 2098])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.floats(0.0, 0.5))
+
+    def doubles(size):
+        u = rng.choice([-1.0, 1.0], size) * rng.uniform(0.5, 1.0, size)
+        return np.where(rng.random(size) < zeros, 0.0, np.ldexp(u, rng.integers(low, high + 1, size)))
+
+    m, n = math.prod(rows), math.prod(cols)
+    a, b = DenseTensor(rows, cols, doubles(m * n)), DenseTensor(rows, cols, doubles(m * n))
+    return a, b, DenseTensor(rows, rows, doubles(m * m)), float(doubles(1)[0])
+
+
+class TestAlgebraOnTheWholeRange:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(operands=_operands())
+    def test_finite_result_or_a_documented_error(self, operands):
+        for name, op in ALGEBRA.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    result = op(*operands)
+                except (ArithmeticError, ValueError):  # DimensionError is a ValueError
+                    continue
+            data = result.data if isinstance(result, DenseTensor) else result
+            assert np.isfinite(data).all(), name
 
 
 class TestUnfoldings:
