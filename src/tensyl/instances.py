@@ -18,10 +18,14 @@ def random_consistent(rng, row_extents, col_extents, shift=0.0):
     """Problem with D built from a random X; returns (problem, x_built).
 
     ``x_built`` witnesses consistency but is generally not the min-norm
-    solution unless the operator is nonsingular.  A positive ``shift`` adds
-    that multiple of the identity to both operators, which keeps the
-    unfolded system well conditioned (raw uniform operators can need far
-    more iterations than the dimension bound suggests).
+    solution unless the operator is nonsingular.  A nonzero ``shift`` adds
+    that multiple of the identity to both operators, which moves every
+    eigenvalue lambda_i + mu_j of the unfolded system by 2 ``shift``.  It
+    does not make the system well conditioned at every size: with shift 4
+    at (8, 8) x (8, 8), seed 1, psi(A) still has an eigenvalue with
+    negative real part, and the default solve stops at its iteration limit.
+    Raw uniform operators can need far more iterations than the dimension
+    bound suggests.
     """
     row_extents = tc._check_extents(row_extents, "row extents")
     col_extents = tc._check_extents(col_extents, "col extents")

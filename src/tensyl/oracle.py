@@ -5,7 +5,8 @@ matrix Sylvester equation psi(A) Xm + Xm psi(C) = psi(D), whose Kronecker
 lift is K x = d with K = I_n (x) psi(A) + psi(C)^T (x) I_m and d the
 column-major vectorization of psi(D), which is ``D.data`` itself.  Its
 minimum-norm least-squares solution takes one of two dense LAPACK routes
-through numpy, none sharing code with the iterative solver:
+through numpy, none sharing code with the iterative solver, and one call,
+``min_norm_lstsq(K, d, (psi(A), psi(C)))``, picks the route:
 
 - a certified LU solve (``numpy.linalg.solve``) of the bordered matrix
   B = [[K, 2^e W], [2^e Z^T, 0]] with r >= 0 border columns (B = K when
@@ -24,24 +25,28 @@ through numpy, none sharing code with the iterative solver:
 - otherwise (no proof, or a non-square K) SVD-based least squares on K
   (``numpy.linalg.lstsq``, LAPACK gelsd).
 
-B has two proofs of nonsingularity.  The Gram certificate,
-``_certified_nonsingular``, completes a Cholesky factorization of B^T B
-shifted down by ``CERTIFICATE_SHIFT`` ||B||_F^2, at O((mn)^3) cost.  For
-r = 0 the factor proof, ``_definite_symmetric_part``, is tried first, at
-O(m^3 + n^3): when K's symmetric part I (x) S_a + S_c (x) I (S the
-symmetric part of a factor) is definite, the field of values gives
-sigma_min(K) >= |x^T K x| / ||x||^2 >= low, the smallest |eigenvalue| of
-that symmetric part (Horn & Johnson, Topics in Matrix Analysis, 1991,
-sections 1.2 and 4.4).  The proof holds when low, less a rounding
-allowance, exceeds 2 tau U with tau^2 = ``CERTIFICATE_SHIFT`` and U >=
-||K||_F, so sigma_min(K)^2 > 4 tau^2 ||K||_F^2.  The Gram certificate
-would then have completed too: its shifted matrix has smallest eigenvalue
-at least 3 tau^2 ||K||_F^2 and diagonal at most ||K||_F^2, far above the
-2e-12 ||K||_F^2 rounding of its product and the mn gamma_{mn+1} <= 2e-9
-relative bound under which Cholesky completes (Demmel; Higham, Accuracy and
-Stability of Numerical Algorithms, Thm 10.7).  Either proof takes the same
-LU solve, so the route and every output byte are those of the Gram
-certificate alone.
+The route is tried in this order: the factor proof, then the border, then
+the Gram certificate of B (of K itself when there is no border), then
+gelsd.  The factor proof, ``_definite_symmetric_part``, costs O(m^3 + n^3):
+when K's symmetric part I (x) S_a + S_c (x) I (S the symmetric part of a
+factor) is definite, the field of values gives sigma_min(K) >= |x^T K x| /
+||x||^2 >= low, the smallest |eigenvalue| of that symmetric part (Horn &
+Johnson, Topics in Matrix Analysis, 1991, sections 1.2 and 4.4).  The
+proof holds when low, less a rounding allowance, exceeds 2 tau U with
+tau^2 = ``CERTIFICATE_SHIFT`` and U >= ||K||_F, so sigma_min(K)^2 > 4
+tau^2 ||K||_F^2.  No K that it proves can be bordered, since a border
+needs sigma_min(K) <= ||K Z||_F <= 1e-10 ||K||_F, so trying it first moves
+no K from one of the other routes to another.  The border, ``_border``, takes one SVD of each
+factor.  The Gram certificate, ``_certified_nonsingular``, completes a
+Cholesky factorization of B^T B shifted down by ``CERTIFICATE_SHIFT``
+||B||_F^2, at O((mn)^3) cost.  Where the factor proof holds, the Gram
+certificate would have completed too: its shifted matrix has smallest
+eigenvalue at least 3 tau^2 ||K||_F^2 and diagonal at most ||K||_F^2, far
+above the 2e-12 ||K||_F^2 rounding of its product and the mn
+gamma_{mn+1} <= 2e-9 relative bound under which Cholesky completes
+(Demmel; Higham, Accuracy and Stability of Numerical Algorithms, Thm
+10.7).  Either proof takes the same LU solve, so the route and every
+output byte are those of the Gram certificate alone.
 
 Its norms are ``tensor._norm``, whose squares neither overflow nor underflow,
 both proofs scale their matrices by the power of two of ``tensor._exponent``,
@@ -150,74 +155,66 @@ def _definite_symmetric_part(a, c):
     return bool(low - allowance > 2.0 * np.sqrt(CERTIFICATE_SHIFT) * bound)
 
 
-def _null_spaces(f):
-    """(right, left): orthonormal bases of the null spaces of the square
-    factor f, the trailing columns of V and of U in one SVD, for the singular
-    values at most ``DEFAULT_RANK_TOL`` times the largest.  None when
-    ``_certified_nonsingular`` proves f nonsingular or no singular value is
-    that small."""
-    if _certified_nonsingular(f):
-        return None
-    u, s, vt = np.linalg.svd(f)
-    k = np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])
-    return (vt[k:].T, u[:, k:]) if k < len(s) else None
-
-
-def _null_bases(K, a, c):
-    """(Z, W) = (null(c^T) (x) null(a), null(c) (x) null(a^T)) for the
-    factors a = psi(A) and c = psi(C) of K, so that K Z ~ 0 and K^T W ~ 0.
-    None when either factor has no null space, or when ||K Z||_F or
-    ||K^T W||_F exceeds ``DEFAULT_RANK_TOL`` ||K||_F / sqrt(N), the bound
-    that gives sigma_{N-r+1}(K) <= 1e-10 sigma_1(K), tested on 2^-e K, whose
-    products cannot overflow.  The smaller factor goes first, so the larger
-    one is examined only when the smaller has a null space."""
+def _border(K, a, c):
+    """B = [[K, 2^e W], [2^e Z^T, 0]] for Z = null(c^T) (x) null(a) and W =
+    null(c) (x) null(a^T), r orthonormal columns each with K Z ~ 0 and
+    K^T W ~ 0, from the factors a = psi(A) and c = psi(C) of K; e is
+    ``tensor._exponent(K)``.  A factor's null spaces are the trailing columns
+    of V and of U in one SVD, for the singular values at most
+    ``DEFAULT_RANK_TOL`` times the largest.  None when either factor has no
+    null space, or when ||K Z||_F or ||K^T W||_F exceeds ``DEFAULT_RANK_TOL``
+    ||K||_F / sqrt(N), the bound that gives sigma_{N-r+1}(K) <= 1e-10
+    sigma_1(K), tested on 2^-e K, whose products cannot overflow.  The
+    smaller factor goes first, so the larger one is decomposed only when the
+    smaller has a null space."""
     swap = len(c) < len(a)
-    first = _null_spaces(c if swap else a)
-    second = first and _null_spaces(a if swap else c)
-    if second is None:
-        return None
-    (a_right, a_left), (c_right, c_left) = (second, first) if swap else (first, second)
+    spaces = []
+    for f in (c, a) if swap else (a, c):
+        u, s, vt = np.linalg.svd(f)
+        k = np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])
+        if k == len(s):
+            return None
+        spaces.append((vt[k:].T, u[:, k:]))
+    (a_right, a_left), (c_right, c_left) = spaces[::-1] if swap else spaces
     z, w = np.kron(c_left, a_right), np.kron(c_right, a_left)
-    scaled = np.ldexp(K, -tc._exponent(K))
-    bound = DEFAULT_RANK_TOL * np.linalg.norm(scaled) / np.sqrt(len(K))
-    return (z, w) if max(np.linalg.norm(scaled @ z), np.linalg.norm(scaled.T @ w)) <= bound else None
-
-
-def _bordered(K, z, w):
-    """B = [[K, 2^e W], [2^e Z^T, 0]], its border scaled to K by e from ``tensor._exponent``."""
     e = tc._exponent(K)
+    scaled = np.ldexp(K, -e)
+    bound = DEFAULT_RANK_TOL * np.linalg.norm(scaled) / np.sqrt(len(K))
+    if max(np.linalg.norm(scaled @ z), np.linalg.norm(scaled.T @ w)) > bound:
+        return None
     return np.block([[K, np.ldexp(w, e)], [np.ldexp(z.T, e), np.zeros((z.shape[1],) * 2)]])
 
 
-def min_norm_lstsq(K, rhs, bases=None, factors=None):
+def min_norm_lstsq(K, rhs, factors=None):
     """Minimum-2-norm solution of min ||K x - rhs||; returns (x, residual, rank).
 
-    ``bases`` is None or the pair (Z, W) of ``_null_bases``: r orthonormal
-    columns each with K Z ~ 0 and K^T W ~ 0, bordering K into B from
-    ``_bordered``; without it B = K and r = 0.  ``factors`` is None or the
-    pair (psi(A), psi(C)) that K was lifted from.  A square K with no border
-    is proven nonsingular by ``_definite_symmetric_part`` of its factors when
-    it holds, and otherwise, like every bordered B, by
-    ``_certified_nonsingular``; a proven B gives x by one LU solve of
-    B [x; y] = [rhs; 0], with numerical rank N - r (module docstring).  K's
-    own certificate is not tried on a bordered K, since it cannot complete
-    when sigma_min(K) <= ||K Z||.  Every other K goes to LAPACK's SVD-based
-    least squares (gelsd): the numerical rank counts the singular values
-    above ``DEFAULT_RANK_TOL`` times the largest, and the smaller ones are
-    treated as zero.  Non-finite input is refused; an overflowed solution or
-    residual is an ArithmeticError naming it.
+    This is where the route is picked (module docstring).  ``factors`` is
+    None or the pair (psi(A), psi(C)) that a square K was lifted from.  When
+    it is given, ``_definite_symmetric_part`` of the factors is tried first
+    and, only when it fails, ``_border`` borders K into B with r columns;
+    without factors or a border, B = K and r = 0.  A B proven by the
+    factors or by ``_certified_nonsingular`` gives x by one LU solve of
+    B [x; y] = [rhs; 0], with numerical rank N - r.  K's own certificate is
+    not tried on a bordered K, since it cannot complete when sigma_min(K)
+    <= ||K Z||.  Every other K goes to LAPACK's SVD-based least squares
+    (gelsd): the numerical rank counts the singular values above
+    ``DEFAULT_RANK_TOL`` times the largest, and the smaller ones are
+    treated as zero.  A K that is not a nonempty 2-D array is a
+    DimensionError, non-finite input is refused, and an overflowed solution
+    or residual is an ArithmeticError naming it.
     """
     K = np.asarray(K, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64).ravel()
-    if K.size == 0:
-        raise DimensionError("empty system matrix")
+    if K.ndim != 2 or K.size == 0:
+        raise DimensionError(f"system matrix must be a nonempty 2-D array, got shape {K.shape}")
     if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
         raise ArithmeticError("non-finite entries in the unfolded system")
     if rhs.size != K.shape[0]:
         raise DimensionError(f"rhs length {rhs.size} does not match {K.shape[0]} rows")
     n = len(K)
-    system = K if bases is None else _bordered(K, *bases)
-    proven = bases is None and factors is not None and _definite_symmetric_part(*factors)
+    proven = factors is not None and _definite_symmetric_part(*factors)
+    border = None if proven or factors is None else _border(K, *factors)
+    system = K if border is None else border
     if n == K.shape[1] and (proven or _certified_nonsingular(system)):
         r = len(system) - n
         x, rank = np.linalg.solve(system, np.concatenate((rhs, np.zeros(r))))[:n], n - r
@@ -231,8 +228,7 @@ def oracle_solve(problem):
     """Consistency verdict and min-norm solution from the dense unfolding."""
     D = problem.D
     K = unfold_system(problem)
-    a, c = tc.psi(problem.A), tc.psi(problem.C)
-    x, residual, rank = min_norm_lstsq(K, D.data, _null_bases(K, a, c), (a, c))
+    x, residual, rank = min_norm_lstsq(K, D.data, (tc.psi(problem.A), tc.psi(problem.C)))
     tol = DEFAULT_RANK_TOL * tc._norm(D.data) * D.m * D.n
     solution = DenseTensor(D.row_extents, D.col_extents, x)
     return OracleResult(residual <= tol, solution, residual, rank)

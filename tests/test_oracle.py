@@ -1,6 +1,6 @@
 """Dense unfolding oracle: min-norm least squares, unfolding, verdicts."""
 
-from functools import partial
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +13,9 @@ from tensyl.oracle import (
     CERTIFICATE_SHIFT,
     DEFAULT_RANK_TOL,
     SizeCapError,
-    _bordered,
+    _border,
     _certified_nonsingular,
     _definite_symmetric_part,
-    _null_bases,
     min_norm_lstsq,
     oracle_solve,
     unfold_system,
@@ -66,6 +65,12 @@ class TestMinNormLstsq:
             min_norm_lstsq(np.eye(3), np.zeros(2))
         with pytest.raises(ArithmeticError):
             min_norm_lstsq(np.full((2, 2), np.nan), np.zeros(2))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3, 1)], ids=["0-d", "1-d", "3-d"])
+    def test_refuses_a_system_matrix_that_is_not_2d(self, shape):
+        message = f"system matrix must be a nonempty 2-D array, got shape {shape}"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            min_norm_lstsq(np.ones(shape), np.ones(3))
 
     @pytest.mark.parametrize("scale", [1.0, 1.0e6, 1.0e-6])
     def test_rank_rule_counts_singular_values_above_tolerance(self, rng, scale):
@@ -166,16 +171,18 @@ class TestRoutes:
 
 
 def _route(problem):
-    """The route ``oracle_solve`` takes: "bordered" when both factors have null
-    spaces that K annihilates and the bordered matrix is certified, "gelsd" when
-    it is not, "factors" when K has no border and its factors prove it
-    nonsingular, and "K" when K has no border and the factors do not."""
+    """The route ``oracle_solve`` takes: "factors" when its factors prove K
+    nonsingular, else "bordered" when both factors have null spaces that K
+    annihilates and the bordered matrix is certified, "K" when K has no
+    border and is certified, and "gelsd" when the certificate fails."""
     K = unfold_system(problem)
     a, c = tc.psi(problem.A), tc.psi(problem.C)
-    bases = _null_bases(K, a, c)
-    if bases is None:
-        return "factors" if _definite_symmetric_part(a, c) else "K"
-    return "bordered" if _certified_nonsingular(_bordered(K, *bases)) else "gelsd"
+    if _definite_symmetric_part(a, c):
+        return "factors"
+    border = _border(K, a, c)
+    if border is None:
+        return "K" if _certified_nonsingular(K) else "gelsd"
+    return "bordered" if _certified_nonsingular(border) else "gelsd"
 
 
 def _lstsq_answer(problem):
@@ -258,7 +265,7 @@ class TestBorderedRoute:
         a = tc.psi_inverse(np.diag([1.0, 2.0]), (2,), (2,))
         c = tc.psi_inverse(np.diag([-1.0, 3.0]), (2,), (2,))
         problem = SylvesterProblem(a, c, tc.DenseTensor((2,), (2,), [1.0, 2.0, 3.0, 4.0]))
-        assert _null_bases(unfold_system(problem), tc.psi(a), tc.psi(c)) is None
+        assert _border(unfold_system(problem), tc.psi(a), tc.psi(c)) is None
         assert not _certified_nonsingular(unfold_system(problem))
         result = oracle_solve(problem)
         consistent, rank, x = _lstsq_answer(problem)
@@ -386,6 +393,15 @@ class TestUnfoldSystem:
             unfold_system(problem)
 
 
+def _singular_with_nonsingular_factors():
+    """psi(A) = diag(1, 2, 3) and psi(C) = diag(-1, 4, 5), so K is singular by
+    1 + (-1) = 0 while neither factor is; D = L(X) for X = 1..9 as a 3 x 3 matrix."""
+    a = tc.psi_inverse(np.diag([1.0, 2.0, 3.0]), (3,), (3,))
+    c = tc.psi_inverse(np.diag([-1.0, 4.0, 5.0]), (3,), (3,))
+    x = tc.psi_inverse(np.arange(1.0, 10.0).reshape(3, 3), (3,), (3,))
+    return SylvesterProblem(a, c, apply_operator(a, c, x))
+
+
 def _gram_sizes(monkeypatch):
     """The orders of the matrices ``_certified_nonsingular`` is called on from now on."""
     sizes = []
@@ -431,31 +447,35 @@ class TestOracleSolve:
         assert gap <= 1e-10 * tc.fro_norm(result.min_norm_solution)
 
     @pytest.mark.parametrize(
-        "route, make, rows, cols",
+        "route, make",
         [
-            ("K", random_consistent, (2, 2), (3,)),
-            ("bordered", random_inconsistent, (3, 2), (2, 2)),
-            ("gelsd", random_inconsistent, (4, 4), (4, 4)),
-            ("factors", partial(random_consistent, shift=4.0), (2, 2), (3,)),
+            ("K", lambda rng: random_consistent(rng, (2, 2), (3,))[0]),
+            ("bordered", lambda rng: random_inconsistent(rng, (3, 2), (2, 2))[0]),
+            ("gelsd", lambda rng: random_inconsistent(rng, (4, 4), (4, 4))[0]),
+            ("gelsd", lambda rng: _singular_with_nonsingular_factors()),
+            ("factors", lambda rng: random_consistent(rng, (2, 2), (3,), shift=4.0)[0]),
         ],
-        ids=["unbordered", "bordered", "uncertified-border", "factor-proof"],
+        ids=["unbordered", "bordered", "uncertified-border", "nonsingular-factors", "factor-proof"],
     )
-    def test_one_min_norm_lstsq_call_on_every_route(self, monkeypatch, route, make, rows, cols):
-        problem, _ = make(np.random.default_rng(0), rows, cols)
+    def test_one_min_norm_lstsq_call_on_every_route(self, monkeypatch, route, make):
+        problem = make(np.random.default_rng(0))
         assert _route(problem) == route
-        bordered = []
+        calls = []
 
-        def counting(K, rhs, bases=None, factors=None):
-            bordered.append(bases is not None)
-            return min_norm_lstsq(K, rhs, bases, factors)
+        def counting(K, rhs, factors=None):
+            calls.append(factors)
+            return min_norm_lstsq(K, rhs, factors)
 
         monkeypatch.setattr(oracle, "min_norm_lstsq", counting)
         gram_sizes = _gram_sizes(monkeypatch)
         oracle_solve(problem)
-        assert bordered == [route in ("bordered", "gelsd")]
-        # The factor proof replaces the Gram product and Cholesky on K (or on B, at least as large).
+        assert len(calls) == 1
+        assert all(np.array_equal(f, tc.psi(t)) for f, t in zip(calls[0], (problem.A, problem.C), strict=True))
+        # One Gram certificate, on K or on the bordered B and never on a factor;
+        # the factor proof replaces it.
         mn = problem.D.m * problem.D.n
-        assert any(size >= mn for size in gram_sizes) == (route != "factors")
+        assert all(size >= mn for size in gram_sizes)
+        assert len(gram_sizes) == (route != "factors")
 
     def test_reference_problem_keeps_the_gram_route(self, monkeypatch):
         # Its symmetric part is indefinite (margin -0.15 ||K||_F): no factor proof.
