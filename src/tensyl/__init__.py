@@ -6,7 +6,7 @@ solutions and the tensor nearness problem), and an independent dense
 unfolding oracle for cross-validation.
 """
 
-from .oracle import OracleResult, SizeCapError, min_norm_lstsq, oracle_solve, unfold_system
+from .oracle import OracleResult, SizeCapError, oracle_solve, unfold_system
 from .solver import (
     NumericalBreakdownError,
     SolveOptions,

@@ -175,6 +175,11 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
+def _short(tolerance):
+    """A tolerance as the label writes it: 5e-4, 1e-3."""
+    return np.format_float_scientific(tolerance, trim="-", exp_digits=1)
+
+
 def _cmd_repro(args):
     """Re-run both bundled reference problems and check the published bands.
 
@@ -189,19 +194,25 @@ def _cmd_repro(args):
     near = reference_problems.load_nearness_problem()
     x_hat, distance, near_outcome = solve_nearness(near.problem, near.x0)
     implied = reference_problems.nearness_reference_distance()
+    band, entry_tol, distance_tol = (reference_problems.ITERATION_BAND, reference_problems.ENTRY_TOL,
+                                     reference_problems.DISTANCE_TOL)
+
+    def iterations_check(outcome, published):
+        return f"iterations within {published} +/- {band}", abs(outcome.iterations - published) <= band
+
     runs = [  # label, file stem, outcome, solution, published solution, own checks
         ("reference problem", "reference", ref_outcome, ref_outcome.solution,
          reference_problems.min_norm_reference(), [
              ("final residual < 1e-10", ref_outcome.final_residual < 1.0e-10),
-             ("iterations within 86 +/- 15", 71 <= ref_outcome.iterations <= 101),
+             iterations_check(ref_outcome, reference_problems.REFERENCE_ITERATIONS),
          ]),
         ("nearness problem", "nearness", near_outcome, x_hat,
          reference_problems.nearness_reference(), [
-             (f"distance {distance:.4f} within 1e-3 of {implied:.4f} implied by the "
+             (f"distance {distance:.4f} within {_short(distance_tol)} of {implied:.4f} implied by the "
               f"printed blocks (published figure "
               f"{reference_problems.NEARNESS_DISTANCE} contradicts them)",
-              abs(distance - implied) <= 1.0e-3),
-             ("iterations within 79 +/- 15", 64 <= near_outcome.iterations <= 94),
+              abs(distance - implied) <= distance_tol),
+             iterations_check(near_outcome, reference_problems.NEARNESS_ITERATIONS),
          ]),
     ]
     failures, lines = [], []
@@ -212,7 +223,7 @@ def _cmd_repro(args):
         checks = [
             ("status Converged", outcome.status == Status.CONVERGED),
             *own_checks,
-            ("solution matches published entries to 5e-4", max_dev <= 5.0e-4),
+            (f"solution matches published entries to {_short(entry_tol)}", max_dev <= entry_tol),
         ]
         for name, ok in checks:
             if not ok:

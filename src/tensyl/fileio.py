@@ -4,10 +4,11 @@ Tensor file: UTF-8 JSON with fields ``row_extents``, ``col_extents`` and
 ``data`` (flat list in first-index-fastest order).  Problem file: fields
 ``A``, ``C``, ``D``, optional ``X0``, ``X_star`` and ``options`` (SolveOptions
 fields by name; missing ones take their defaults, any other key is an
-error).  This module is the only reader and writer of both formats.  Numbers
-round-trip at full double precision through the shortest-repr rendering.
-Entries, option types and splits are checked by DenseTensor, SolveOptions
-and the solver; the reader names the file and field in their errors.
+error), and no other field.  This module is the only reader and writer of
+both formats.  Numbers round-trip at full double precision through the
+shortest-repr rendering.  Entries, option types and splits are checked by
+DenseTensor, SolveOptions and the solver; the reader names the file and
+field in their errors.
 """
 
 import json
@@ -127,6 +128,9 @@ def read_problem(path):
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise FileFormatError(f"{where}: expected a top-level object")
+    for key in obj:
+        if key not in ("A", "C", "D", "X0", "X_star", "options"):
+            raise FileFormatError(f"{where}: unknown field {key!r}")
     for key in ("A", "C", "D"):
         if key not in obj:
             raise FileFormatError(f"{where}: missing field {key!r}")

@@ -6,7 +6,7 @@ lift is K x = d with K = I_n (x) psi(A) + psi(C)^T (x) I_m and d the
 column-major vectorization of psi(D), which is ``D.data`` itself.  Its
 minimum-norm least-squares solution takes one of two dense LAPACK routes
 through numpy, none sharing code with the iterative solver, and one call,
-``min_norm_lstsq(K, d, (psi(A), psi(C)))``, picks the route:
+``min_norm_lstsq(problem)``, lifts K and picks the route from the factors:
 
 - a certified LU solve (``numpy.linalg.solve``) of the bordered matrix
   B = [[K, 2^e W], [2^e Z^T, 0]] with r >= 0 border columns (B = K when
@@ -22,8 +22,8 @@ through numpy, none sharing code with the iterative solver, and one call,
   counts exactly mn - r.  With x orthogonal to range(Z) = null(K) and K x
   the projection of d onto range(W)^perp = range(K), x is gelsd's
   truncated solution;
-- otherwise (no proof, or a non-square K) SVD-based least squares on K
-  (``numpy.linalg.lstsq``, LAPACK gelsd).
+- otherwise SVD-based least squares on K (``numpy.linalg.lstsq``, LAPACK
+  gelsd).
 
 The route is tried in this order: the factor proof, then the border, then
 the Gram certificate of B (of K itself when there is no border), then
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
-from .tensor import DenseTensor, DimensionError
+from .tensor import DenseTensor
 
 DEFAULT_SIZE_CAP = 4096
 DEFAULT_RANK_TOL = 1.0e-10
@@ -161,8 +161,8 @@ def _border(K, a, c):
     K^T W ~ 0, from the factors a = psi(A) and c = psi(C) of K; e is
     ``tensor._exponent(K)``.  A factor's null spaces are the trailing columns
     of V and of U in one SVD, for the singular values at most
-    ``DEFAULT_RANK_TOL`` times the largest.  None when either factor has no
-    null space, or when ||K Z||_F or ||K^T W||_F exceeds ``DEFAULT_RANK_TOL``
+    ``DEFAULT_RANK_TOL`` times the largest.  K itself when either factor has
+    no null space, or when ||K Z||_F or ||K^T W||_F exceeds ``DEFAULT_RANK_TOL``
     ||K||_F / sqrt(N), the bound that gives sigma_{N-r+1}(K) <= 1e-10
     sigma_1(K), tested on 2^-e K, whose products cannot overflow.  The
     smaller factor goes first, so the larger one is decomposed only when the
@@ -173,7 +173,7 @@ def _border(K, a, c):
         u, s, vt = np.linalg.svd(f)
         k = np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])
         if k == len(s):
-            return None
+            return K
         spaces.append((vt[k:].T, u[:, k:]))
     (a_right, a_left), (c_right, c_left) = spaces[::-1] if swap else spaces
     z, w = np.kron(c_left, a_right), np.kron(c_right, a_left)
@@ -181,41 +181,33 @@ def _border(K, a, c):
     scaled = np.ldexp(K, -e)
     bound = DEFAULT_RANK_TOL * np.linalg.norm(scaled) / np.sqrt(len(K))
     if max(np.linalg.norm(scaled @ z), np.linalg.norm(scaled.T @ w)) > bound:
-        return None
+        return K
     return np.block([[K, np.ldexp(w, e)], [np.ldexp(z.T, e), np.zeros((z.shape[1],) * 2)]])
 
 
-def min_norm_lstsq(K, rhs, factors=None):
-    """Minimum-2-norm solution of min ||K x - rhs||; returns (x, residual, rank).
+def min_norm_lstsq(problem):
+    """Minimum-2-norm solution x of min ||K x - D.data|| for the lift K of
+    ``problem``; returns (x, residual, rank).
 
-    This is where the route is picked (module docstring).  ``factors`` is
-    None or the pair (psi(A), psi(C)) that a square K was lifted from.  When
-    it is given, ``_definite_symmetric_part`` of the factors is tried first
-    and, only when it fails, ``_border`` borders K into B with r columns;
-    without factors or a border, B = K and r = 0.  A B proven by the
-    factors or by ``_certified_nonsingular`` gives x by one LU solve of
-    B [x; y] = [rhs; 0], with numerical rank N - r.  K's own certificate is
-    not tried on a bordered K, since it cannot complete when sigma_min(K)
-    <= ||K Z||.  Every other K goes to LAPACK's SVD-based least squares
-    (gelsd): the numerical rank counts the singular values above
-    ``DEFAULT_RANK_TOL`` times the largest, and the smaller ones are
-    treated as zero.  A K that is not a nonempty 2-D array is a
-    DimensionError, non-finite input is refused, and an overflowed solution
-    or residual is an ArithmeticError naming it.
+    This is where the route is picked (module docstring).  The factors
+    psi(A) and psi(C) are read from the problem: ``_definite_symmetric_part``
+    of the factors is tried first and, only when it fails, ``_border``
+    borders K into B with r columns (B = K and r = 0 without a border).  A
+    B proven by the factors or by ``_certified_nonsingular`` gives x by one
+    LU solve of B [x; y] = [D.data; 0], with numerical rank mn - r.  K's own
+    certificate is not tried on a bordered K, since it cannot complete when
+    sigma_min(K) <= ||K Z||.  Every other K goes to LAPACK's SVD-based least
+    squares (gelsd): the numerical rank counts the singular values above
+    ``DEFAULT_RANK_TOL`` times the largest, and the smaller ones are treated
+    as zero.  An overflowed solution or residual is an ArithmeticError
+    naming it.
     """
-    K = np.asarray(K, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64).ravel()
-    if K.ndim != 2 or K.size == 0:
-        raise DimensionError(f"system matrix must be a nonempty 2-D array, got shape {K.shape}")
-    if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
-        raise ArithmeticError("non-finite entries in the unfolded system")
-    if rhs.size != K.shape[0]:
-        raise DimensionError(f"rhs length {rhs.size} does not match {K.shape[0]} rows")
+    K, rhs = unfold_system(problem), problem.D.data
+    a, c = tc.psi(problem.A), tc.psi(problem.C)
     n = len(K)
-    proven = factors is not None and _definite_symmetric_part(*factors)
-    border = None if proven or factors is None else _border(K, *factors)
-    system = K if border is None else border
-    if n == K.shape[1] and (proven or _certified_nonsingular(system)):
+    proven = _definite_symmetric_part(a, c)
+    system = K if proven else _border(K, a, c)
+    if proven or _certified_nonsingular(system):
         r = len(system) - n
         x, rank = np.linalg.solve(system, np.concatenate((rhs, np.zeros(r))))[:n], n - r
     else:
@@ -227,8 +219,7 @@ def min_norm_lstsq(K, rhs, factors=None):
 def oracle_solve(problem):
     """Consistency verdict and min-norm solution from the dense unfolding."""
     D = problem.D
-    K = unfold_system(problem)
-    x, residual, rank = min_norm_lstsq(K, D.data, (tc.psi(problem.A), tc.psi(problem.C)))
+    x, residual, rank = min_norm_lstsq(problem)
     tol = DEFAULT_RANK_TOL * tc._norm(D.data) * D.m * D.n
     solution = DenseTensor(D.row_extents, D.col_extents, x)
     return OracleResult(residual <= tol, solution, residual, rank)

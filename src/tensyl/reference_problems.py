@@ -178,6 +178,15 @@ NEARNESS_SOLUTION_SLICES = {
 # printed so the discrepancy stays on record; checks use the implied value.
 NEARNESS_DISTANCE = 640.2422
 
+# Bands ``tensyl repro`` checks: iteration counts within ITERATION_BAND of the
+# published ones, solution entries within ENTRY_TOL of the printed blocks, and
+# the distance within DISTANCE_TOL of the one the blocks imply.
+REFERENCE_ITERATIONS = 86
+NEARNESS_ITERATIONS = 79
+ITERATION_BAND = 15
+ENTRY_TOL = 5.0e-4
+DISTANCE_TOL = 1.0e-3
+
 
 def tensor_from_slices(slices, row_extents, col_extents):
     """Assemble a mode-split tensor from {(k, l): matrix} frontal slices."""

@@ -33,6 +33,8 @@ import pytest
 from tensyl import (
     SolveOptions,
     Status,
+    SylvesterProblem,
+    apply_operator,
     fro_norm,
     inner,
     kron,
@@ -49,7 +51,7 @@ from tensyl import (
 )
 from tensyl import tensor as tc
 from tensyl.instances import random_consistent, random_inconsistent
-from tensyl.oracle import min_norm_lstsq, unfold_system
+from tensyl.oracle import min_norm_lstsq
 from tensyl.reference_problems import (
     NEARNESS_DISTANCE,
     load_nearness_problem,
@@ -405,9 +407,8 @@ def test_least_norm_dominance_and_row_space_membership():
         dominance_ok &= gap <= 1.0e-8
 
         # Projection onto the row space of K: the min-norm solution of K x = K v.
-        v = min_norm.solution.data
-        K = unfold_system(problem)
-        projected = min_norm_lstsq(K, K @ v)[0]
+        v, A, C = min_norm.solution.data, problem.A, problem.C
+        projected = min_norm_lstsq(SylvesterProblem(A, C, apply_operator(A, C, min_norm.solution)))[0]
         deviation = float(np.linalg.norm(v - projected)) / max(1.0, float(np.linalg.norm(v)))
         worst_membership = max(worst_membership, deviation)
         membership_ok &= deviation <= 1.0e-8

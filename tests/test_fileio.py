@@ -172,8 +172,9 @@ class TestProblemFiles:
             (lambda obj: {**obj, "D": {**obj["D"], "data": "1 2"}}, "D: field 'data' must be a flat list"),
             (lambda obj: {**obj, "options": [7]}, "options must be an object"),
             (lambda obj: [obj], "expected a top-level object"),
+            (lambda obj: {**obj, "Options": {"k_max": 1}}, "unknown field 'Options'"),
         ],
-        ids=["tensor", "data", "options", "top-level"],
+        ids=["tensor", "data", "options", "top-level", "unknown-field"],
     )
     def test_wrong_json_kind_rejected(self, rng, tmp_path, edit, message):
         problem, _ = random_consistent(rng, (2,), (2,))
