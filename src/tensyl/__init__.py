@@ -8,7 +8,6 @@ unfolding oracle for cross-validation.
 
 from .oracle import OracleResult, SizeCapError, oracle_solve, unfold_system
 from .solver import (
-    NumericalBreakdownError,
     SolveOptions,
     SolveOutcome,
     Status,

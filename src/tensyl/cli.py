@@ -240,8 +240,8 @@ def _cmd_repro(args):
 def build_parser():
     """The ``tensyl`` parser, built on the first call and reused after it.
 
-    Building it (6 subcommands, about 40 arguments) takes 1.4-1.7 ms, a
-    sixth of an in-process ``verify`` at m*n = 108-256, so a caller of
+    Building it (6 subcommands, about 40 arguments) costs a sizeable share
+    of an in-process ``verify`` (README gives the figures), so a caller of
     ``main`` in one process, such as the tests or a script, pays for it once,
     not per call.  A shell run builds it once either way, and importing this
     module builds none.  Reuse carries no state: every ``parse_args`` call

@@ -15,12 +15,15 @@ scratch arrays.  Its products all go through one kernel, a x + x c into a
 preallocated buffer, bound once per solve through ``dot`` or ``matmul`` by
 the size of X (see ``_bind_sylvester``), and its norms are BLAS dots, so an
 iteration costs four GEMMs and a few vector operations, with nothing rebuilt
-in the loop.  ``solve`` and ``solve_nearness`` are its tensor edges: they
-build no tensor but their results, folded once the loop has freed all but
-the iterate, so a solve peaks at its five buffers.  The products outside
-the loop, the nearness shift and the sum X0 + Y-hat go through the algebra's
-overflow rule, ``tensor._checked``, and the loop runs under ``np.errstate``:
-an overflow is one ArithmeticError naming it, with no numpy warning.
+in the loop.  ``_solve`` is its one tensor edge: it makes the start, runs
+the loop and folds the iterate into the outcome once the loop has freed all
+but the iterate, so a solve peaks at its five buffers.  ``solve`` calls it
+on psi(D), and ``solve_nearness`` on the shift D - L(X0), which it then adds
+back to X0.  The products outside the loop, the nearness shift and the sum
+X0 + Y-hat go through the algebra's overflow rule, ``tensor._checked``, and
+the loop runs under ``np.errstate``: an overflow is one ArithmeticError
+naming it, with no numpy warning.  In the loop, a step scalar or residual
+norm that is not finite is an ArithmeticError naming it and its iteration.
 """
 
 import math
@@ -37,14 +40,6 @@ from .tensor import DenseTensor, DimensionError
 DIVERGENCE_FACTOR = 1.0e6
 # A direction at most this times max(1, ||P_1|| ||R_k|| / ||R_1||) certifies inconsistency (see _iterate).
 DIRECTION_TOL = 1.0e-12
-
-
-class NumericalBreakdownError(ArithmeticError):
-    """A step scalar became NaN/Inf; carries the offending iteration."""
-
-    def __init__(self, message, iteration):
-        super().__init__(f"{message} (iteration {iteration})")
-        self.iteration = iteration
 
 
 class Status(Enum):
@@ -221,13 +216,13 @@ def _iterate(a, c, d, x, opts):
             break
         alpha = (res * res) / (p_norm * p_norm)
         if not isfinite(alpha):
-            raise NumericalBreakdownError("step length alpha is not finite", k)
+            raise ArithmeticError(f"step length alpha is not finite (iteration {k})")
         scalar[()] = alpha
         add(x, multiply(p, scalar, s1), x)
         subtract(d, operator(), r)
         res_new = sqrt(rdot(rf))
         if not isfinite(res_new):
-            raise NumericalBreakdownError("residual norm is not finite", k)
+            raise ArithmeticError(f"residual norm is not finite (iteration {k})")
         append(res_new)
         if res_new < threshold:
             status = Status.CONVERGED
@@ -242,7 +237,7 @@ def _iterate(a, c, d, x, opts):
             break
         beta = (res_new * res_new) / (res * res)
         if not isfinite(beta):
-            raise NumericalBreakdownError("conjugation coefficient beta is not finite", k)
+            raise ArithmeticError(f"conjugation coefficient beta is not finite (iteration {k})")
         # P <- beta P + (A^T R + R C^T), the two products summed first: the
         # rounding order decides the iteration counts of the reference problems
         scalar[()] = beta
@@ -253,19 +248,25 @@ def _iterate(a, c, d, x, opts):
     return status, history
 
 
-def solve(problem, x1=None, opts=None):
-    """Run the iteration from the initial iterate ``x1``, or from zero when
-    it is None; a given ``x1`` is checked by the split rule and copied."""
-    opts = opts or DEFAULT_OPTIONS
+def _solve(problem, d, x1, opts):
+    """The one edge of the loop: ``_iterate`` on psi(A), psi(C) and the
+    right-hand side ``d``, an F-order psi matrix, from ``x1`` (checked by the
+    split rule and copied) or from zero when it is None; the iterate is
+    folded into the outcome once the loop has freed its other buffers."""
     A, C, D = problem.A, problem.C, problem.D
-    d = tc.psi(D)
     if x1 is None:
         x = np.zeros(d.shape, order="F")
     else:
         _check_operands(A, C, x1, "initial iterate")
         x = np.array(tc.psi(x1), order="F")
-    status, history = _iterate(tc.psi(A), tc.psi(C), d, x, opts)
+    status, history = _iterate(tc.psi(A), tc.psi(C), d, x, opts or DEFAULT_OPTIONS)
     return SolveOutcome(status, tc.psi_inverse(x, D.row_extents, D.col_extents), history)
+
+
+def solve(problem, x1=None, opts=None):
+    """Run the iteration from the initial iterate ``x1``, or from zero when
+    it is None; a given ``x1`` is checked by the split rule and copied."""
+    return _solve(problem, tc.psi(problem.D), x1, opts)
 
 
 def solve_min_norm(problem, opts=None):
@@ -283,12 +284,9 @@ def solve_nearness(problem, x0, opts=None):
     """
     A, C, D = problem.A, problem.C, problem.D
     _check_operands(A, C, x0, "X0")
-    a, c, x0_mat = tc.psi(A), tc.psi(C), tc.psi(x0)
-    d = _product(a, c, x0_mat, "A *_M X + X *_N C")  # L(X0), then D - L(X0) in place
-    tc._checked("D - (A *_M X0 + X0 *_N C)", np.subtract, tc.psi(D), d, d)
-    y = np.zeros(d.shape, order="F")
-    status, history = _iterate(a, c, d, y, opts or DEFAULT_OPTIONS)
-    x_hat = tc._checked("X_hat = X0 + Y_hat", np.add, y, x0_mat)
-    y_hat = tc.psi_inverse(y, D.row_extents, D.col_extents)
-    outcome = SolveOutcome(status, y_hat, history)
-    return tc.psi_inverse(x_hat, D.row_extents, D.col_extents), tc.fro_norm(y_hat), outcome
+    x0_mat = tc.psi(x0)
+    shift = _product(tc.psi(A), tc.psi(C), x0_mat, "A *_M X + X *_N C")  # L(X0), then D - L(X0) in place
+    tc._checked("D - (A *_M X0 + X0 *_N C)", np.subtract, tc.psi(D), shift, shift)
+    outcome = _solve(problem, shift, None, opts)
+    x_hat = tc._checked("X_hat = X0 + Y_hat", np.add, tc.psi(outcome.solution), x0_mat)
+    return tc.psi_inverse(x_hat, D.row_extents, D.col_extents), tc.fro_norm(outcome.solution), outcome

@@ -245,10 +245,20 @@ class TestBorderedRoute:
         _, rank, x = _lstsq_answer(problem)
         assert (result.min_norm_solution.data.tobytes(), result.numerical_rank) == (x.tobytes(), rank)
 
-    def test_singular_operator_with_nonsingular_factors_keeps_gelsd_bytes(self):
-        # lambda(A) + mu(C) = 1 + (-1) = 0 makes K singular, yet neither factor has a null space.
-        a = tc.psi_inverse(np.diag([1.0, 2.0]), (2,), (2,))
-        c = tc.psi_inverse(np.diag([-1.0, 3.0]), (2,), (2,))
+    @pytest.mark.parametrize(
+        "a_diag, c_diag",
+        [
+            # lambda(A) + mu(C) = 1 + (-1) = 0 makes K singular, yet neither factor has a null space.
+            ([1.0, 2.0], [-1.0, 3.0]),
+            # Both factors have a null space by the 1e-10 rule, but ||K Z||_F = 1.8e-10 exceeds the
+            # bound 1e-10 ||K||_F / sqrt(4) = 1.22e-10, so the border is refused.
+            ([1.0, 9.0e-11], [1.0, 9.0e-11]),
+        ],
+        ids=["regular-factors", "border-refused"],
+    )
+    def test_unbordered_singular_k_keeps_gelsd_bytes(self, a_diag, c_diag):
+        a = tc.psi_inverse(np.diag(a_diag), (2,), (2,))
+        c = tc.psi_inverse(np.diag(c_diag), (2,), (2,))
         problem = SylvesterProblem(a, c, tc.DenseTensor((2,), (2,), [1.0, 2.0, 3.0, 4.0]))
         K = unfold_system(problem)
         assert _border(K, tc.psi(a), tc.psi(c)) is K

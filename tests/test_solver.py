@@ -17,7 +17,6 @@ from tensyl.reference_problems import load_nearness_problem, load_reference_prob
 from tensyl.solver import (
     DIRECTION_TOL,
     DIVERGENCE_FACTOR,
-    NumericalBreakdownError,
     SolveOptions,
     Status,
     SylvesterProblem,
@@ -224,9 +223,8 @@ class TestSolve:
         c = random_tensor(rng, (2,), (2,))
         huge = tc.DenseTensor((2,), (2,), [1.0e200, 1.0, 1.0, 1.0])
         problem = SylvesterProblem(a, c, huge)
-        with pytest.raises(NumericalBreakdownError) as err:  # and no numpy warning
-            solve_min_norm(problem)
-        assert err.value.iteration >= 1
+        with pytest.raises(ArithmeticError, match=r"^step length alpha is not finite \(iteration 1\)$"):
+            solve_min_norm(problem)  # and no numpy warning
 
     def test_overflowing_residual_raises_breakdown(self):
         # Inconsistent, and finite up to the first update: the step length
@@ -235,7 +233,7 @@ class TestSolve:
         d = tc.DenseTensor((2,), (1,), [1.0e-11, 1.0e149])
         problem = SylvesterProblem(a, tc.DenseTensor((1,), (1,), [0.0]), d)
         assert not oracle_solve(problem).consistent
-        with pytest.raises(NumericalBreakdownError, match=r"^residual norm is not finite \(iteration 1\)$"):
+        with pytest.raises(ArithmeticError, match=r"^residual norm is not finite \(iteration 1\)$"):
             solve_min_norm(problem)
 
 
@@ -289,6 +287,22 @@ class TestMinNormAndNearness:
         for want in (solve(problem), solve(problem, tc.zeros(problem.D.row_extents, problem.D.col_extents))):
             assert got.residual_history == want.residual_history
             assert got.solution.data.tobytes() == want.solution.data.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_adjoint_start_gives_the_min_norm_solution(self, seed):
+        # The paper's special start X1 = L*(H) keeps every iterate in range(L*), orthogonal to
+        # null(L), so on a singular operator the solve ends at the least-norm solution; a generic
+        # start keeps its null-space part.  Measured: 1.1e-12 to 6.7e-11 from L*(H), 0.009 to 0.35
+        # from a random start.
+        rng = np.random.default_rng(seed)
+        problem, _ = singular_consistent(rng, (3, 2), (2, 2))
+        want = oracle_solve(problem).min_norm_solution
+        h, x1 = random_tensor(rng, (3, 2), (2, 2)), random_tensor(rng, (3, 2), (2, 2))
+        for start, near in ((apply_adjoint(problem.A, problem.C, h), True), (x1, False)):
+            outcome = solve(problem, start)
+            assert outcome.status == Status.CONVERGED
+            gap = tc.fro_norm(tc.subtract(outcome.solution, want)) / tc.fro_norm(want)
+            assert gap <= 1e-9 if near else gap > 1e-3
 
     def test_nearness_solution_solves_equation(self, rng):
         problem, _ = random_consistent(rng, (2, 2), (3,), shift=2.0)
@@ -404,23 +418,35 @@ class TestInPlaceCore:
             assert not np.shares_memory(outcome.solution.data, start.data)
         assert outcome.iterations == 0
 
-    def test_working_set_is_five_buffers(self):
+    @pytest.mark.parametrize(
+        "run, buffers",
+        [
+            (lambda problem, x, opts: solve_min_norm(problem, opts), 6),
+            (lambda problem, x, opts: solve(problem, x, opts), 6),
+            # the shift D - L(X0) is the right-hand side, a sixth buffer
+            (lambda problem, x, opts: solve_nearness(problem, x, opts), 7),
+        ],
+        ids=["min-norm", "start", "nearness"],
+    )
+    def test_working_set_is_five_buffers(self, run, buffers):
         # The iterate, residual, direction and two scratch buffers, 8 m n
         # bytes each, and no more than one further buffer's worth: no zero
         # start tensor, and the solution folded after the others are freed.
         # m*n = 4096 (the kernel's matmul entry), where fixed Python objects
-        # are small beside the buffers.
-        problem, _ = random_consistent(np.random.default_rng(5), (8, 8), (8, 8), shift=2.0)
+        # are small beside the buffers.  Measured: 5.15, 5.11 and 6.12.
+        rng = np.random.default_rng(5)
+        problem, _ = random_consistent(rng, (8, 8), (8, 8), shift=2.0)
+        x = random_tensor(rng, (8, 8), (8, 8))  # the start iterate, or X0
         opts = SolveOptions(k_max=40)
         buffer_bytes = 8 * problem.D.m * problem.D.n
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            solve_min_norm(problem, opts)
+            run(problem, x, opts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start <= 6 * buffer_bytes, f"peak {(peak - start) / buffer_bytes:.2f} buffers"
+        assert peak - start <= buffers * buffer_bytes, f"peak {(peak - start) / buffer_bytes:.2f} buffers"
 
     @pytest.mark.parametrize(
         "kind, split, k_max, status",
