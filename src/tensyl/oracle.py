@@ -25,28 +25,41 @@ through numpy, none sharing code with the iterative solver, and one call,
 - otherwise SVD-based least squares on K (``numpy.linalg.lstsq``, LAPACK
   gelsd).
 
-The route is tried in this order: the factor proof, then the border, then
-the Gram certificate of B (of K itself when there is no border), then
-gelsd.  The factor proof, ``_definite_symmetric_part``, costs O(m^3 + n^3):
-when K's symmetric part I (x) S_a + S_c (x) I (S the symmetric part of a
-factor) is definite, the field of values gives sigma_min(K) >= |x^T K x| /
-||x||^2 >= low, the smallest |eigenvalue| of that symmetric part (Horn &
-Johnson, Topics in Matrix Analysis, 1991, sections 1.2 and 4.4).  The
-proof holds when low, less a rounding allowance, exceeds 2 tau U with
-tau^2 = ``CERTIFICATE_SHIFT`` and U >= ||K||_F, so sigma_min(K)^2 > 4
-tau^2 ||K||_F^2.  No K that it proves can be bordered, since a border
-needs sigma_min(K) <= ||K Z||_F <= 1e-10 ||K||_F, so trying it first moves
-no K from one of the other routes to another.  The border, ``_border``, takes one SVD of each
-factor.  The Gram certificate, ``_certified_nonsingular``, completes a
-Cholesky factorization of B^T B shifted down by ``CERTIFICATE_SHIFT``
-||B||_F^2, at O((mn)^3) cost.  Where the factor proof holds, the Gram
-certificate would have completed too: its shifted matrix has smallest
-eigenvalue at least 3 tau^2 ||K||_F^2 and diagonal at most ||K||_F^2, far
-above the 2e-12 ||K||_F^2 rounding of its product and the mn
-gamma_{mn+1} <= 2e-9 relative bound under which Cholesky completes
-(Demmel; Higham, Accuracy and Stability of Numerical Algorithms, Thm
-10.7).  Either proof takes the same LU solve, so the route and every
-output byte are those of the Gram certificate alone.
+The border, ``_border``, comes first and takes one SVD of each factor.
+B is then proven nonsingular by one of two proofs, and gelsd takes the
+rest.  The factor bound, ``_factor_bound``, costs O(m^3 + n^3), and the
+Gram certificate, ``_certified_nonsingular``, tried only when the factor
+bound fails, completes a Cholesky factorization of B^T B shifted down by
+``CERTIFICATE_SHIFT`` ||B||_F^2, at O((mn)^3) cost.
+
+The factor bound.  K's symmetric part H = I (x) S_a + S_c (x) I (S the
+symmetric part of a factor) has the sums lambda_i(S_a) + mu_j(S_c) as its
+eigenvalues.  Let low be the (r+1)-th smallest sum, less a rounding
+allowance.  On the span of H's eigenvectors for the other N - r sums, N =
+mn, x^T K x = x^T H x >= low ||x||^2, so ||K x|| >= low ||x|| there and
+Courant-Fischer gives sigma_{N-r}(K) >= low; -K and minus the (r+1)-th
+largest sum serve as well (Horn & Johnson, Topics in Matrix Analysis,
+1991, sections 1.2 and 4.4).  With r = 0 that is sigma_min(B) >= low.  With
+a border of scale s = 2^e, let eps bound ||K Z||_2 and ||K^T W||_2, so
+sigma_{N-r+1}(K) <= eps, and let K_0 be K with its r smallest singular
+values set to zero, V_1 and U_1 its right and left singular vectors for
+the others and V_2 and U_2 its null spaces.  ||K Z|| >= sigma_{N-r}(K)
+||V_1^T Z|| gives ||V_1^T Z|| <= q = eps / low, and ||U_1^T W|| <= q
+likewise.  Replacing K by K_0, Z by V_2 V_2^T Z and W by U_2 U_2^T W moves
+B by at most eps + 2 s q, and leaves a matrix whose singular values are
+K_0's nonzero ones, at least low, and s times those of V_2^T Z and U_2^T
+W, at least s sqrt(1 - q^2).  So, by Weyl's inequality, sigma_min(B) >=
+min(low, s sqrt(1 - q^2)) - eps - 2 s q.  The proof holds when that
+exceeds 2 tau sqrt(U^2 + 2 r s^2) >= 2 tau ||B||_F, with tau^2 =
+``CERTIFICATE_SHIFT`` and U >= ||K||_F, so sigma_min(B)^2 > 4 tau^2
+||B||_F^2.  The Gram certificate
+would then have completed too: its shifted matrix has smallest eigenvalue
+at least 3 tau^2 ||B||_F^2 and diagonal at most ||B||_F^2, far above the
+2e-12 ||B||_F^2 rounding of its product and the (N + r) gamma_{N+r+1} <=
+8e-9 relative bound under which Cholesky completes (Demmel; Higham, Accuracy
+and Stability of Numerical Algorithms, Thm 10.7).  Either proof takes the
+same LU solve, so the route and every output byte are those of the Gram
+certificate alone.
 
 Its norms are ``tensor._norm``, whose squares neither overflow nor underflow,
 both proofs scale their matrices by the power of two of ``tensor._exponent``,
@@ -126,33 +139,47 @@ def _certified_nonsingular(K):
     return True
 
 
-def _definite_symmetric_part(a, c):
-    """True when the factors a = psi(A) and c = psi(C) prove their lift K
-    nonsingular, with sigma_min(K) > 2 tau ||K||_F for tau^2 =
-    ``CERTIFICATE_SHIFT``, from two symmetric eigenproblems of orders m and n.
+def _factor_bound(a, c, system):
+    """A lower bound on sigma_min(B) / sqrt(U^2 + 2 r s^2), at most
+    sigma_min(B) / ||B||_F, from two symmetric eigenproblems of orders m and
+    n on the factors a = psi(A) and c = psi(C) of K.  ``system`` is what
+    ``_border`` returns: B = [[K, s W], [s Z^T, 0]] with r columns each and
+    s = 2^e for e = ``tensor._exponent(K)``, or K itself (r = 0, s = 0).
 
-    K's symmetric part is I (x) S_a + S_c (x) I with S_a = (a + a^T) / 2 and
-    S_c = (c + c^T) / 2, whose eigenvalues are the sums of theirs.  When it
-    is definite, |x^T K x| >= low ||x||^2 with low = max(lambda_min(S_a) +
-    lambda_min(S_c), -(lambda_max(S_a) + lambda_max(S_c))), so sigma_min(K)
-    >= low (module docstring).  From the computed low an allowance is taken
-    off for eigvalsh's backward error, (m + n) u (||S_a||_F + ||S_c||_F), and
-    for the rounded diagonal sums a_kk + c_ll of K, u max |K_ii|; the rest
-    must exceed 2 tau U, with U = sqrt(n) ||a||_F + sqrt(m) ||c||_F >= ||K||_F.
-    Both factors are first scaled by one 2^-e, e the larger ``tensor._exponent``
-    of the two, so the decision does not depend on the scale of (A, C).
+    K's symmetric part has the sums of the eigenvalues of S_a = (a + a^T) / 2
+    and S_c = (c + c^T) / 2 as its own.  low is the (r+1)-th smallest sum or
+    minus the (r+1)-th largest, whichever is larger (infinite when r = mn,
+    the zero operator), less an allowance for eigvalsh's backward error, (m +
+    n) u (||S_a||_F + ||S_c||_F), and for the rounded diagonal sums a_kk +
+    c_ll of K, u max |K_ii|, so that sigma_{N-r}(K) >= low (module
+    docstring).  U = sqrt(n) ||a||_F + sqrt(m) ||c||_F >= ||K||_F.  Without a
+    border the bound is low / U.  With one, eps = ``DEFAULT_RANK_TOL`` U
+    bounds ||K Z||_2 and ||K^T W||_2: ``_border`` tested ||K Z||_F <=
+    ``DEFAULT_RANK_TOL`` ||K||_F / sqrt(N), and the rounding of that product
+    adds at most N^(3/2) u ||K||_F <= 3e-11 ||K||_F.  Then sigma_min(B) >=
+    min(low, s sqrt(1 - q^2)) - eps - 2 s q with q = eps / low, or with q = 1,
+    a bound below zero, when low <= eps.  Both factors are first scaled by
+    one 2^-f, f the ``tensor._exponent`` of their entries together, and s
+    with them, so the bound does not depend on the scale of (A, C), and U is
+    at least 1/2, even next to a zero factor.
     """
-    e = max(tc._exponent(a), tc._exponent(c))
-    a, c = np.ldexp(a, -e), np.ldexp(c, -e)
+    f = tc._exponent(np.concatenate((a, c), axis=None))
+    a, c = np.ldexp(a, -f), np.ldexp(c, -f)
     sym_a, sym_c = 0.5 * (a + a.T), 0.5 * (c + c.T)
-    lam_a, lam_c = np.linalg.eigvalsh(sym_a), np.linalg.eigvalsh(sym_c)
-    low = max(lam_a[0] + lam_c[0], -(lam_a[-1] + lam_c[-1]))
+    sums = np.sort(np.add.outer(np.linalg.eigvalsh(sym_a), np.linalg.eigvalsh(sym_c)), axis=None)
     m, n = len(a), len(c)
+    r = len(system) - m * n
     u = np.finfo(np.float64).eps / 2
     allowance = u * ((m + n) * (np.linalg.norm(sym_a) + np.linalg.norm(sym_c))
                      + np.abs(a.diagonal()).max() + np.abs(c.diagonal()).max())
+    low = (max(sums[r], -sums[-1 - r]) if r < m * n else np.inf) - allowance
     bound = np.sqrt(n) * np.linalg.norm(a) + np.sqrt(m) * np.linalg.norm(c)
-    return bool(low - allowance > 2.0 * np.sqrt(CERTIFICATE_SHIFT) * bound)
+    s = 0.0
+    if r:
+        s, eps = np.ldexp(1.0, tc._exponent(system[: m * n, : m * n]) - f), DEFAULT_RANK_TOL * bound
+        q = eps / low if low > eps else 1.0
+        low = min(low, s * np.sqrt(1.0 - q * q)) - eps - 2.0 * s * q
+    return low / np.hypot(bound, np.sqrt(2 * r) * s)
 
 
 def _border(K, a, c):
@@ -190,11 +217,11 @@ def min_norm_lstsq(problem):
     ``problem``; returns (x, residual, rank).
 
     This is where the route is picked (module docstring).  The factors
-    psi(A) and psi(C) are read from the problem: ``_definite_symmetric_part``
-    of the factors is tried first and, only when it fails, ``_border``
-    borders K into B with r columns (B = K and r = 0 without a border).  A
-    B proven by the factors or by ``_certified_nonsingular`` gives x by one
-    LU solve of B [x; y] = [D.data; 0], with numerical rank mn - r.  K's own
+    psi(A) and psi(C) are read from the problem, and ``_border`` borders K
+    into B with r columns (B = K and r = 0 without a border).  A B proven
+    nonsingular by the factors, when ``_factor_bound`` exceeds 2 tau, or
+    else by ``_certified_nonsingular``, gives x by one LU solve of B [x; y]
+    = [D.data; 0], with numerical rank mn - r.  K's own
     certificate is not tried on a bordered K, since it cannot complete when
     sigma_min(K) <= ||K Z||.  Every other K goes to LAPACK's SVD-based least
     squares (gelsd): the numerical rank counts the singular values above
@@ -205,9 +232,8 @@ def min_norm_lstsq(problem):
     K, rhs = unfold_system(problem), problem.D.data
     a, c = tc.psi(problem.A), tc.psi(problem.C)
     n = len(K)
-    proven = _definite_symmetric_part(a, c)
-    system = K if proven else _border(K, a, c)
-    if proven or _certified_nonsingular(system):
+    system = _border(K, a, c)
+    if _factor_bound(a, c, system) > 2.0 * np.sqrt(CERTIFICATE_SHIFT) or _certified_nonsingular(system):
         r = len(system) - n
         x, rank = np.linalg.solve(system, np.concatenate((rhs, np.zeros(r))))[:n], n - r
     else:

@@ -13,7 +13,7 @@ from tensyl.oracle import (
     SizeCapError,
     _border,
     _certified_nonsingular,
-    _definite_symmetric_part,
+    _factor_bound,
     min_norm_lstsq,
     oracle_solve,
     unfold_system,
@@ -155,16 +155,21 @@ class TestRoutes:
             assert _certified_nonsingular(K)
 
 
+# The factor proof holds when ``_factor_bound`` exceeds 2 tau.
+TWO_TAU = 2.0 * np.sqrt(CERTIFICATE_SHIFT)
+
+
 def _route(problem):
-    """The route ``oracle_solve`` takes: "factors" when its factors prove K
-    nonsingular, else "bordered" when both factors have null spaces that K
-    annihilates and the bordered matrix is certified, "K" when K has no
-    border and is certified, and "gelsd" when the certificate fails."""
+    """The route ``oracle_solve`` takes.  K is bordered when both factors have
+    null spaces that K annihilates; then "factors" when the factors prove K
+    nonsingular and "bordered-factors" when they prove the bordered matrix,
+    else "K" or "bordered" when the Gram certificate proves it, and "gelsd"
+    when it fails."""
     K = unfold_system(problem)
     a, c = tc.psi(problem.A), tc.psi(problem.C)
-    if _definite_symmetric_part(a, c):
-        return "factors"
     system = _border(K, a, c)
+    if _factor_bound(a, c, system) > TWO_TAU:
+        return "factors" if system is K else "bordered-factors"
     if not _certified_nonsingular(system):
         return "gelsd"
     return "K" if system is K else "bordered"
@@ -196,6 +201,16 @@ def _laplacian_problem(rng, m, n, consistent):
     return SylvesterProblem(a, c, d)
 
 
+def _skew_block_problem():
+    """psi(A) = [[0, 1.5], [-1.5, 0]] (+) L_2 and psi(C) = L_3 (Neumann
+    Laplacians): each factor has one null vector, so r = 1, but S_a is zero
+    on the skew block, and three eigenvalue sums of K's symmetric part vanish."""
+    a = np.zeros((4, 4))
+    a[0, 1], a[1, 0] = 1.5, -1.5
+    a[2:, 2:] = _laplacian(2)
+    return _lift(a, _laplacian(3), np.arange(1.0, 13.0).reshape(4, 3))
+
+
 def _factor_singular_problems():
     problems = []
     for seed in range(10):
@@ -212,7 +227,7 @@ class TestBorderedRoute:
         # solution stays within 1.5e-10 of a 40-digit SVD reference.
         taken = 0
         for problem in _factor_singular_problems():
-            if _route(problem) != "bordered":
+            if _route(problem) not in ("bordered", "bordered-factors"):
                 continue
             taken += 1
             result = oracle_solve(problem)
@@ -230,12 +245,36 @@ class TestBorderedRoute:
     @pytest.mark.parametrize("m, n", [(12, 9), (16, 16)])
     def test_neumann_laplacians(self, rng, m, n, consistent):
         problem = _laplacian_problem(rng, m, n, consistent)
-        assert _route(problem) == "bordered"
+        assert _route(problem) == "bordered-factors"
         result = oracle_solve(problem)
         want_consistent, rank, x = _lstsq_answer(problem)
         assert (result.consistent, result.numerical_rank) == (consistent, m * n - 1)
         assert (want_consistent, rank) == (consistent, m * n - 1)
         assert np.linalg.norm(result.min_norm_solution.data - x) <= 1e-10 * np.linalg.norm(x)
+
+    def test_64x64_neumann_laplacians_stay_on_gelsd(self, rng):
+        # sigma_{N-1}(K) = 0.0024 at N = 4096: 0.035 of the factor bound's
+        # threshold, and below what the Gram certificate proves.  The route is
+        # checked; gelsd itself, unchanged, takes about 18 s at this size.
+        assert _route(_laplacian_problem(rng, 64, 64, False)) == "gelsd"
+
+    def test_indefinite_operators_keep_their_routes(self):
+        # The reference problem; random_inconsistent factors, whose eigenvalue
+        # sums have both signs; and a skew block, where S_a = 0 so that three
+        # sums vanish next to one border column.  None is proven by its factors,
+        # and each keeps the Gram certificate or gelsd, with the same bytes.
+        problems = {"reference": load_reference_problem().problem, "skew": _skew_block_problem()}
+        for seed in range(10):
+            problems[f"inconsistent-{seed}"] = random_inconsistent(np.random.default_rng(seed), (4, 3), (3, 3))[0]
+        for name, problem in problems.items():
+            a, c = tc.psi(problem.A), tc.psi(problem.C)
+            sums = np.add.outer(np.linalg.eigvalsh(a + a.T), np.linalg.eigvalsh(c + c.T)) / 2
+            if name == "skew":
+                assert np.count_nonzero(np.abs(sums) < 1e-12) == 3
+            else:
+                assert 0 < np.count_nonzero(sums < 0) < sums.size
+            assert _route(problem) in (("bordered",) if name == "reference" else ("bordered", "gelsd")), name
+            assert _factor_proof_is_silent(problem)
 
     def test_uncertified_border_keeps_gelsd_bytes(self):
         # sigma_{mn-1} / ||K||_F = 7.5e-5 here, below what the certificate can prove.
@@ -280,7 +319,7 @@ class TestBorderedRoute:
     def test_zero_operator(self):
         zero = tc.zeros((2, 2), (2, 2))
         problem = SylvesterProblem(zero, zero, tc.DenseTensor((2, 2), (2, 2), np.arange(1.0, 17.0)))
-        assert _route(problem) == "bordered"  # r = mn: every direction is bordered off
+        assert _route(problem) == "bordered-factors"  # r = mn: every direction is bordered off, sigma_min(B) = 1
         result = oracle_solve(problem)
         assert result.numerical_rank == 0 and not result.consistent
         assert np.all(result.min_norm_solution.data == 0.0)
@@ -289,7 +328,7 @@ class TestBorderedRoute:
         # K = diag(2^-1000, 0): the solution 1e300 * 2^1000 overflows on the bordered route.
         a = tc.psi_inverse(np.diag([2.0**-1000, 0.0]), (2,), (2,))
         problem = SylvesterProblem(a, tc.zeros((1,), (1,)), tc.DenseTensor((2,), (1,), [1.0e300, 1.0]))
-        assert _route(problem) == "bordered"
+        assert _route(problem) == "bordered-factors"
         with pytest.raises(ArithmeticError, match="^least-squares solution overflowed the double range$"):
             oracle_solve(problem)
 
@@ -304,9 +343,77 @@ def _at_margin(rng, m, n, ratio):
     s = 0.0
     for _ in range(8):
         a = a0 + s * np.eye(m)
-        bound = 2.0 * np.sqrt(CERTIFICATE_SHIFT) * (np.sqrt(n) * np.linalg.norm(a) + np.sqrt(m) * np.linalg.norm(c))
+        bound = TWO_TAU * (np.sqrt(n) * np.linalg.norm(a) + np.sqrt(m) * np.linalg.norm(c))
         s += ratio * bound - np.linalg.eigvalsh(a + a.T)[0] / 2 - low_c
     return a0 + s * np.eye(m), c
+
+
+def _lift(a, c, d=None):
+    """The problem with unfoldings (a, c, d), d = 0 by default."""
+    m, n = len(a), len(c)
+    d = np.zeros((m, n)) if d is None else d
+    return SylvesterProblem(tc.psi_inverse(a, (m,), (m,)), tc.psi_inverse(c, (n,), (n,)), tc.psi_inverse(d, (m,), (n,)))
+
+
+def _factor_proof(a, c):
+    """Whether the factors prove nonsingular the lift of (a, c), bordered as ``oracle_solve`` borders it."""
+    K = unfold_system(_lift(a, c))
+    return bool(_factor_bound(a, c, _border(K, a, c)) > TWO_TAU)
+
+
+def _threshold(a, c, r):
+    """The (r+1)-th eigenvalue sum from which the factors prove the lift of
+    (a, c) with r border columns, by the module docstring's bound: the root L
+    of L - eps - 2 s eps / L = 2 tau sqrt(U^2 + 2 r s^2) (eps = 0 and s = 0
+    when r = 0), plus the allowance, computed here without the scaling."""
+    m, n = len(a), len(c)
+    bound = np.sqrt(n) * np.linalg.norm(a) + np.sqrt(m) * np.linalg.norm(c)
+    s = np.ldexp(1.0, tc._exponent(unfold_system(_lift(a, c)))) if r else 0.0
+    eps = DEFAULT_RANK_TOL * bound if r else 0.0
+    t = TWO_TAU * np.sqrt(bound**2 + 2 * r * s**2) + eps
+    low = (t + np.sqrt(t * t + 8.0 * s * eps)) / 2
+    assert low < s * np.sqrt(1.0 - (eps / low) ** 2) or not r  # the min in the bound is low
+    return low + _allowance(a, c)
+
+
+def _allowance(a, c):
+    """The factor bound's rounding allowance, by its docstring."""
+    sym_a, sym_c = (a + a.T) / 2, (c + c.T) / 2
+    return np.finfo(float).eps / 2 * ((len(a) + len(c)) * (np.linalg.norm(sym_a) + np.linalg.norm(sym_c))
+                                      + np.abs(np.diag(a)).max() + np.abs(np.diag(c)).max())
+
+
+def _orthogonal(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
+    return q * np.sign(np.diag(r))
+
+
+def _semidefinite_at_margin(rng, m, n, nullity, ratio):
+    """Factors (a, c) built as perfbench builds its singular ones, Q diag(d) Q^T
+    with Q of k - ``nullity`` orthonormal columns and d uniform in [1, 2],
+    except that a's smallest nonzero eigenvalue is ``ratio`` times the
+    threshold for r = nullity^2 border columns, by a fixed-point iteration.
+    The (r+1)-th eigenvalue sum is that eigenvalue plus one of c's zeros."""
+    qa, qc = _orthogonal(rng, m)[:, : m - nullity], _orthogonal(rng, n)[:, : n - nullity]
+    da, dc = rng.uniform(1.0, 2.0, m - nullity), rng.uniform(1.0, 2.0, n - nullity)
+    c = (qc * dc) @ qc.T
+    for _ in range(8):
+        a = (qa * da) @ qa.T
+        da[0] = ratio * _threshold(a, c, nullity**2)
+    return (qa * da) @ qa.T, c
+
+
+def _factor_proof_is_silent(problem):
+    """True when ``oracle_solve`` gives the same verdict, rank, residual and
+    solution bytes with the factor proof patched off, on the Gram certificate
+    or gelsd alone, as the oracle did before the factor proof existed."""
+    result = oracle_solve(problem)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_factor_bound", lambda a, c, system: -np.inf)
+        gram = oracle_solve(problem)
+    return (result.consistent, result.numerical_rank, result.residual_norm,
+            result.min_norm_solution.data.tobytes()) == (
+        gram.consistent, gram.numerical_rank, gram.residual_norm, gram.min_norm_solution.data.tobytes())
 
 
 class TestFactorProof:
@@ -325,19 +432,78 @@ class TestFactorProof:
         # patched off takes the Gram certificate, and every byte must agree.
         rng = np.random.default_rng(seed)
         a, c = (np.ldexp(sign * f, k) for f in _at_margin(rng, m, n, ratio))
-        problem = SylvesterProblem(tc.psi_inverse(a, (m,), (m,)), tc.psi_inverse(c, (n,), (n,)),
-                                   tc.DenseTensor((m,), (n,), np.ldexp(rng.uniform(-1.0, 1.0, m * n), k)))
-        proven = _definite_symmetric_part(a, c)
+        problem = _lift(a, c, np.ldexp(rng.uniform(-1.0, 1.0, (m, n)), k))
+        K = unfold_system(problem)
+        assert _border(K, a, c) is K
+        proven = _factor_bound(a, c, K) > TWO_TAU
         assert proven == (ratio > 1.0)  # the allowance is far below 1% of the threshold
         if proven:
-            assert _certified_nonsingular(unfold_system(problem))
-        result = oracle_solve(problem)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_definite_symmetric_part", lambda a, c: False)
-            gram = oracle_solve(problem)
-        assert (result.consistent, result.numerical_rank, result.residual_norm) == (
-            gram.consistent, gram.numerical_rank, gram.residual_norm)
-        assert result.min_norm_solution.data.tobytes() == gram.min_norm_solution.data.tobytes()
+            assert _certified_nonsingular(K)
+        assert _factor_proof_is_silent(problem)
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 6),
+        n=st.integers(3, 6),
+        nullity=st.sampled_from([1, 2]),
+        ratio=st.one_of(st.floats(1.01, 10.0), st.floats(0.1, 0.99)),
+        sign=st.sampled_from([1.0, -1.0]),
+        k=st.sampled_from([0, -600, 600]),
+    )
+    def test_bordered_proof_implies_the_gram_certificate(self, seed, m, n, nullity, ratio, sign, k):
+        # Semidefinite singular factors with one or two zero eigenvalues each
+        # (r = 1 or 4 border columns), their negatives and 2^+-600 scalings, at
+        # margins around the threshold of the bordered bound; an inconsistent D.
+        rng = np.random.default_rng(seed)
+        a, c = (np.ldexp(sign * f, k) for f in _semidefinite_at_margin(rng, m, n, nullity, ratio))
+        problem = _lift(a, c, np.ldexp(rng.uniform(-1.0, 1.0, (m, n)), k))
+        K = unfold_system(problem)
+        system = _border(K, a, c)
+        assert len(system) - len(K) == nullity**2
+        proven = _factor_bound(a, c, system) > TWO_TAU
+        assert proven == (ratio > 1.0)
+        if proven:
+            assert _certified_nonsingular(system)
+        assert _factor_proof_is_silent(problem)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("k", [0, -600, 600])
+    @pytest.mark.parametrize("m, n", [(3, 2), (12, 9), (16, 16)])
+    def test_neumann_laplacians_are_proven(self, rng, m, n, sign, k):
+        # The (r+1)-th sum is 513, 7.0 and 2.5 times its threshold (1.0, 0.068
+        # and 0.038 against 0.0020, 0.0098 and 0.015).
+        a, c = np.ldexp(sign * _laplacian(m), k), np.ldexp(sign * _laplacian(n), k)
+        problem = _lift(a, c, np.ldexp(rng.uniform(-1.0, 1.0, (m, n)), k))
+        assert _route(problem) == "bordered-factors"
+        assert _factor_proof_is_silent(problem)
+
+    @pytest.mark.parametrize("nullity", [1, 2])
+    def test_bordered_decision_at_its_threshold(self, nullity):
+        # Diagonal factors, whose eigenvalues eigvalsh returns exactly: a's
+        # smallest nonzero one is the (r+1)-th sum, set half an allowance below
+        # and above the threshold.  Neither the allowance nor the eps terms
+        # (1e-3 of the threshold here) can be left out, and the (r+2)-th sum,
+        # 1.25 with one zero of c, is far above it.
+        zeros = [0.0] * nullity
+        c = np.diag(zeros + [1.75, 1.875])
+        x = 1.0e-3
+        for _ in range(8):
+            x = _threshold(np.diag(zeros + [x, 1.25, 1.5]), c, nullity**2)
+        allowance = _allowance(np.diag(zeros + [x, 1.25, 1.5]), c)
+        decisions = []
+        for offset in (-0.5, 0.5):
+            a = np.diag(zeros + [x + offset * allowance, 1.25, 1.5])
+            bounds = []
+            for k in (0, -600, 600):
+                a_k, c_k = np.ldexp(a, k), np.ldexp(c, k)
+                K = unfold_system(_lift(a_k, c_k))
+                system = _border(K, a_k, c_k)
+                assert len(system) - len(K) == nullity**2
+                bounds.append(_factor_bound(a_k, c_k, system))
+            assert bounds[1:] == bounds[:1] * 2
+            decisions.append(bool(bounds[0] > TWO_TAU))
+        assert decisions == [False, True]
 
     @pytest.mark.parametrize("k", [-600, -300, 300, 600])
     def test_decision_does_not_depend_on_scale(self, k):
@@ -346,16 +512,33 @@ class TestFactorProof:
         for seed, shift in [(0, 0.0), (0, 4.0), (3, 0.0), (3, 4.0)]:
             problem, _ = random_consistent(np.random.default_rng(seed), (2, 2), (3,), shift=shift)
             factors += [(tc.psi(problem.A), tc.psi(problem.C)), (-tc.psi(problem.A), -tc.psi(problem.C))]
-        decisions = [_definite_symmetric_part(a, c) for a, c in factors]
-        assert [_definite_symmetric_part(np.ldexp(a, k), np.ldexp(c, k)) for a, c in factors] == decisions
-        assert decisions.count(True) == 12  # ratios 1.01 and 2, and shift 4 with either sign
+        factors += [_semidefinite_at_margin(np.random.default_rng(seed), 4, 3, nullity, ratio)
+                    for seed in range(2) for nullity in (1, 2) for ratio in (0.99, 1.01)]
+        decisions = [_factor_proof(a, c) for a, c in factors]
+        assert [_factor_proof(np.ldexp(a, k), np.ldexp(c, k)) for a, c in factors] == decisions
+        # Ratios 1.01 and 2, shift 4 with either sign, and the bordered ratio 1.01.
+        assert decisions.count(True) == 16
+
+    @pytest.mark.parametrize("k", [0, -1000])
+    def test_a_zero_factor_does_not_set_the_scale(self, k):
+        # K = psi(C)^T (x) I with sigma_min / sigma_max = 1e-6: neither proof
+        # holds at any scale.  Scaled by the zero factor's exponent, 0, the
+        # squares of 2^-1000 psi(C) would underflow in U, and a threshold of
+        # zero would prove K.
+        q = np.array([[0.6, 0.8], [-0.8, 0.6]])
+        c = np.ldexp(q @ np.diag([1.0, 1.0e-6]) @ q.T, k)
+        problem = _lift(np.zeros((2, 2)), c, np.ldexp(np.arange(1.0, 5.0).reshape(2, 2), k))
+        assert _route(problem) == "gelsd"
+        result = oracle_solve(problem)
+        _, rank, x = _lstsq_answer(problem)
+        assert (result.min_norm_solution.data.tobytes(), result.numerical_rank) == (x.tobytes(), rank)
 
     def test_factors_far_apart_in_scale(self):
         # One 2^-e for both factors: 2^-1000 a next to 2^1000 c neither overflows nor decides otherwise.
         problem, _ = random_consistent(np.random.default_rng(0), (3,), (2, 2), shift=4.0)
         a, c = tc.psi(problem.A), tc.psi(problem.C)
-        assert _definite_symmetric_part(np.ldexp(a, -1000), np.ldexp(c, 1000))
-        assert _definite_symmetric_part(np.ldexp(a, 1000), np.ldexp(c, -1000))
+        assert _factor_proof(np.ldexp(a, -1000), np.ldexp(c, 1000))
+        assert _factor_proof(np.ldexp(a, 1000), np.ldexp(c, -1000))
 
 
 class TestUnfoldSystem:
@@ -450,8 +633,10 @@ class TestOracleSolve:
             ("gelsd", lambda rng: random_inconsistent(rng, (4, 4), (4, 4))[0]),
             ("gelsd", lambda rng: _singular_with_nonsingular_factors()),
             ("factors", lambda rng: random_consistent(rng, (2, 2), (3,), shift=4.0)[0]),
+            ("bordered-factors", lambda rng: _laplacian_problem(rng, 12, 9, False)),
         ],
-        ids=["unbordered", "bordered", "uncertified-border", "nonsingular-factors", "factor-proof"],
+        ids=["unbordered", "bordered", "uncertified-border", "nonsingular-factors", "factor-proof",
+             "bordered-factor-proof"],
     )
     def test_one_min_norm_lstsq_call_on_every_route(self, monkeypatch, route, make):
         problem = make(np.random.default_rng(0))
@@ -470,12 +655,12 @@ class TestOracleSolve:
         # the factor proof replaces it.
         mn = problem.D.m * problem.D.n
         assert all(size >= mn for size in gram_sizes)
-        assert len(gram_sizes) == (route != "factors")
+        assert len(gram_sizes) == (route not in ("factors", "bordered-factors"))
 
     def test_reference_problem_keeps_the_gram_route(self, monkeypatch):
-        # Its symmetric part is indefinite (margin -0.15 ||K||_F): no factor proof.
+        # Its symmetric part is indefinite: no factor proof.
         problem = load_reference_problem().problem
-        assert not _definite_symmetric_part(tc.psi(problem.A), tc.psi(problem.C))
+        assert _route(problem) == "bordered"
         gram_sizes = _gram_sizes(monkeypatch)
         oracle_solve(problem)
         assert max(gram_sizes) > problem.D.m * problem.D.n  # the bordered matrix B
