@@ -125,7 +125,9 @@ def _cmd_verify(args):
         raise ValueError(f"--tol must be a non-negative finite number, got {args.tol}")
     loaded = fileio.read_problem(args.problem)
     opts = _merge_options(loaded.options, args)
-    result = oracle_solve(loaded.problem)  # first: it refuses an oversized problem at once
+    # First: the dense routes refuse an oversized problem at once; symmetric
+    # factors take the spectral route, which has no size cap.
+    result = oracle_solve(loaded.problem)
     outcome = solve_min_norm(loaded.problem, opts)
     solver_consistent = outcome.status == Status.CONVERGED
     verdicts_agree = solver_consistent == result.consistent

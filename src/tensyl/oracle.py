@@ -4,10 +4,12 @@ The tensor equation A *_M X + X *_N C = D unfolds through psi to the
 matrix Sylvester equation psi(A) Xm + Xm psi(C) = psi(D), whose Kronecker
 lift is K x = d with K = I_n (x) psi(A) + psi(C)^T (x) I_m and d the
 column-major vectorization of psi(D), which is ``D.data`` itself.  Its
-minimum-norm least-squares solution takes one of two dense LAPACK routes
-through numpy, none sharing code with the iterative solver, and one call,
-``min_norm_lstsq(problem)``, lifts K and picks the route from the factors:
+minimum-norm least-squares solution takes one of three routes through
+numpy, none sharing code with the iterative solver, and one call,
+``min_norm_lstsq(problem)``, picks the route from the factors:
 
+- the spectral route, tried first, which needs no lift, for factors that
+  are both symmetric up to rounding (below);
 - a certified LU solve (``numpy.linalg.solve``) of the bordered matrix
   B = [[K, 2^e W], [2^e Z^T, 0]] with r >= 0 border columns (B = K when
   r = 0), when B is proven nonsingular.  When both factors have null
@@ -25,46 +27,60 @@ through numpy, none sharing code with the iterative solver, and one call,
 - otherwise SVD-based least squares on K (``numpy.linalg.lstsq``, LAPACK
   gelsd).
 
-The border, ``_border``, comes first and takes one SVD of each factor.
-B is then proven nonsingular by one of two proofs, and gelsd takes the
-rest.  The factor bound, ``_factor_bound``, costs O(m^3 + n^3), and the
-Gram certificate, ``_certified_nonsingular``, tried only when the factor
-bound fails, completes a Cholesky factorization of B^T B shifted down by
-``CERTIFICATE_SHIFT`` ||B||_F^2, at O((mn)^3) cost.
+The spectral route.  For symmetric psi(A) = Q Lambda Q^T and psi(C) = P M
+P^T, K = (P (x) Q)(I (x) Lambda + M (x) I)(P (x) Q)^T, so K's singular
+values are the |lambda_i + mu_j|, and the min-norm solution is X = Q Y P^T
+with Y_ij = (Q^T psi(D) P)_ij / (lambda_i + mu_j) where |lambda_i + mu_j|
+exceeds gelsd's cut, ``DEFAULT_RANK_TOL`` times the largest, and Y_ij = 0
+elsewhere; the rank is the number of sums kept (Golub, Nash & Van Loan,
+IEEE Trans. Autom. Control 24(6), 1979; Simoncini, SIAM Review 58(3), 2016,
+section 4).  It costs two ``eigh`` calls, O(m^3 + n^3), and the size cap
+``DEFAULT_SIZE_CAP``, a cap on the lift, binds only the dense routes.  It is
+taken when ||f - f^T||_F <= ``SYMMETRY_TOL`` u ||f||_F for both factors f,
+u the unit roundoff, and solves with their symmetric parts.  Dropping the
+skew parts moves K by E = I (x) skew(psi(A)) + skew(psi(C))^T (x) I, with
+||E||_F <= 8 u U for U = sqrt(n) ||psi(A)||_F + sqrt(m) ||psi(C)||_F.  As
+||K||_F^2 = n ||psi(A)||_F^2 + m ||psi(C)||_F^2 + 2 tr psi(A) tr psi(C),
+that is at most 8 sqrt(2) u ||K||_F when the traces do not cancel, as for
+semidefinite pairs: far inside gelsd's own backward error, a gamma_{cN^2}
+multiple of ||K||_F for Householder-based least squares (Higham, Accuracy
+and Stability of Numerical Algorithms, Thm 20.3), and of the order of the
+``eigh`` backward error the route pays anyway.  SYMMETRY_TOL = 16 admits
+the factors built as Q diag(d) Q^T, which read 0.5-1.1 u at orders 9-16
+and 2.2 u at order 1024, and refuses I + G, G a scaled Gaussian, which
+reads 0.4-0.7 (not times u), by 14 decades.  A sum whose distance from the
+cut is below its rounding allowance, the ``eigh`` error, the skew parts and
+the rounding of K's diagonal sums, could be counted otherwise by gelsd, so
+it sends the problem to the dense routes.
+
+The dense routes.  B is proven nonsingular by one of two proofs, and gelsd
+takes the rest.  The factor bound, ``_factor_bound``, costs O(m^3 + n^3)
+and comes first; the border, ``_border``, which takes one SVD of each
+factor, and the Gram certificate, ``_certified_nonsingular``, follow only
+when it fails.  The certificate completes a Cholesky factorization of B^T B
+shifted down by ``CERTIFICATE_SHIFT`` ||B||_F^2, at O((mn)^3) cost.
 
 The factor bound.  K's symmetric part H = I (x) S_a + S_c (x) I (S the
 symmetric part of a factor) has the sums lambda_i(S_a) + mu_j(S_c) as its
-eigenvalues.  Let low be the (r+1)-th smallest sum, less a rounding
-allowance.  On the span of H's eigenvectors for the other N - r sums, N =
-mn, x^T K x = x^T H x >= low ||x||^2, so ||K x|| >= low ||x|| there and
-Courant-Fischer gives sigma_{N-r}(K) >= low; -K and minus the (r+1)-th
-largest sum serve as well (Horn & Johnson, Topics in Matrix Analysis,
-1991, sections 1.2 and 4.4).  With r = 0 that is sigma_min(B) >= low.  With
-a border of scale s = 2^e, let eps bound ||K Z||_2 and ||K^T W||_2, so
-sigma_{N-r+1}(K) <= eps, and let K_0 be K with its r smallest singular
-values set to zero, V_1 and U_1 its right and left singular vectors for
-the others and V_2 and U_2 its null spaces.  ||K Z|| >= sigma_{N-r}(K)
-||V_1^T Z|| gives ||V_1^T Z|| <= q = eps / low, and ||U_1^T W|| <= q
-likewise.  Replacing K by K_0, Z by V_2 V_2^T Z and W by U_2 U_2^T W moves
-B by at most eps + 2 s q, and leaves a matrix whose singular values are
-K_0's nonzero ones, at least low, and s times those of V_2^T Z and U_2^T
-W, at least s sqrt(1 - q^2).  So, by Weyl's inequality, sigma_min(B) >=
-min(low, s sqrt(1 - q^2)) - eps - 2 s q.  The proof holds when that
-exceeds 2 tau sqrt(U^2 + 2 r s^2) >= 2 tau ||B||_F, with tau^2 =
-``CERTIFICATE_SHIFT`` and U >= ||K||_F, so sigma_min(B)^2 > 4 tau^2
-||B||_F^2.  The Gram certificate
-would then have completed too: its shifted matrix has smallest eigenvalue
-at least 3 tau^2 ||B||_F^2 and diagonal at most ||B||_F^2, far above the
-2e-12 ||B||_F^2 rounding of its product and the (N + r) gamma_{N+r+1} <=
-8e-9 relative bound under which Cholesky completes (Demmel; Higham, Accuracy
-and Stability of Numerical Algorithms, Thm 10.7).  Either proof takes the
-same LU solve, so the route and every output byte are those of the Gram
+eigenvalues.  Let low be the smallest sum, or minus the largest, less a
+rounding allowance.  Then |x^T K x| = |x^T H x| >= low ||x||^2, so
+sigma_min(K) >= low (Horn & Johnson, Topics in Matrix Analysis, 1991,
+sections 1.2 and 4.4).  The proof holds when low exceeds 2 tau U >= 2 tau
+||K||_F, with tau^2 = ``CERTIFICATE_SHIFT``, so sigma_min(K)^2 > 4 tau^2
+||K||_F^2.  That rules out a border, which needs sigma_min(K) <= ||K Z||_2
+<= 1e-10 ||K||_F, and the Gram certificate of K would have completed too:
+its shifted matrix has smallest eigenvalue at least 3 tau^2 ||K||_F^2 and
+diagonal at most ||K||_F^2, far above the 2e-12 ||K||_F^2 rounding of its
+product and the N gamma_{N+1} <= 8e-9 relative bound under which Cholesky
+completes (Demmel; Higham, Thm 10.7).  Either proof takes the same LU
+solve, so the route and every output byte are those of the Gram
 certificate alone.
 
 Its norms are ``tensor._norm``, whose squares neither overflow nor underflow,
-both proofs scale their matrices by the power of two of ``tensor._exponent``,
-as do the null-space test and the border, and the lift, the solution and the
-residual run through ``tensor._checked``.
+the spectral route, the factor bound and the certificate scale their
+matrices by the power of two of ``tensor._exponent``, as do the null-space
+test and the border, and the lift, the solution and the residual run
+through ``tensor._checked``.
 """
 
 from dataclasses import dataclass
@@ -79,10 +95,13 @@ DEFAULT_RANK_TOL = 1.0e-10
 # tau^2 of the nonsingularity certificate: a completed Cholesky proves
 # sigma_min(K)^2 > (tau^2 - 1e-12) ||K||_F^2 up to the size cap.
 CERTIFICATE_SHIFT = 1.0e-8
+# c of the spectral route's symmetry test ||f - f^T||_F <= c u ||f||_F (module docstring).
+SYMMETRY_TOL = 16
 
 
 class SizeCapError(ValueError):
-    """Unfolded system larger than the dense-solve cap, DEFAULT_SIZE_CAP unknowns."""
+    """Unfolded system larger than the dense routes' cap, DEFAULT_SIZE_CAP
+    unknowns; the spectral route has no cap."""
 
 
 @dataclass(frozen=True)
@@ -139,47 +158,65 @@ def _certified_nonsingular(K):
     return True
 
 
-def _factor_bound(a, c, system):
-    """A lower bound on sigma_min(B) / sqrt(U^2 + 2 r s^2), at most
-    sigma_min(B) / ||B||_F, from two symmetric eigenproblems of orders m and
-    n on the factors a = psi(A) and c = psi(C) of K.  ``system`` is what
-    ``_border`` returns: B = [[K, s W], [s Z^T, 0]] with r columns each and
-    s = 2^e for e = ``tensor._exponent(K)``, or K itself (r = 0, s = 0).
-
-    K's symmetric part has the sums of the eigenvalues of S_a = (a + a^T) / 2
-    and S_c = (c + c^T) / 2 as its own.  low is the (r+1)-th smallest sum or
-    minus the (r+1)-th largest, whichever is larger (infinite when r = mn,
-    the zero operator), less an allowance for eigvalsh's backward error, (m +
-    n) u (||S_a||_F + ||S_c||_F), and for the rounded diagonal sums a_kk +
-    c_ll of K, u max |K_ii|, so that sigma_{N-r}(K) >= low (module
-    docstring).  U = sqrt(n) ||a||_F + sqrt(m) ||c||_F >= ||K||_F.  Without a
-    border the bound is low / U.  With one, eps = ``DEFAULT_RANK_TOL`` U
-    bounds ||K Z||_2 and ||K^T W||_2: ``_border`` tested ||K Z||_F <=
-    ``DEFAULT_RANK_TOL`` ||K||_F / sqrt(N), and the rounding of that product
-    adds at most N^(3/2) u ||K||_F <= 3e-11 ||K||_F.  Then sigma_min(B) >=
-    min(low, s sqrt(1 - q^2)) - eps - 2 s q with q = eps / low, or with q = 1,
-    a bound below zero, when low <= eps.  Both factors are first scaled by
-    one 2^-f, f the ``tensor._exponent`` of their entries together, and s
-    with them, so the bound does not depend on the scale of (A, C), and U is
-    at least 1/2, even next to a zero factor.
-    """
+def _scaled(a, c):
+    """a and c times one 2^-f, f the ``tensor._exponent`` of their entries
+    together, their symmetric parts S_a and S_c, and f: what is computed
+    from them does not depend on the scale of (A, C), and the larger factor
+    keeps an entry of at least 1/2, even next to a zero one."""
     f = tc._exponent(np.concatenate((a, c), axis=None))
     a, c = np.ldexp(a, -f), np.ldexp(c, -f)
-    sym_a, sym_c = 0.5 * (a + a.T), 0.5 * (c + c.T)
-    sums = np.sort(np.add.outer(np.linalg.eigvalsh(sym_a), np.linalg.eigvalsh(sym_c)), axis=None)
-    m, n = len(a), len(c)
-    r = len(system) - m * n
+    return a, c, 0.5 * (a + a.T), 0.5 * (c + c.T), f
+
+
+def _allowance(a, c, sym_a, sym_c):
+    """The rounding allowance of an eigenvalue sum of S_a and S_c, the
+    symmetric parts of a and c, as an eigenvalue of K's symmetric part:
+    eigh's backward error, (m + n) u (||S_a||_F + ||S_c||_F), and the
+    rounding of K's diagonal sums a_kk + c_ll, u max |K_ii|."""
     u = np.finfo(np.float64).eps / 2
-    allowance = u * ((m + n) * (np.linalg.norm(sym_a) + np.linalg.norm(sym_c))
-                     + np.abs(a.diagonal()).max() + np.abs(c.diagonal()).max())
-    low = (max(sums[r], -sums[-1 - r]) if r < m * n else np.inf) - allowance
-    bound = np.sqrt(n) * np.linalg.norm(a) + np.sqrt(m) * np.linalg.norm(c)
-    s = 0.0
-    if r:
-        s, eps = np.ldexp(1.0, tc._exponent(system[: m * n, : m * n]) - f), DEFAULT_RANK_TOL * bound
-        q = eps / low if low > eps else 1.0
-        low = min(low, s * np.sqrt(1.0 - q * q)) - eps - 2.0 * s * q
-    return low / np.hypot(bound, np.sqrt(2 * r) * s)
+    return u * ((len(a) + len(c)) * (np.linalg.norm(sym_a) + np.linalg.norm(sym_c))
+                + np.abs(a.diagonal()).max() + np.abs(c.diagonal()).max())
+
+
+def _spectral(a, c, d):
+    """(X, rank), the min-norm solution of a X + X c = d and its rank from
+    the eigendecompositions of the symmetric parts of a = psi(A) and c =
+    psi(C) (module docstring), or None when a factor f has ||f - f^T||_F >
+    ``SYMMETRY_TOL`` u ||f||_F, or when a sum lies within its allowance of
+    the cut: ``_allowance`` plus ||skew(a)||_2 + ||skew(c)||_2, which
+    bounds how far K's singular values lie from the sums.  d is scaled by
+    2^-e, e = ``tensor._exponent(d)``, like the factors, so that only an
+    X beyond the double range overflows, as an ArithmeticError."""
+    a, c, sym_a, sym_c, f = _scaled(a, c)
+    skew = np.linalg.norm(a - a.T), np.linalg.norm(c - c.T)
+    u = np.finfo(np.float64).eps / 2
+    if any(s > SYMMETRY_TOL * u * np.linalg.norm(g) for s, g in zip(skew, (a, c))):
+        return None
+    (lam, q), (mu, p) = np.linalg.eigh(sym_a), np.linalg.eigh(sym_c)
+    sums = np.add.outer(lam, mu)
+    cut = DEFAULT_RANK_TOL * np.abs(sums).max()
+    if (np.abs(np.abs(sums) - cut) < _allowance(a, c, sym_a, sym_c) + 0.5 * sum(skew)).any():
+        return None
+    keep = np.abs(sums) > cut
+    e = tc._exponent(d)
+    x = tc._checked("least-squares solution", lambda: np.ldexp(
+        q @ np.divide(q.T @ np.ldexp(d, -e) @ p, sums, out=np.zeros_like(sums), where=keep) @ p.T, e - f))
+    return x, int(np.count_nonzero(keep))
+
+
+def _factor_bound(a, c):
+    """A lower bound on sigma_min(K) / U, U = sqrt(n) ||a||_F + sqrt(m)
+    ||c||_F >= ||K||_F, from two symmetric eigenproblems of orders m and n on
+    the factors a = psi(A) and c = psi(C) of K, scaled by ``_scaled``.  K's
+    symmetric part has the sums of the eigenvalues of S_a = (a + a^T) / 2
+    and S_c = (c + c^T) / 2 as its own, and low, the smallest sum or minus
+    the largest, whichever is larger, less ``_allowance``, bounds
+    sigma_min(K) (module docstring).  The bound is low / U, and it does not
+    depend on the scale of (A, C)."""
+    a, c, sym_a, sym_c, _ = _scaled(a, c)
+    sums = np.add.outer(np.linalg.eigvalsh(sym_a), np.linalg.eigvalsh(sym_c))
+    low = max(sums.min(), -sums.max()) - _allowance(a, c, sym_a, sym_c)
+    return low / (np.sqrt(len(c)) * np.linalg.norm(a) + np.sqrt(len(a)) * np.linalg.norm(c))
 
 
 def _border(K, a, c):
@@ -217,23 +254,32 @@ def min_norm_lstsq(problem):
     ``problem``; returns (x, residual, rank).
 
     This is where the route is picked (module docstring).  The factors
-    psi(A) and psi(C) are read from the problem, and ``_border`` borders K
-    into B with r columns (B = K and r = 0 without a border).  A B proven
-    nonsingular by the factors, when ``_factor_bound`` exceeds 2 tau, or
-    else by ``_certified_nonsingular``, gives x by one LU solve of B [x; y]
-    = [D.data; 0], with numerical rank mn - r.  K's own
-    certificate is not tried on a bordered K, since it cannot complete when
-    sigma_min(K) <= ||K Z||.  Every other K goes to LAPACK's SVD-based least
-    squares (gelsd): the numerical rank counts the singular values above
-    ``DEFAULT_RANK_TOL`` times the largest, and the smaller ones are treated
-    as zero.  An overflowed solution or residual is an ArithmeticError
-    naming it.
+    psi(A) and psi(C) are read from the problem.  When both are symmetric up
+    to rounding and no eigenvalue sum lies too close to the cut,
+    ``_spectral`` gives x and its rank with no lift, at any size, and the
+    residual is ||psi(A) X + X psi(C) - psi(D)||.  Every other problem is
+    lifted to K, which ``unfold_system`` refuses above the size cap.  A K
+    proven nonsingular by ``_factor_bound``, when it exceeds 2 tau, gives x
+    by one LU solve of K x = D.data.  Otherwise ``_border`` borders K into B
+    with r columns (B = K and r = 0 without a border), and a B proven
+    nonsingular by ``_certified_nonsingular`` gives x by one LU solve of B
+    [x; y] = [D.data; 0], with numerical rank mn - r.  Every other K goes to
+    LAPACK's SVD-based least squares (gelsd): the numerical rank counts the
+    singular values above ``DEFAULT_RANK_TOL`` times the largest, and the
+    smaller ones are treated as zero.  An overflowed solution or residual is
+    an ArithmeticError naming it.
     """
+    a, c, d = tc.psi(problem.A), tc.psi(problem.C), tc.psi(problem.D)
+    spectral = _spectral(a, c, d)
+    if spectral is not None:
+        x, rank = spectral
+        residual = tc._checked("least-squares residual", lambda: a @ x + x @ c - d)
+        return x.ravel(order="F"), tc._norm(residual), rank
     K, rhs = unfold_system(problem), problem.D.data
-    a, c = tc.psi(problem.A), tc.psi(problem.C)
     n = len(K)
-    system = _border(K, a, c)
-    if _factor_bound(a, c, system) > 2.0 * np.sqrt(CERTIFICATE_SHIFT) or _certified_nonsingular(system):
+    proven = _factor_bound(a, c) > 2.0 * np.sqrt(CERTIFICATE_SHIFT)
+    system = K if proven else _border(K, a, c)
+    if proven or _certified_nonsingular(system):
         r = len(system) - n
         x, rank = np.linalg.solve(system, np.concatenate((rhs, np.zeros(r))))[:n], n - r
     else:
@@ -243,7 +289,7 @@ def min_norm_lstsq(problem):
 
 
 def oracle_solve(problem):
-    """Consistency verdict and min-norm solution from the dense unfolding."""
+    """Consistency verdict and min-norm solution from ``min_norm_lstsq``."""
     D = problem.D
     x, residual, rank = min_norm_lstsq(problem)
     tol = DEFAULT_RANK_TOL * tc._norm(D.data) * D.m * D.n

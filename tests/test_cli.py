@@ -486,8 +486,10 @@ class TestShellEntryPoint:
 
     @pytest.mark.parametrize("command", ["oracle", "verify"])
     def test_overflowing_lift_is_one_error_line(self, tmp_path, command):
-        # Every entry is finite, but the Kronecker lift 1e308 I + 1e308 I is not.
-        a, c = tc.scale(1.0e308, tc.identity((2,))), tc.DenseTensor((1,), (1,), [1.0e308])
+        # Every entry is finite, but the Kronecker lift's diagonal 1e308 + 1e308 is not; the
+        # off-diagonal entry keeps psi(A) nonsymmetric, so the oracle lifts K.
+        a = tc.psi_inverse(np.array([[1.0e308, 1.0e308], [0.0, 1.0e308]]), (2,), (2,))
+        c = tc.DenseTensor((1,), (1,), [1.0e308])
         problem = SylvesterProblem(a, c, tc.DenseTensor((2,), (1,), [1.0, 1.0]))
         path = tmp_path / "lift.json"
         fileio.write_problem(path, problem)

@@ -10,6 +10,7 @@ from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.oracle import (
     CERTIFICATE_SHIFT,
     DEFAULT_RANK_TOL,
+    SYMMETRY_TOL,
     SizeCapError,
     _border,
     _certified_nonsingular,
@@ -84,7 +85,9 @@ def _prescribed(rng, sigma):
 
 
 def _fallbacks(rng):
-    """Matrices that must go to gelsd: no Cholesky certificate."""
+    """Matrices that must go to gelsd: no Cholesky certificate.  The zero ones
+    lift from the symmetric factors -I and [[1]], whose eigenvalue sums cancel
+    to the cut 0 itself, so the spectral route passes them on."""
     m = rng.uniform(-1.0, 1.0, (8, 8))
     v = rng.uniform(-1.0, 1.0, 8)
     v /= np.linalg.norm(v)
@@ -122,9 +125,11 @@ class TestRoutes:
 
     @pytest.mark.parametrize("certified", [True, False], ids=["lu", "gelsd"])
     def test_overflowed_solution_is_named(self, certified):
-        # Finite K = diag(2^-1000, 2^-1000 or 0) and rhs whose solution 1e300 * 2^1000
-        # overflows, on either route; psi(C) = [[2^-1000]] keeps the singular K unbordered.
-        problem = _lifted(np.diag([2.0**-1000, 2.0**-1000 if certified else 0.0]), [1.0e300, 1.0], c=2.0**-1000)
+        # Finite K = [[t, t], [0, t or 0]], t = 2^-1000, and rhs whose solution, about 1e300 * 2^1000,
+        # overflows on either route; the off-diagonal t keeps psi(A) off the spectral route, and
+        # psi(C) = [[t]] keeps the singular K unbordered.
+        t = 2.0**-1000
+        problem = _lifted(np.array([[t, t], [0.0, t if certified else 0.0]]), [1.0e300, 1.0], c=t)
         assert _route(problem) == ("factors" if certified else "gelsd")
         with pytest.raises(ArithmeticError, match="^least-squares solution overflowed the double range$"):
             min_norm_lstsq(problem)
@@ -160,16 +165,18 @@ TWO_TAU = 2.0 * np.sqrt(CERTIFICATE_SHIFT)
 
 
 def _route(problem):
-    """The route ``oracle_solve`` takes.  K is bordered when both factors have
-    null spaces that K annihilates; then "factors" when the factors prove K
-    nonsingular and "bordered-factors" when they prove the bordered matrix,
-    else "K" or "bordered" when the Gram certificate proves it, and "gelsd"
-    when it fails."""
-    K = unfold_system(problem)
+    """The route ``oracle_solve`` takes: "spectral" when both factors are
+    symmetric and no eigenvalue sum lies near the cut; else "factors" when
+    the factors prove K nonsingular; else, with K bordered when both factors
+    have null spaces that K annihilates, "K" or "bordered" when the Gram
+    certificate proves it, and "gelsd" when it fails."""
     a, c = tc.psi(problem.A), tc.psi(problem.C)
+    if oracle._spectral(a, c, tc.psi(problem.D)) is not None:
+        return "spectral"
+    if _factor_bound(a, c) > TWO_TAU:
+        return "factors"
+    K = unfold_system(problem)
     system = _border(K, a, c)
-    if _factor_bound(a, c, system) > TWO_TAU:
-        return "factors" if system is K else "bordered-factors"
     if not _certified_nonsingular(system):
         return "gelsd"
     return "K" if system is K else "bordered"
@@ -180,21 +187,23 @@ def _lstsq_answer(problem):
     D = problem.D
     K = unfold_system(problem)
     x, _, rank, _ = np.linalg.lstsq(K, D.data, rcond=DEFAULT_RANK_TOL)
-    tol = DEFAULT_RANK_TOL * np.linalg.norm(D.data) * D.m * D.n
-    return np.linalg.norm(K @ x - D.data) <= tol, rank, x
+    tol = DEFAULT_RANK_TOL * tc._norm(D.data) * D.m * D.n
+    return tc._norm(K @ x - D.data) <= tol, rank, x
 
 
-def _laplacian(k):
-    """Neumann path Laplacian: tridiagonal (-1, 2, -1) with both end entries 1, null space the constants."""
+def _laplacian(k, skew=0.0):
+    """Neumann path Laplacian: tridiagonal (-1, 2, -1) with both end entries 1, null space the constants;
+    plus ``skew`` times the periodic convection S - S^T (S the cyclic shift, k >= 3), which keeps the
+    constants as its null space on either side and its symmetric part."""
     lap = 2.0 * np.eye(k) - np.eye(k, k, 1) - np.eye(k, k, -1)
     lap[0, 0] = lap[-1, -1] = 1.0
-    return lap
+    return lap + skew * (np.roll(np.eye(k), 1, axis=1) - np.roll(np.eye(k), -1, axis=1))
 
 
-def _laplacian_problem(rng, m, n, consistent):
-    """A = L_m and C = L_n; D = L(X) for a random X, plus a constant block when inconsistent,
-    which the left null space (the constants) sees."""
-    a, c = tc.psi_inverse(_laplacian(m), (m,), (m,)), tc.psi_inverse(_laplacian(n), (n,), (n,))
+def _laplacian_problem(rng, m, n, consistent, skew=0.0):
+    """A = L_m, convected by ``skew``, and C = L_n; D = L(X) for a random X, plus a constant block
+    when inconsistent, which the left null space (the constants) sees."""
+    a, c = tc.psi_inverse(_laplacian(m, skew), (m,), (m,)), tc.psi_inverse(_laplacian(n), (n,), (n,))
     d = apply_operator(a, c, random_tensor(rng, (m,), (n,)))
     if not consistent:
         d = tc.add(d, tc.psi_inverse(np.ones((m, n)), (m,), (n,)))
@@ -211,6 +220,18 @@ def _skew_block_problem():
     return _lift(a, _laplacian(3), np.arange(1.0, 13.0).reshape(4, 3))
 
 
+def _within_gelsd_error(problem, got, rank, x, floor):
+    """Whether ``got`` lies within gelsd's own error bound of its solution x,
+    N u kappa (2 + kappa ||r|| / (sigma_1 ||x||)) (Wedin, BIT 13, 1973), kappa =
+    sigma_1 / sigma_rank, or within ``floor``, relative to ||x||."""
+    K = unfold_system(problem)
+    s = np.linalg.svd(K, compute_uv=False)
+    kappa, u = s[0] / s[rank - 1], np.finfo(float).eps / 2
+    residual = tc._norm(K @ x - problem.D.data)
+    bound = len(K) * u * kappa * (2 + kappa * residual / (s[0] * tc._norm(x)))
+    return tc._norm(got - x) <= max(bound, floor) * tc._norm(x)
+
+
 def _factor_singular_problems():
     problems = []
     for seed in range(10):
@@ -222,30 +243,26 @@ def _factor_singular_problems():
 
 class TestBorderedRoute:
     def test_matches_gelsd_wherever_certified(self):
-        # gelsd's own error is bounded by N u kappa (2 + kappa ||r|| / (sigma_1 ||x||)) (Wedin, BIT 13,
-        # 1973), kappa = sigma_1 / sigma_rank; it reaches 1.8e-9 on these problems, where the bordered
+        # gelsd's own error bound reaches 1.8e-9 on these problems, where the bordered
         # solution stays within 1.5e-10 of a 40-digit SVD reference.
         taken = 0
         for problem in _factor_singular_problems():
-            if _route(problem) not in ("bordered", "bordered-factors"):
+            if _route(problem) != "bordered":
                 continue
             taken += 1
             result = oracle_solve(problem)
             consistent, rank, x = _lstsq_answer(problem)
             assert (result.consistent, result.numerical_rank) == (consistent, rank)
-            K = unfold_system(problem)
-            s = np.linalg.svd(K, compute_uv=False)
-            kappa, u = s[0] / s[rank - 1], np.finfo(float).eps / 2
-            residual = np.linalg.norm(K @ x - problem.D.data)
-            bound = len(K) * u * kappa * (2 + kappa * residual / (s[0] * np.linalg.norm(x)))
-            assert np.linalg.norm(result.min_norm_solution.data - x) <= max(bound, 1e-9) * np.linalg.norm(x)
+            assert _within_gelsd_error(problem, result.min_norm_solution.data, rank, x, 1e-9)
         assert taken >= 100  # of the 120 problems
 
     @pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
     @pytest.mark.parametrize("m, n", [(12, 9), (16, 16)])
     def test_neumann_laplacians(self, rng, m, n, consistent):
-        problem = _laplacian_problem(rng, m, n, consistent)
-        assert _route(problem) == "bordered-factors"
+        # L_m convected, so that the factors are not both symmetric: the Gram
+        # certificate proves the bordered matrix (r = 1).
+        problem = _laplacian_problem(rng, m, n, consistent, skew=0.5)
+        assert _route(problem) == "bordered"
         result = oracle_solve(problem)
         want_consistent, rank, x = _lstsq_answer(problem)
         assert (result.consistent, result.numerical_rank) == (consistent, m * n - 1)
@@ -253,10 +270,10 @@ class TestBorderedRoute:
         assert np.linalg.norm(result.min_norm_solution.data - x) <= 1e-10 * np.linalg.norm(x)
 
     def test_64x64_neumann_laplacians_stay_on_gelsd(self, rng):
-        # sigma_{N-1}(K) = 0.0024 at N = 4096: 0.035 of the factor bound's
-        # threshold, and below what the Gram certificate proves.  The route is
-        # checked; gelsd itself, unchanged, takes about 18 s at this size.
-        assert _route(_laplacian_problem(rng, 64, 64, False)) == "gelsd"
+        # L_64 convected, off the spectral route: sigma_{N-1}(K) is below what
+        # the Gram certificate proves at N = 4096.  The route is checked; gelsd
+        # itself takes about 18 s at this size.
+        assert _route(_laplacian_problem(rng, 64, 64, False, skew=0.5)) == "gelsd"
 
     def test_indefinite_operators_keep_their_routes(self):
         # The reference problem; random_inconsistent factors, whose eigenvalue
@@ -289,15 +306,16 @@ class TestBorderedRoute:
         [
             # lambda(A) + mu(C) = 1 + (-1) = 0 makes K singular, yet neither factor has a null space.
             ([1.0, 2.0], [-1.0, 3.0]),
-            # Both factors have a null space by the 1e-10 rule, but ||K Z||_F = 1.8e-10 exceeds the
-            # bound 1e-10 ||K||_F / sqrt(4) = 1.22e-10, so the border is refused.
+            # Both factors have a null space by the 1e-10 rule, but ||K Z||_F exceeds the bound
+            # 1e-10 ||K||_F / sqrt(4), so the border is refused.
             ([1.0, 9.0e-11], [1.0, 9.0e-11]),
         ],
         ids=["regular-factors", "border-refused"],
     )
     def test_unbordered_singular_k_keeps_gelsd_bytes(self, a_diag, c_diag):
-        a = tc.psi_inverse(np.diag(a_diag), (2,), (2,))
-        c = tc.psi_inverse(np.diag(c_diag), (2,), (2,))
+        # Upper-triangular factors with these diagonals, off the spectral route.
+        a = tc.psi_inverse(np.diag(a_diag) + np.eye(2, 2, 1) * 1.0e-11, (2,), (2,))
+        c = tc.psi_inverse(np.diag(c_diag) + np.eye(2, 2, 1) * 1.0e-11, (2,), (2,))
         problem = SylvesterProblem(a, c, tc.DenseTensor((2,), (2,), [1.0, 2.0, 3.0, 4.0]))
         K = unfold_system(problem)
         assert _border(K, tc.psi(a), tc.psi(c)) is K
@@ -317,18 +335,21 @@ class TestBorderedRoute:
             assert (got.consistent, got.numerical_rank) == (want.consistent, want.numerical_rank)
 
     def test_zero_operator(self):
+        # Zero factors are symmetric; every sum is 0, the cut itself, with an allowance of 0.
         zero = tc.zeros((2, 2), (2, 2))
         problem = SylvesterProblem(zero, zero, tc.DenseTensor((2, 2), (2, 2), np.arange(1.0, 17.0)))
-        assert _route(problem) == "bordered-factors"  # r = mn: every direction is bordered off, sigma_min(B) = 1
+        assert _route(problem) == "spectral"
         result = oracle_solve(problem)
         assert result.numerical_rank == 0 and not result.consistent
         assert np.all(result.min_norm_solution.data == 0.0)
+        assert result.residual_norm == np.linalg.norm(np.arange(1.0, 17.0))
 
     def test_overflowed_solution_is_named(self):
-        # K = diag(2^-1000, 0): the solution 1e300 * 2^1000 overflows on the bordered route.
-        a = tc.psi_inverse(np.diag([2.0**-1000, 0.0]), (2,), (2,))
+        # K = [[t, t], [0, 0]], t = 2^-1000, bordered by psi(C) = 0: the solution, about 1e300 * 2^999,
+        # overflows on the bordered route.
+        a = tc.psi_inverse(np.array([[2.0**-1000, 2.0**-1000], [0.0, 0.0]]), (2,), (2,))
         problem = SylvesterProblem(a, tc.zeros((1,), (1,)), tc.DenseTensor((2,), (1,), [1.0e300, 1.0]))
-        assert _route(problem) == "bordered-factors"
+        assert _route(problem) == "bordered"
         with pytest.raises(ArithmeticError, match="^least-squares solution overflowed the double range$"):
             oracle_solve(problem)
 
@@ -356,51 +377,13 @@ def _lift(a, c, d=None):
 
 
 def _factor_proof(a, c):
-    """Whether the factors prove nonsingular the lift of (a, c), bordered as ``oracle_solve`` borders it."""
-    K = unfold_system(_lift(a, c))
-    return bool(_factor_bound(a, c, _border(K, a, c)) > TWO_TAU)
-
-
-def _threshold(a, c, r):
-    """The (r+1)-th eigenvalue sum from which the factors prove the lift of
-    (a, c) with r border columns, by the module docstring's bound: the root L
-    of L - eps - 2 s eps / L = 2 tau sqrt(U^2 + 2 r s^2) (eps = 0 and s = 0
-    when r = 0), plus the allowance, computed here without the scaling."""
-    m, n = len(a), len(c)
-    bound = np.sqrt(n) * np.linalg.norm(a) + np.sqrt(m) * np.linalg.norm(c)
-    s = np.ldexp(1.0, tc._exponent(unfold_system(_lift(a, c)))) if r else 0.0
-    eps = DEFAULT_RANK_TOL * bound if r else 0.0
-    t = TWO_TAU * np.sqrt(bound**2 + 2 * r * s**2) + eps
-    low = (t + np.sqrt(t * t + 8.0 * s * eps)) / 2
-    assert low < s * np.sqrt(1.0 - (eps / low) ** 2) or not r  # the min in the bound is low
-    return low + _allowance(a, c)
-
-
-def _allowance(a, c):
-    """The factor bound's rounding allowance, by its docstring."""
-    sym_a, sym_c = (a + a.T) / 2, (c + c.T) / 2
-    return np.finfo(float).eps / 2 * ((len(a) + len(c)) * (np.linalg.norm(sym_a) + np.linalg.norm(sym_c))
-                                      + np.abs(np.diag(a)).max() + np.abs(np.diag(c)).max())
+    """Whether the factors prove nonsingular the lift of (a, c)."""
+    return bool(_factor_bound(a, c) > TWO_TAU)
 
 
 def _orthogonal(rng, k):
     q, r = np.linalg.qr(rng.standard_normal((k, k)))
     return q * np.sign(np.diag(r))
-
-
-def _semidefinite_at_margin(rng, m, n, nullity, ratio):
-    """Factors (a, c) built as perfbench builds its singular ones, Q diag(d) Q^T
-    with Q of k - ``nullity`` orthonormal columns and d uniform in [1, 2],
-    except that a's smallest nonzero eigenvalue is ``ratio`` times the
-    threshold for r = nullity^2 border columns, by a fixed-point iteration.
-    The (r+1)-th eigenvalue sum is that eigenvalue plus one of c's zeros."""
-    qa, qc = _orthogonal(rng, m)[:, : m - nullity], _orthogonal(rng, n)[:, : n - nullity]
-    da, dc = rng.uniform(1.0, 2.0, m - nullity), rng.uniform(1.0, 2.0, n - nullity)
-    c = (qc * dc) @ qc.T
-    for _ in range(8):
-        a = (qa * da) @ qa.T
-        da[0] = ratio * _threshold(a, c, nullity**2)
-    return (qa * da) @ qa.T, c
 
 
 def _factor_proof_is_silent(problem):
@@ -409,7 +392,7 @@ def _factor_proof_is_silent(problem):
     or gelsd alone, as the oracle did before the factor proof existed."""
     result = oracle_solve(problem)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_factor_bound", lambda a, c, system: -np.inf)
+        patch.setattr(oracle, "_factor_bound", lambda a, c: -np.inf)
         gram = oracle_solve(problem)
     return (result.consistent, result.numerical_rank, result.residual_norm,
             result.min_norm_solution.data.tobytes()) == (
@@ -435,75 +418,27 @@ class TestFactorProof:
         problem = _lift(a, c, np.ldexp(rng.uniform(-1.0, 1.0, (m, n)), k))
         K = unfold_system(problem)
         assert _border(K, a, c) is K
-        proven = _factor_bound(a, c, K) > TWO_TAU
+        proven = _factor_bound(a, c) > TWO_TAU
         assert proven == (ratio > 1.0)  # the allowance is far below 1% of the threshold
         if proven:
             assert _certified_nonsingular(K)
-        assert _factor_proof_is_silent(problem)
-
-    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        m=st.integers(3, 6),
-        n=st.integers(3, 6),
-        nullity=st.sampled_from([1, 2]),
-        ratio=st.one_of(st.floats(1.01, 10.0), st.floats(0.1, 0.99)),
-        sign=st.sampled_from([1.0, -1.0]),
-        k=st.sampled_from([0, -600, 600]),
-    )
-    def test_bordered_proof_implies_the_gram_certificate(self, seed, m, n, nullity, ratio, sign, k):
-        # Semidefinite singular factors with one or two zero eigenvalues each
-        # (r = 1 or 4 border columns), their negatives and 2^+-600 scalings, at
-        # margins around the threshold of the bordered bound; an inconsistent D.
-        rng = np.random.default_rng(seed)
-        a, c = (np.ldexp(sign * f, k) for f in _semidefinite_at_margin(rng, m, n, nullity, ratio))
-        problem = _lift(a, c, np.ldexp(rng.uniform(-1.0, 1.0, (m, n)), k))
-        K = unfold_system(problem)
-        system = _border(K, a, c)
-        assert len(system) - len(K) == nullity**2
-        proven = _factor_bound(a, c, system) > TWO_TAU
-        assert proven == (ratio > 1.0)
-        if proven:
-            assert _certified_nonsingular(system)
         assert _factor_proof_is_silent(problem)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("k", [0, -600, 600])
     @pytest.mark.parametrize("m, n", [(3, 2), (12, 9), (16, 16)])
     def test_neumann_laplacians_are_proven(self, rng, m, n, sign, k):
-        # The (r+1)-th sum is 513, 7.0 and 2.5 times its threshold (1.0, 0.068
-        # and 0.038 against 0.0020, 0.0098 and 0.015).
+        # Symmetric semidefinite singular factors, their negatives and 2^+-600
+        # scalings take the spectral route, with gelsd's rank and verdict, and
+        # its solution within gelsd's own error (1e-11 at 16 x 16, where the
+        # spectral solution is within 1.3e-13 of a 40-digit reference).
         a, c = np.ldexp(sign * _laplacian(m), k), np.ldexp(sign * _laplacian(n), k)
         problem = _lift(a, c, np.ldexp(rng.uniform(-1.0, 1.0, (m, n)), k))
-        assert _route(problem) == "bordered-factors"
-        assert _factor_proof_is_silent(problem)
-
-    @pytest.mark.parametrize("nullity", [1, 2])
-    def test_bordered_decision_at_its_threshold(self, nullity):
-        # Diagonal factors, whose eigenvalues eigvalsh returns exactly: a's
-        # smallest nonzero one is the (r+1)-th sum, set half an allowance below
-        # and above the threshold.  Neither the allowance nor the eps terms
-        # (1e-3 of the threshold here) can be left out, and the (r+2)-th sum,
-        # 1.25 with one zero of c, is far above it.
-        zeros = [0.0] * nullity
-        c = np.diag(zeros + [1.75, 1.875])
-        x = 1.0e-3
-        for _ in range(8):
-            x = _threshold(np.diag(zeros + [x, 1.25, 1.5]), c, nullity**2)
-        allowance = _allowance(np.diag(zeros + [x, 1.25, 1.5]), c)
-        decisions = []
-        for offset in (-0.5, 0.5):
-            a = np.diag(zeros + [x + offset * allowance, 1.25, 1.5])
-            bounds = []
-            for k in (0, -600, 600):
-                a_k, c_k = np.ldexp(a, k), np.ldexp(c, k)
-                K = unfold_system(_lift(a_k, c_k))
-                system = _border(K, a_k, c_k)
-                assert len(system) - len(K) == nullity**2
-                bounds.append(_factor_bound(a_k, c_k, system))
-            assert bounds[1:] == bounds[:1] * 2
-            decisions.append(bool(bounds[0] > TWO_TAU))
-        assert decisions == [False, True]
+        assert _route(problem) == "spectral"
+        result = oracle_solve(problem)
+        consistent, rank, x = _lstsq_answer(problem)
+        assert (result.consistent, result.numerical_rank) == (consistent, m * n - 1)
+        assert _within_gelsd_error(problem, result.min_norm_solution.data, rank, x, 1e-12)
 
     @pytest.mark.parametrize("k", [-600, -300, 300, 600])
     def test_decision_does_not_depend_on_scale(self, k):
@@ -512,21 +447,22 @@ class TestFactorProof:
         for seed, shift in [(0, 0.0), (0, 4.0), (3, 0.0), (3, 4.0)]:
             problem, _ = random_consistent(np.random.default_rng(seed), (2, 2), (3,), shift=shift)
             factors += [(tc.psi(problem.A), tc.psi(problem.C)), (-tc.psi(problem.A), -tc.psi(problem.C))]
-        factors += [_semidefinite_at_margin(np.random.default_rng(seed), 4, 3, nullity, ratio)
-                    for seed in range(2) for nullity in (1, 2) for ratio in (0.99, 1.01)]
         decisions = [_factor_proof(a, c) for a, c in factors]
         assert [_factor_proof(np.ldexp(a, k), np.ldexp(c, k)) for a, c in factors] == decisions
-        # Ratios 1.01 and 2, shift 4 with either sign, and the bordered ratio 1.01.
-        assert decisions.count(True) == 16
+        # Ratios 1.01 and 2, and shift 4 with either sign.
+        assert decisions.count(True) == 12
 
     @pytest.mark.parametrize("k", [0, -1000])
     def test_a_zero_factor_does_not_set_the_scale(self, k):
         # K = psi(C)^T (x) I with sigma_min / sigma_max = 1e-6: neither proof
-        # holds at any scale.  Scaled by the zero factor's exponent, 0, the
-        # squares of 2^-1000 psi(C) would underflow in U, and a threshold of
-        # zero would prove K.
+        # holds at any scale.  psi(C) = Q diag(1, 1e-6) Q^T R, R a rotation by
+        # 1e-7, is not symmetric, but its symmetric part is definite.  Scaled by
+        # the zero factor's exponent, 0, the squares of 2^-1000 psi(C) would
+        # underflow in U, and a threshold of zero would prove K.
         q = np.array([[0.6, 0.8], [-0.8, 0.6]])
-        c = np.ldexp(q @ np.diag([1.0, 1.0e-6]) @ q.T, k)
+        phi = 1.0e-7
+        r = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+        c = np.ldexp(q @ np.diag([1.0, 1.0e-6]) @ q.T @ r, k)
         problem = _lift(np.zeros((2, 2)), c, np.ldexp(np.arange(1.0, 5.0).reshape(2, 2), k))
         assert _route(problem) == "gelsd"
         result = oracle_solve(problem)
@@ -573,10 +509,11 @@ class TestUnfoldSystem:
 
 
 def _singular_with_nonsingular_factors():
-    """psi(A) = diag(1, 2, 3) and psi(C) = diag(-1, 4, 5), so K is singular by
-    1 + (-1) = 0 while neither factor is; D = L(X) for X = 1..9 as a 3 x 3 matrix."""
-    a = tc.psi_inverse(np.diag([1.0, 2.0, 3.0]), (3,), (3,))
-    c = tc.psi_inverse(np.diag([-1.0, 4.0, 5.0]), (3,), (3,))
+    """Upper-triangular psi(A) and psi(C) with diagonals (1, 2, 3) and (-1, 4, 5),
+    so K is singular by 1 + (-1) = 0 while neither factor is, and the factors
+    are not symmetric; D = L(X) for X = 1..9 as a 3 x 3 matrix."""
+    a = tc.psi_inverse(np.diag([1.0, 2.0, 3.0]) + np.triu(np.ones((3, 3)), 1), (3,), (3,))
+    c = tc.psi_inverse(np.diag([-1.0, 4.0, 5.0]) + np.triu(np.ones((3, 3)), 1), (3,), (3,))
     x = tc.psi_inverse(np.arange(1.0, 10.0).reshape(3, 3), (3,), (3,))
     return SylvesterProblem(a, c, apply_operator(a, c, x))
 
@@ -633,10 +570,9 @@ class TestOracleSolve:
             ("gelsd", lambda rng: random_inconsistent(rng, (4, 4), (4, 4))[0]),
             ("gelsd", lambda rng: _singular_with_nonsingular_factors()),
             ("factors", lambda rng: random_consistent(rng, (2, 2), (3,), shift=4.0)[0]),
-            ("bordered-factors", lambda rng: _laplacian_problem(rng, 12, 9, False)),
+            ("spectral", lambda rng: _laplacian_problem(rng, 12, 9, False)),
         ],
-        ids=["unbordered", "bordered", "uncertified-border", "nonsingular-factors", "factor-proof",
-             "bordered-factor-proof"],
+        ids=["unbordered", "bordered", "uncertified-border", "nonsingular-factors", "factor-proof", "spectral"],
     )
     def test_one_min_norm_lstsq_call_on_every_route(self, monkeypatch, route, make):
         problem = make(np.random.default_rng(0))
@@ -652,10 +588,10 @@ class TestOracleSolve:
         oracle_solve(problem)
         assert calls == [problem]
         # One Gram certificate, on K or on the bordered B and never on a factor;
-        # the factor proof replaces it.
+        # the factor proof and the spectral route replace it.
         mn = problem.D.m * problem.D.n
         assert all(size >= mn for size in gram_sizes)
-        assert len(gram_sizes) == (route not in ("factors", "bordered-factors"))
+        assert len(gram_sizes) == (route not in ("factors", "spectral"))
 
     def test_reference_problem_keeps_the_gram_route(self, monkeypatch):
         # Its symmetric part is indefinite: no factor proof.
@@ -673,3 +609,147 @@ class TestOracleSolve:
         for problem in problems:
             want, got = oracle_solve(problem), oracle_solve(scaled_problem(problem, k))
             assert (got.consistent, got.numerical_rank) == (want.consistent, want.numerical_rank)
+
+
+def _semidefinite(rng, k, nullity):
+    """Q diag(d) Q^T as perfbench builds its singular factors: Q of k -
+    ``nullity`` orthonormal columns and d uniform in [1, 2]."""
+    q = _orthogonal(rng, k)[:, : k - nullity]
+    return (q * rng.uniform(1.0, 2.0, k - nullity)) @ q.T
+
+
+def _indefinite(rng, k, low, high):
+    """Q diag(d) Q^T with |d| uniform in [low, high] and random signs."""
+    q = _orthogonal(rng, k)
+    return (q * (rng.uniform(low, high, k) * rng.choice([-1.0, 1.0], k))) @ q.T
+
+
+def _skewed(f, ratio):
+    """f made exactly symmetric, then its (0, 1) entry moved by whole ulps, so
+    that ||f - f^T||_F is about ``ratio`` times the spectral route's bound
+    ``SYMMETRY_TOL`` u ||f||_F."""
+    f = (f + f.T) / 2
+    step = np.spacing(f[0, 1])
+    f[0, 1] += round(ratio * SYMMETRY_TOL * np.finfo(float).eps / 2 * np.linalg.norm(f) / (np.sqrt(2) * step)) * step
+    return f
+
+
+def _symmetry_ratio(f):
+    return np.linalg.norm(f - f.T) / (SYMMETRY_TOL * np.finfo(float).eps / 2 * np.linalg.norm(f))
+
+
+class TestSpectralRoute:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["semidefinite", "laplacian", "indefinite"]),
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        nullity=st.integers(0, 2),
+        consistent=st.booleans(),
+        sign=st.sampled_from([1.0, -1.0]),
+        k=st.sampled_from([0, -600, 600]),
+    )
+    def test_matches_gelsd_on_the_lift(self, seed, kind, m, n, nullity, consistent, sign, k):
+        # Semidefinite factors as perfbench builds them, with nullity 0-2 (at
+        # most k - 1); Neumann Laplacians; indefinite factors whose eigenvalue
+        # sums keep |sum| >= 1; their negatives; and 2^+-600 scalings.  D is
+        # L(X) or random, inconsistent when both factors are singular.
+        rng = np.random.default_rng(seed)
+        if kind == "semidefinite":
+            a, c = _semidefinite(rng, m, min(nullity, m - 1)), _semidefinite(rng, n, min(nullity, n - 1))
+        elif kind == "laplacian":
+            m, n = max(m, 2), max(n, 2)
+            a, c = _laplacian(m), _laplacian(n)
+        else:
+            a, c = _indefinite(rng, m, 3.0, 4.0), _indefinite(rng, n, 1.0, 2.0)
+        x = rng.uniform(-1.0, 1.0, (m, n))
+        d = a @ x + x @ c if consistent else rng.uniform(-1.0, 1.0, (m, n))
+        problem = _lift(np.ldexp(sign * a, k), np.ldexp(sign * c, k), np.ldexp(d, k))
+        assert _route(problem) == "spectral"
+        result = oracle_solve(problem)
+        want_consistent, rank, want = _lstsq_answer(problem)
+        assert (result.consistent, result.numerical_rank) == (want_consistent, rank)
+        assert tc._norm(result.min_norm_solution.data - want) <= 1e-12 * tc._norm(want)
+
+    @pytest.mark.parametrize("ratio", [0.95, 1.05])
+    def test_factors_just_above_the_symmetry_bound_take_the_dense_routes(self, ratio):
+        # Semidefinite singular factors with one null vector each, whose skew
+        # parts are 0.95 or 1.05 times the bound.  Above it the Gram certificate
+        # proves the bordered matrix (r = 1), and the solution has the bytes of
+        # that LU solve, which the oracle took before the spectral route existed.
+        rng = np.random.default_rng(7)
+        a, c = _skewed(_semidefinite(rng, 5, 1), ratio), _skewed(_semidefinite(rng, 4, 1), ratio)
+        assert all((_symmetry_ratio(f) > 1.0) == (ratio > 1.0) for f in (a, c))
+        problem = _lift(a, c, rng.uniform(-1.0, 1.0, (5, 4)))
+        result = oracle_solve(problem)
+        consistent, rank, x = _lstsq_answer(problem)
+        assert (result.consistent, result.numerical_rank) == (consistent, rank) == (False, 19)
+        if ratio < 1.0:
+            assert _route(problem) == "spectral"
+            assert tc._norm(result.min_norm_solution.data - x) <= 1e-12 * tc._norm(x)
+            return
+        assert _route(problem) == "bordered"
+        B = _border(unfold_system(problem), a, c)
+        lu = np.linalg.solve(B, np.concatenate((problem.D.data, [0.0])))[:20]
+        assert result.min_norm_solution.data.tobytes() == lu.tobytes()
+
+    @pytest.mark.parametrize(
+        "offset, route, rank",
+        [(-1.0e-3, "spectral", 3), (-1.0e-7, "gelsd", 3), (1.0e-7, "gelsd", 4), (1.0e-3, "spectral", 4)],
+    )
+    def test_a_sum_within_its_allowance_of_the_cut_takes_the_dense_routes(self, offset, route, rank):
+        # psi(A) = diag(1, t), psi(C) = diag(1, 0): the sums are 2, 1 + t, 1 and t,
+        # exact from eigh, and the cut is 1e-10 * 2.  t = (1 + offset) * cut lies
+        # 1e-7 or 1e-3 of the cut away from it, inside or outside the allowance,
+        # about 5.6e-6 of it.  Inside, gelsd decides, with its own bytes.
+        t = (1.0 + offset) * DEFAULT_RANK_TOL * 2.0
+        problem = _lift(np.diag([1.0, t]), np.diag([1.0, 0.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert _route(problem) == route
+        result = oracle_solve(problem)
+        consistent, want_rank, x = _lstsq_answer(problem)
+        assert (result.consistent, result.numerical_rank) == (consistent, want_rank) == (rank == 4, rank)
+        if route == "gelsd":
+            assert result.min_norm_solution.data.tobytes() == x.tobytes()
+        else:
+            assert tc._norm(result.min_norm_solution.data - x) <= 1e-12 * tc._norm(x)
+
+    def test_nonsymmetric_semidefinite_pair_keeps_the_bordered_lu_bytes(self, rng):
+        # Convected Laplacians: nonsymmetric factors whose symmetric parts are
+        # semidefinite and whose null vectors, the constants, are shared by
+        # both sides.  The Gram certificate proves the bordered matrix, and the
+        # solution has the bytes of its LU solve.
+        a, c = _laplacian(12, skew=0.5), _laplacian(9, skew=0.25)
+        problem = _lift(a, c, rng.uniform(-1.0, 1.0, (12, 9)))
+        assert _route(problem) == "bordered"
+        B = _border(unfold_system(problem), a, c)
+        assert len(B) == 109
+        result = oracle_solve(problem)
+        lu = np.linalg.solve(B, np.concatenate((problem.D.data, [0.0])))[:108]
+        assert (result.min_norm_solution.data.tobytes(), result.numerical_rank) == (lu.tobytes(), 107)
+
+    @pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
+    def test_symmetric_factors_above_the_size_cap(self, consistent):
+        # m n = 8192 unknowns, twice the cap, on semidefinite factors with one
+        # null vector each: the null space of the operator is u v^T.
+        rng = np.random.default_rng(0)
+        a, c = _semidefinite(rng, 128, 1), _semidefinite(rng, 64, 1)
+        u, v = np.linalg.eigh(a)[1][:, 0], np.linalg.eigh(c)[1][:, 0]
+        x = rng.uniform(-1.0, 1.0, (128, 64))
+        d = a @ x + x @ c + (0.0 if consistent else np.outer(u, v))
+        result = oracle_solve(_lift(a, c, d))
+        assert (result.consistent, result.numerical_rank) == (consistent, 128 * 64 - 1)
+        want = x - (u @ x @ v) * np.outer(u, v)  # the min-norm solution
+        assert np.linalg.norm(result.min_norm_solution.data - want.ravel(order="F")) <= 1e-12 * np.linalg.norm(want)
+        with pytest.raises(SizeCapError):
+            oracle_solve(_lift(a + np.triu(np.ones((128, 128)), 1), c, d))
+
+    def test_overflowed_solution_is_named(self):
+        # psi(A) = diag(2^-1000, 0), psi(C) = 0: the solution 1e300 * 2^1000 overflows
+        # on the spectral route, which lifts nothing.
+        a = tc.psi_inverse(np.diag([2.0**-1000, 0.0]), (2,), (2,))
+        problem = SylvesterProblem(a, tc.zeros((1,), (1,)), tc.DenseTensor((2,), (1,), [1.0e300, 1.0]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "unfold_system", None)
+            with pytest.raises(ArithmeticError, match="^least-squares solution overflowed the double range$"):
+                oracle_solve(problem)
