@@ -10,20 +10,8 @@ numpy, none sharing code with the iterative solver, and one call,
 
 - the spectral route, tried first, which needs no lift, for factors that
   are both symmetric up to rounding (below);
-- a certified LU solve (``numpy.linalg.solve``) of the bordered matrix
-  B = [[K, 2^e W], [2^e Z^T, 0]] with r >= 0 border columns (B = K when
-  r = 0), when B is proven nonsingular.  When both factors have null
-  spaces, Z = null(psi(C)^T) (x) null(psi(A)) and W = null(psi(C)) (x)
-  null(psi(A)^T), r orthonormal columns each, have K Z ~ 0 and K^T W ~ 0;
-  they border K if ||K Z||_F and ||K^T W||_F are at most
-  ``DEFAULT_RANK_TOL`` ||K||_F / sqrt(mn), and otherwise r = 0.
-  B [x; y] = [d; 0] gives x, and the rank is mn - r.  K is the leading
-  block of B, so singular-value interlacing gives sigma_{mn-r}(K) >=
-  sigma_min(B) > 0.99e-4 sigma_max(B) >= 0.99e-4 sigma_1(K), while
-  sigma_{mn-r+1}(K) <= ||K Z||_2 <= 1e-10 sigma_1(K): gelsd's rank rule
-  counts exactly mn - r.  With x orthogonal to range(Z) = null(K) and K x
-  the projection of d onto range(W)^perp = range(K), x is gelsd's
-  truncated solution;
+- an LU solve (``numpy.linalg.solve``) of K x = d, with rank mn, when the
+  factor proof (below) shows K nonsingular;
 - otherwise SVD-based least squares on K (``numpy.linalg.lstsq``, LAPACK
   gelsd).
 
@@ -53,33 +41,24 @@ cut is below its rounding allowance, the ``eigh`` error, the skew parts and
 the rounding of K's diagonal sums, could be counted otherwise by gelsd, so
 it sends the problem to the dense routes.
 
-The dense routes.  B is proven nonsingular by one of two proofs, and gelsd
-takes the rest.  The factor bound, ``_factor_bound``, costs O(m^3 + n^3)
-and comes first; the border, ``_border``, which takes one SVD of each
-factor, and the Gram certificate, ``_certified_nonsingular``, follow only
-when it fails.  The certificate completes a Cholesky factorization of B^T B
-shifted down by ``CERTIFICATE_SHIFT`` ||B||_F^2, at O((mn)^3) cost.
-
-The factor bound.  K's symmetric part H = I (x) S_a + S_c (x) I (S the
+The factor proof.  K's symmetric part H = I (x) S_a + S_c (x) I (S the
 symmetric part of a factor) has the sums lambda_i(S_a) + mu_j(S_c) as its
 eigenvalues.  Let low be the smallest sum, or minus the largest, less a
 rounding allowance.  Then |x^T K x| = |x^T H x| >= low ||x||^2, so
 sigma_min(K) >= low (Horn & Johnson, Topics in Matrix Analysis, 1991,
-sections 1.2 and 4.4).  The proof holds when low exceeds 2 tau U >= 2 tau
-||K||_F, with tau^2 = ``CERTIFICATE_SHIFT``, so sigma_min(K)^2 > 4 tau^2
-||K||_F^2.  That rules out a border, which needs sigma_min(K) <= ||K Z||_2
-<= 1e-10 ||K||_F, and the Gram certificate of K would have completed too:
-its shifted matrix has smallest eigenvalue at least 3 tau^2 ||K||_F^2 and
-diagonal at most ||K||_F^2, far above the 2e-12 ||K||_F^2 rounding of its
-product and the N gamma_{N+1} <= 8e-9 relative bound under which Cholesky
-completes (Demmel; Higham, Thm 10.7).  Either proof takes the same LU
-solve, so the route and every output byte are those of the Gram
-certificate alone.
+sections 1.2 and 4.4), from two ``eigvalsh`` calls at O(m^3 + n^3).  The
+proof holds when low exceeds t U, t = ``FACTOR_PROOF_TOL`` and U =
+sqrt(n) ||psi(A)||_F + sqrt(m) ||psi(C)||_F >= ||K||_F, so that
+sigma_min(K) > t ||K||_F >= t sigma_1(K).  At t = 2e-4 that is six decades
+above gelsd's cut, ``DEFAULT_RANK_TOL`` sigma_1(K), and gelsd's backward
+error, a gamma_{cN^2} multiple of ||K||_F (Higham, Thm 20.3), moves
+sigma_min(K) by far less than t ||K||_F up to the size cap: gelsd would
+count rank mn, and the min-norm solution is K^-1 d, which one LU solve
+gives (Golub & Van Loan, Matrix Computations, 4th ed., section 5.5).
 
 Its norms are ``tensor._norm``, whose squares neither overflow nor underflow,
-the spectral route, the factor bound and the certificate scale their
-matrices by the power of two of ``tensor._exponent``, as do the null-space
-test and the border, and the lift, the solution and the residual run
+the spectral route and the factor bound scale the factors by the power of
+two of ``tensor._exponent``, and the lift, the solution and the residual run
 through ``tensor._checked``.
 """
 
@@ -92,9 +71,8 @@ from .tensor import DenseTensor
 
 DEFAULT_SIZE_CAP = 4096
 DEFAULT_RANK_TOL = 1.0e-10
-# tau^2 of the nonsingularity certificate: a completed Cholesky proves
-# sigma_min(K)^2 > (tau^2 - 1e-12) ||K||_F^2 up to the size cap.
-CERTIFICATE_SHIFT = 1.0e-8
+# t of the factor proof: low > t U proves sigma_min(K) > t sigma_1(K) (module docstring).
+FACTOR_PROOF_TOL = 2.0e-4
 # c of the spectral route's symmetry test ||f - f^T||_F <= c u ||f||_F (module docstring).
 SYMMETRY_TOL = 16
 
@@ -132,30 +110,6 @@ def unfold_system(problem):
     diagonals = blocks[:, range(m), :, range(m)]  # [i, j, l] = K[j m + i, l m + i]
     blocks[:, range(m), :, range(m)] = tc._checked("Kronecker lift", np.add, diagonals, tc.psi(problem.C).T)
     return K
-
-
-def _certified_nonsingular(K):
-    """True when a Cholesky factorization of G = K^T K - tau^2 ||K||_F^2 I
-    completes, for a square finite K and tau^2 = ``CERTIFICATE_SHIFT``.
-
-    The rounding error in G is at most (2N+3) u ||K||_F^2: gamma_N for the
-    product and gamma_{N+1} trace(G) for the Cholesky (Higham, Accuracy and
-    Stability of Numerical Algorithms, Thm 10.5; Rump, BIT 46, 2006).  Up to
-    N = 2 ``DEFAULT_SIZE_CAP``, the largest bordered matrix, that is below
-    2e-12 ||K||_F^2, so a completed factorization proves sigma_min(K) >
-    0.99e-4 sigma_max(K).  K is first scaled by 2^-e, with 2^(e-1) <= max |K|
-    < 2^e, so that K^T K cannot overflow and underflow costs at most 2^-1074
-    of the largest entry: the answer does not depend on the scale of K.
-    """
-    scaled = np.ldexp(K, -tc._exponent(K))
-    g = scaled.T @ scaled
-    del scaled  # the Cholesky factor takes its memory
-    g.flat[:: len(g) + 1] -= CERTIFICATE_SHIFT * np.trace(g)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _scaled(a, c):
@@ -212,41 +166,12 @@ def _factor_bound(a, c):
     and S_c = (c + c^T) / 2 as its own, and low, the smallest sum or minus
     the largest, whichever is larger, less ``_allowance``, bounds
     sigma_min(K) (module docstring).  The bound is low / U, and it does not
-    depend on the scale of (A, C)."""
+    depend on the scale of (A, C).  Above ``FACTOR_PROOF_TOL`` it proves
+    sigma_min(K) > 2e-4 sigma_1(K), so that gelsd would count rank mn."""
     a, c, sym_a, sym_c, _ = _scaled(a, c)
     sums = np.add.outer(np.linalg.eigvalsh(sym_a), np.linalg.eigvalsh(sym_c))
     low = max(sums.min(), -sums.max()) - _allowance(a, c, sym_a, sym_c)
     return low / (np.sqrt(len(c)) * np.linalg.norm(a) + np.sqrt(len(a)) * np.linalg.norm(c))
-
-
-def _border(K, a, c):
-    """B = [[K, 2^e W], [2^e Z^T, 0]] for Z = null(c^T) (x) null(a) and W =
-    null(c) (x) null(a^T), r orthonormal columns each with K Z ~ 0 and
-    K^T W ~ 0, from the factors a = psi(A) and c = psi(C) of K; e is
-    ``tensor._exponent(K)``.  A factor's null spaces are the trailing columns
-    of V and of U in one SVD, for the singular values at most
-    ``DEFAULT_RANK_TOL`` times the largest.  K itself when either factor has
-    no null space, or when ||K Z||_F or ||K^T W||_F exceeds ``DEFAULT_RANK_TOL``
-    ||K||_F / sqrt(N), the bound that gives sigma_{N-r+1}(K) <= 1e-10
-    sigma_1(K), tested on 2^-e K, whose products cannot overflow.  The
-    smaller factor goes first, so the larger one is decomposed only when the
-    smaller has a null space."""
-    swap = len(c) < len(a)
-    spaces = []
-    for f in (c, a) if swap else (a, c):
-        u, s, vt = np.linalg.svd(f)
-        k = np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])
-        if k == len(s):
-            return K
-        spaces.append((vt[k:].T, u[:, k:]))
-    (a_right, a_left), (c_right, c_left) = spaces[::-1] if swap else spaces
-    z, w = np.kron(c_left, a_right), np.kron(c_right, a_left)
-    e = tc._exponent(K)
-    scaled = np.ldexp(K, -e)
-    bound = DEFAULT_RANK_TOL * np.linalg.norm(scaled) / np.sqrt(len(K))
-    if max(np.linalg.norm(scaled @ z), np.linalg.norm(scaled.T @ w)) > bound:
-        return K
-    return np.block([[K, np.ldexp(w, e)], [np.ldexp(z.T, e), np.zeros((z.shape[1],) * 2)]])
 
 
 def min_norm_lstsq(problem):
@@ -259,15 +184,12 @@ def min_norm_lstsq(problem):
     ``_spectral`` gives x and its rank with no lift, at any size, and the
     residual is ||psi(A) X + X psi(C) - psi(D)||.  Every other problem is
     lifted to K, which ``unfold_system`` refuses above the size cap.  A K
-    proven nonsingular by ``_factor_bound``, when it exceeds 2 tau, gives x
-    by one LU solve of K x = D.data.  Otherwise ``_border`` borders K into B
-    with r columns (B = K and r = 0 without a border), and a B proven
-    nonsingular by ``_certified_nonsingular`` gives x by one LU solve of B
-    [x; y] = [D.data; 0], with numerical rank mn - r.  Every other K goes to
-    LAPACK's SVD-based least squares (gelsd): the numerical rank counts the
-    singular values above ``DEFAULT_RANK_TOL`` times the largest, and the
-    smaller ones are treated as zero.  An overflowed solution or residual is
-    an ArithmeticError naming it.
+    proven nonsingular by ``_factor_bound``, when it exceeds
+    ``FACTOR_PROOF_TOL``, gives x by one LU solve of K x = D.data, with rank
+    mn.  Every other K goes to LAPACK's SVD-based least squares (gelsd): the
+    numerical rank counts the singular values above ``DEFAULT_RANK_TOL``
+    times the largest, and the smaller ones are treated as zero.  An
+    overflowed solution or residual is an ArithmeticError naming it.
     """
     a, c, d = tc.psi(problem.A), tc.psi(problem.C), tc.psi(problem.D)
     spectral = _spectral(a, c, d)
@@ -276,12 +198,8 @@ def min_norm_lstsq(problem):
         residual = tc._checked("least-squares residual", lambda: a @ x + x @ c - d)
         return x.ravel(order="F"), tc._norm(residual), rank
     K, rhs = unfold_system(problem), problem.D.data
-    n = len(K)
-    proven = _factor_bound(a, c) > 2.0 * np.sqrt(CERTIFICATE_SHIFT)
-    system = K if proven else _border(K, a, c)
-    if proven or _certified_nonsingular(system):
-        r = len(system) - n
-        x, rank = np.linalg.solve(system, np.concatenate((rhs, np.zeros(r))))[:n], n - r
+    if _factor_bound(a, c) > FACTOR_PROOF_TOL:
+        x, rank = np.linalg.solve(K, rhs), len(K)
     else:
         x, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=DEFAULT_RANK_TOL)
     x = tc._checked("least-squares solution", np.asarray, x)

@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 from tensyl import oracle, tensor as tc
 from tensyl.instances import random_consistent, random_inconsistent
 from tensyl.oracle import (
-    CERTIFICATE_SHIFT,
     DEFAULT_RANK_TOL,
+    FACTOR_PROOF_TOL,
     SYMMETRY_TOL,
     SizeCapError,
-    _border,
-    _certified_nonsingular,
     _factor_bound,
     min_norm_lstsq,
     oracle_solve,
     unfold_system,
 )
-from tensyl.reference_problems import load_reference_problem
+from tensyl.reference_problems import load_nearness_problem, load_reference_problem
 from tensyl.solver import Status, SylvesterProblem, apply_operator, solve_min_norm
 
 from conftest import SMALL_SHAPES, random_tensor, scaled_problem, singular_consistent
@@ -27,9 +25,9 @@ from conftest import SMALL_SHAPES, random_tensor, scaled_problem, singular_consi
 
 def _lifted(M, rhs, c=0.0):
     """The problem psi(A) = M - c I, psi(C) = [[c]] (n = 1), D = rhs, whose lift
-    is M up to the rounding of (m_ii - c) + c, and exactly M when c = 0.  A zero
-    psi(C) borders any singular M; c != 0 keeps K unbordered, so a singular K
-    goes to gelsd."""
+    is M up to the rounding of (m_ii - c) + c, and exactly M when c = 0.  c
+    moves the factors but not their eigenvalue sums: c = 1 makes a zero M's
+    factors -I and [[1]], which the spectral route passes on."""
     m = len(M)
     return SylvesterProblem(tc.psi_inverse(M - c * np.eye(m), (m,), (m,)), tc.psi_inverse(np.array([[c]]), (1,), (1,)),
                             tc.DenseTensor((m,), (1,), rhs))
@@ -85,9 +83,10 @@ def _prescribed(rng, sigma):
 
 
 def _fallbacks(rng):
-    """Matrices that must go to gelsd: no Cholesky certificate.  The zero ones
-    lift from the symmetric factors -I and [[1]], whose eigenvalue sums cancel
-    to the cut 0 itself, so the spectral route passes them on."""
+    """Matrices that must go to gelsd: singular or ill-conditioned, with no
+    factor proof.  The zero ones lift from the symmetric factors -I and [[1]],
+    whose eigenvalue sums cancel to the cut 0 itself, so the spectral route
+    passes them on."""
     m = rng.uniform(-1.0, 1.0, (8, 8))
     v = rng.uniform(-1.0, 1.0, 8)
     v /= np.linalg.norm(v)
@@ -104,7 +103,7 @@ class TestRoutes:
     def test_well_conditioned_takes_the_lu_route(self, rng, n):
         K = rng.uniform(-1.0, 1.0, (n, n)) + 3.0 * np.sqrt(n) * np.eye(n)
         b = rng.uniform(-1.0, 1.0, n)
-        assert _certified_nonsingular(K)
+        assert _route(_lifted(K, b)) == ("spectral" if n == 1 else "factors")  # 1 x 1 factors are symmetric
         x, residual, rank = min_norm_lstsq(_lifted(K, b))
         assert rank == n
         assert np.array_equal(x, np.linalg.solve(K, b))
@@ -126,60 +125,22 @@ class TestRoutes:
     @pytest.mark.parametrize("certified", [True, False], ids=["lu", "gelsd"])
     def test_overflowed_solution_is_named(self, certified):
         # Finite K = [[t, t], [0, t or 0]], t = 2^-1000, and rhs whose solution, about 1e300 * 2^1000,
-        # overflows on either route; the off-diagonal t keeps psi(A) off the spectral route, and
-        # psi(C) = [[t]] keeps the singular K unbordered.
+        # overflows on either route; the off-diagonal t keeps psi(A) off the spectral route.
         t = 2.0**-1000
         problem = _lifted(np.array([[t, t], [0.0, t if certified else 0.0]]), [1.0e300, 1.0], c=t)
         assert _route(problem) == ("factors" if certified else "gelsd")
         with pytest.raises(ArithmeticError, match="^least-squares solution overflowed the double range$"):
             min_norm_lstsq(problem)
 
-    @pytest.mark.parametrize("k", [-600, -300, 300, 600])
-    def test_route_does_not_depend_on_scale(self, rng, k):
-        cases = {**_fallbacks(rng), "shifted": rng.uniform(-1.0, 1.0, (8, 8)) + 4.0 * np.eye(8)}
-        for K in cases.values():
-            assert _certified_nonsingular(np.ldexp(K, k)) == _certified_nonsingular(K)
-
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 12),
-        log_ratio=st.floats(-14.0, 0.0),
-    )
-    def test_certificate_bounds_the_condition_number(self, seed, n, log_ratio):
-        # sigma_min / sigma_max = 10^log_ratio, the others log-uniform between.
-        rng = np.random.default_rng(seed)
-        sigma = np.sort(10.0 ** rng.uniform(log_ratio, 0.0, n))[::-1]
-        sigma[0], sigma[-1] = 1.0, 10.0**log_ratio
-        K = _prescribed(rng, sigma)
-        s = np.linalg.svd(K, compute_uv=False)
-        if _certified_nonsingular(K):
-            assert s[-1] / s[0] > 1e-5
-        # The shift is 1e-8 ||K||_F^2 <= 1e-8 n sigma_max^2, far below sigma_min^2 here.
-        if s[-1] / s[0] > 1e-3:
-            assert _certified_nonsingular(K)
-
-
-# The factor proof holds when ``_factor_bound`` exceeds 2 tau.
-TWO_TAU = 2.0 * np.sqrt(CERTIFICATE_SHIFT)
-
 
 def _route(problem):
     """The route ``oracle_solve`` takes: "spectral" when both factors are
     symmetric and no eigenvalue sum lies near the cut; else "factors" when
-    the factors prove K nonsingular; else, with K bordered when both factors
-    have null spaces that K annihilates, "K" or "bordered" when the Gram
-    certificate proves it, and "gelsd" when it fails."""
+    the factors prove K nonsingular; else "gelsd"."""
     a, c = tc.psi(problem.A), tc.psi(problem.C)
     if oracle._spectral(a, c, tc.psi(problem.D)) is not None:
         return "spectral"
-    if _factor_bound(a, c) > TWO_TAU:
-        return "factors"
-    K = unfold_system(problem)
-    system = _border(K, a, c)
-    if not _certified_nonsingular(system):
-        return "gelsd"
-    return "K" if system is K else "bordered"
+    return "factors" if _factor_proof(a, c) else "gelsd"
 
 
 def _lstsq_answer(problem):
@@ -212,8 +173,8 @@ def _laplacian_problem(rng, m, n, consistent, skew=0.0):
 
 def _skew_block_problem():
     """psi(A) = [[0, 1.5], [-1.5, 0]] (+) L_2 and psi(C) = L_3 (Neumann
-    Laplacians): each factor has one null vector, so r = 1, but S_a is zero
-    on the skew block, and three eigenvalue sums of K's symmetric part vanish."""
+    Laplacians): each factor has one null vector, and S_a is zero on the
+    skew block, so three eigenvalue sums of K's symmetric part vanish."""
     a = np.zeros((4, 4))
     a[0, 1], a[1, 0] = 1.5, -1.5
     a[2:, 2:] = _laplacian(2)
@@ -242,44 +203,40 @@ def _factor_singular_problems():
 
 
 class TestBorderedRoute:
+    """Singular operators whose factors share null spaces, the planted
+    generators and convected Neumann Laplacians among them, and other
+    singular K off the spectral route: gelsd decides them, with its bytes."""
+
     def test_matches_gelsd_wherever_certified(self):
-        # gelsd's own error bound reaches 1.8e-9 on these problems, where the bordered
-        # solution stays within 1.5e-10 of a 40-digit SVD reference.
-        taken = 0
+        # No factor proof can hold on a singular K, and the planted factors are not symmetric.
         for problem in _factor_singular_problems():
-            if _route(problem) != "bordered":
-                continue
-            taken += 1
+            assert _route(problem) == "gelsd"
             result = oracle_solve(problem)
             consistent, rank, x = _lstsq_answer(problem)
             assert (result.consistent, result.numerical_rank) == (consistent, rank)
-            assert _within_gelsd_error(problem, result.min_norm_solution.data, rank, x, 1e-9)
-        assert taken >= 100  # of the 120 problems
+            assert result.min_norm_solution.data.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
     @pytest.mark.parametrize("m, n", [(12, 9), (16, 16)])
     def test_neumann_laplacians(self, rng, m, n, consistent):
-        # L_m convected, so that the factors are not both symmetric: the Gram
-        # certificate proves the bordered matrix (r = 1).
+        # L_m convected, so that the factors are not both symmetric: gelsd, rank mn - 1.
         problem = _laplacian_problem(rng, m, n, consistent, skew=0.5)
-        assert _route(problem) == "bordered"
+        assert _route(problem) == "gelsd"
         result = oracle_solve(problem)
         want_consistent, rank, x = _lstsq_answer(problem)
         assert (result.consistent, result.numerical_rank) == (consistent, m * n - 1)
         assert (want_consistent, rank) == (consistent, m * n - 1)
-        assert np.linalg.norm(result.min_norm_solution.data - x) <= 1e-10 * np.linalg.norm(x)
+        assert result.min_norm_solution.data.tobytes() == x.tobytes()
 
     def test_64x64_neumann_laplacians_stay_on_gelsd(self, rng):
-        # L_64 convected, off the spectral route: sigma_{N-1}(K) is below what
-        # the Gram certificate proves at N = 4096.  The route is checked; gelsd
-        # itself takes about 18 s at this size.
+        # L_64 convected, off the spectral route and singular, so no factor
+        # proof: the route is checked; gelsd itself takes about 18 s at this size.
         assert _route(_laplacian_problem(rng, 64, 64, False, skew=0.5)) == "gelsd"
 
     def test_indefinite_operators_keep_their_routes(self):
         # The reference problem; random_inconsistent factors, whose eigenvalue
         # sums have both signs; and a skew block, where S_a = 0 so that three
-        # sums vanish next to one border column.  None is proven by its factors,
-        # and each keeps the Gram certificate or gelsd, with the same bytes.
+        # sums vanish.  None is proven by its factors, and each takes gelsd.
         problems = {"reference": load_reference_problem().problem, "skew": _skew_block_problem()}
         for seed in range(10):
             problems[f"inconsistent-{seed}"] = random_inconsistent(np.random.default_rng(seed), (4, 3), (3, 3))[0]
@@ -290,11 +247,10 @@ class TestBorderedRoute:
                 assert np.count_nonzero(np.abs(sums) < 1e-12) == 3
             else:
                 assert 0 < np.count_nonzero(sums < 0) < sums.size
-            assert _route(problem) in (("bordered",) if name == "reference" else ("bordered", "gelsd")), name
-            assert _factor_proof_is_silent(problem)
+            assert _route(problem) == "gelsd", name
 
     def test_uncertified_border_keeps_gelsd_bytes(self):
-        # sigma_{mn-1} / ||K||_F = 7.5e-5 here, below what the certificate can prove.
+        # Both factors singular, sigma_{mn-1} / ||K||_F = 7.5e-5.
         problem, _ = random_inconsistent(np.random.default_rng(0), (4, 4), (4, 4))
         assert _route(problem) == "gelsd"
         result = oracle_solve(problem)
@@ -306,8 +262,7 @@ class TestBorderedRoute:
         [
             # lambda(A) + mu(C) = 1 + (-1) = 0 makes K singular, yet neither factor has a null space.
             ([1.0, 2.0], [-1.0, 3.0]),
-            # Both factors have a null space by the 1e-10 rule, but ||K Z||_F exceeds the bound
-            # 1e-10 ||K||_F / sqrt(4), so the border is refused.
+            # Both factors have a null space by the 1e-10 rule, and the sum 1.8e-10 is below K's cut 2e-10.
             ([1.0, 9.0e-11], [1.0, 9.0e-11]),
         ],
         ids=["regular-factors", "border-refused"],
@@ -317,9 +272,7 @@ class TestBorderedRoute:
         a = tc.psi_inverse(np.diag(a_diag) + np.eye(2, 2, 1) * 1.0e-11, (2,), (2,))
         c = tc.psi_inverse(np.diag(c_diag) + np.eye(2, 2, 1) * 1.0e-11, (2,), (2,))
         problem = SylvesterProblem(a, c, tc.DenseTensor((2,), (2,), [1.0, 2.0, 3.0, 4.0]))
-        K = unfold_system(problem)
-        assert _border(K, tc.psi(a), tc.psi(c)) is K
-        assert not _certified_nonsingular(K)
+        assert _route(problem) == "gelsd"
         result = oracle_solve(problem)
         consistent, rank, x = _lstsq_answer(problem)
         assert (result.min_norm_solution.data.tobytes(), result.numerical_rank) == (x.tobytes(), rank)
@@ -345,18 +298,18 @@ class TestBorderedRoute:
         assert result.residual_norm == np.linalg.norm(np.arange(1.0, 17.0))
 
     def test_overflowed_solution_is_named(self):
-        # K = [[t, t], [0, 0]], t = 2^-1000, bordered by psi(C) = 0: the solution, about 1e300 * 2^999,
-        # overflows on the bordered route.
+        # K = [[t, t], [0, 0]], t = 2^-1000, from psi(C) = 0: the min-norm solution, about
+        # 1e300 * 2^999, overflows on gelsd.
         a = tc.psi_inverse(np.array([[2.0**-1000, 2.0**-1000], [0.0, 0.0]]), (2,), (2,))
         problem = SylvesterProblem(a, tc.zeros((1,), (1,)), tc.DenseTensor((2,), (1,), [1.0e300, 1.0]))
-        assert _route(problem) == "bordered"
+        assert _route(problem) == "gelsd"
         with pytest.raises(ArithmeticError, match="^least-squares solution overflowed the double range$"):
             oracle_solve(problem)
 
 
 def _at_margin(rng, m, n, ratio):
     """Factors (a, c) with lambda_min(S_a) + lambda_min(S_c) equal to ``ratio``
-    times the factor proof's threshold 2 tau (sqrt(n) ||a||_F + sqrt(m) ||c||_F),
+    times the factor proof's threshold t (sqrt(n) ||a||_F + sqrt(m) ||c||_F),
     S the symmetric parts: random a, c, then a + s I with s from a fixed-point
     iteration (the threshold moves by about 2e-4 sqrt(mn) s)."""
     a0, c = rng.uniform(-1.0, 1.0, (m, m)), rng.uniform(-1.0, 1.0, (n, n))
@@ -364,7 +317,7 @@ def _at_margin(rng, m, n, ratio):
     s = 0.0
     for _ in range(8):
         a = a0 + s * np.eye(m)
-        bound = TWO_TAU * (np.sqrt(n) * np.linalg.norm(a) + np.sqrt(m) * np.linalg.norm(c))
+        bound = FACTOR_PROOF_TOL * (np.sqrt(n) * np.linalg.norm(a) + np.sqrt(m) * np.linalg.norm(c))
         s += ratio * bound - np.linalg.eigvalsh(a + a.T)[0] / 2 - low_c
     return a0 + s * np.eye(m), c
 
@@ -378,25 +331,12 @@ def _lift(a, c, d=None):
 
 def _factor_proof(a, c):
     """Whether the factors prove nonsingular the lift of (a, c)."""
-    return bool(_factor_bound(a, c) > TWO_TAU)
+    return bool(_factor_bound(a, c) > FACTOR_PROOF_TOL)
 
 
 def _orthogonal(rng, k):
     q, r = np.linalg.qr(rng.standard_normal((k, k)))
     return q * np.sign(np.diag(r))
-
-
-def _factor_proof_is_silent(problem):
-    """True when ``oracle_solve`` gives the same verdict, rank, residual and
-    solution bytes with the factor proof patched off, on the Gram certificate
-    or gelsd alone, as the oracle did before the factor proof existed."""
-    result = oracle_solve(problem)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_factor_bound", lambda a, c: -np.inf)
-        gram = oracle_solve(problem)
-    return (result.consistent, result.numerical_rank, result.residual_norm,
-            result.min_norm_solution.data.tobytes()) == (
-        gram.consistent, gram.numerical_rank, gram.residual_norm, gram.min_norm_solution.data.tobytes())
 
 
 class TestFactorProof:
@@ -409,20 +349,33 @@ class TestFactorProof:
         sign=st.sampled_from([1.0, -1.0]),
         k=st.sampled_from([0, -600, 600]),
     )
-    def test_proof_implies_the_gram_certificate(self, seed, m, n, ratio, sign, k):
+    def test_proof_bounds_the_smallest_singular_value(self, seed, m, n, ratio, sign, k):
         # Margins 1.01-10x the threshold and below it, negative-definite operators
-        # (-a, -c), m or n = 1 and 2^+-600 scalings; the solve with the proof
-        # patched off takes the Gram certificate, and every byte must agree.
+        # (-a, -c), m or n = 1 and 2^+-600 scalings.  A proof bounds sigma_min(K)
+        # by the bound times U, and gelsd counts rank mn, with the LU solution.
         rng = np.random.default_rng(seed)
         a, c = (np.ldexp(sign * f, k) for f in _at_margin(rng, m, n, ratio))
         problem = _lift(a, c, np.ldexp(rng.uniform(-1.0, 1.0, (m, n)), k))
-        K = unfold_system(problem)
-        assert _border(K, a, c) is K
-        proven = _factor_bound(a, c) > TWO_TAU
-        assert proven == (ratio > 1.0)  # the allowance is far below 1% of the threshold
-        if proven:
-            assert _certified_nonsingular(K)
-        assert _factor_proof_is_silent(problem)
+        bound = _factor_bound(a, c)
+        assert (bound > FACTOR_PROOF_TOL) == (ratio > 1.0)  # the allowance is far below 1% of the threshold
+        if ratio < 1.0:
+            return
+        K, d = unfold_system(problem), problem.D.data
+        assert np.linalg.svd(K, compute_uv=False)[-1] >= bound * (np.sqrt(n) * tc._norm(a) + np.sqrt(m) * tc._norm(c))
+        lu = np.linalg.solve(K, d)
+        x, _, rank, _ = np.linalg.lstsq(K, d, rcond=DEFAULT_RANK_TOL)
+        assert rank == m * n
+        assert tc._norm(x - lu) <= 1e-12 * tc._norm(lu)
+
+    @pytest.mark.parametrize("ulps, proven", [(2, False), (12, True)])
+    def test_a_margin_inside_the_allowance_is_not_proven(self, ulps, proven):
+        # Factors [[1]] and [[y]]: the sum 1 + y is exact, and U = 1 - y.  With y
+        # a few ulps above (t - 1) / (1 + t), 1 + y exceeds t U by about 2 or 12
+        # ulps of y, inside or outside the rounding allowance 3 u U, 6 ulps.
+        t = FACTOR_PROOF_TOL
+        y = (t - 1.0) / (1.0 + t) + ulps * np.spacing(0.5)
+        assert 1.0 + y > t * (1.0 - y)
+        assert _factor_proof(np.array([[1.0]]), np.array([[y]])) == proven
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("k", [0, -600, 600])
@@ -518,18 +471,6 @@ def _singular_with_nonsingular_factors():
     return SylvesterProblem(a, c, apply_operator(a, c, x))
 
 
-def _gram_sizes(monkeypatch):
-    """The orders of the matrices ``_certified_nonsingular`` is called on from now on."""
-    sizes = []
-
-    def gram(K):
-        sizes.append(len(K))
-        return _certified_nonsingular(K)
-
-    monkeypatch.setattr(oracle, "_certified_nonsingular", gram)
-    return sizes
-
-
 class TestOracleSolve:
     def test_consistent_verdict_and_solution(self, rng):
         problem, x_true = random_consistent(rng, (2, 2), (3,), shift=3.0)
@@ -565,14 +506,11 @@ class TestOracleSolve:
     @pytest.mark.parametrize(
         "route, make",
         [
-            ("K", lambda rng: random_consistent(rng, (2, 2), (3,))[0]),
-            ("bordered", lambda rng: random_inconsistent(rng, (3, 2), (2, 2))[0]),
-            ("gelsd", lambda rng: random_inconsistent(rng, (4, 4), (4, 4))[0]),
             ("gelsd", lambda rng: _singular_with_nonsingular_factors()),
             ("factors", lambda rng: random_consistent(rng, (2, 2), (3,), shift=4.0)[0]),
             ("spectral", lambda rng: _laplacian_problem(rng, 12, 9, False)),
         ],
-        ids=["unbordered", "bordered", "uncertified-border", "nonsingular-factors", "factor-proof", "spectral"],
+        ids=["nonsingular-factors", "factor-proof", "spectral"],
     )
     def test_one_min_norm_lstsq_call_on_every_route(self, monkeypatch, route, make):
         problem = make(np.random.default_rng(0))
@@ -584,22 +522,19 @@ class TestOracleSolve:
             return min_norm_lstsq(given)
 
         monkeypatch.setattr(oracle, "min_norm_lstsq", counting)
-        gram_sizes = _gram_sizes(monkeypatch)
         oracle_solve(problem)
         assert calls == [problem]
-        # One Gram certificate, on K or on the bordered B and never on a factor;
-        # the factor proof and the spectral route replace it.
-        mn = problem.D.m * problem.D.n
-        assert all(size >= mn for size in gram_sizes)
-        assert len(gram_sizes) == (route not in ("factors", "spectral"))
 
-    def test_reference_problem_keeps_the_gram_route(self, monkeypatch):
-        # Its symmetric part is indefinite: no factor proof.
-        problem = load_reference_problem().problem
-        assert _route(problem) == "bordered"
-        gram_sizes = _gram_sizes(monkeypatch)
-        oracle_solve(problem)
-        assert max(gram_sizes) > problem.D.m * problem.D.n  # the bordered matrix B
+    def test_reference_and_planted_problems_take_gelsd_bytes(self):
+        # Indefinite symmetric parts and nonsymmetric factors: no factor proof
+        # and no spectral route, so every output byte is gelsd's.
+        problems = [load_reference_problem().problem, load_nearness_problem().problem]
+        problems += [random_inconsistent(np.random.default_rng(seed), (3, 2), (2, 2))[0] for seed in range(6)]
+        for problem in problems:
+            result = oracle_solve(problem)
+            consistent, rank, x = _lstsq_answer(problem)
+            assert (result.consistent, result.numerical_rank) == (consistent, rank)
+            assert result.min_norm_solution.data.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("k", [-600, -300, 300, 515, 560, 600])
     def test_verdict_and_rank_hold_across_the_double_range(self, k):
@@ -675,9 +610,8 @@ class TestSpectralRoute:
     @pytest.mark.parametrize("ratio", [0.95, 1.05])
     def test_factors_just_above_the_symmetry_bound_take_the_dense_routes(self, ratio):
         # Semidefinite singular factors with one null vector each, whose skew
-        # parts are 0.95 or 1.05 times the bound.  Above it the Gram certificate
-        # proves the bordered matrix (r = 1), and the solution has the bytes of
-        # that LU solve, which the oracle took before the spectral route existed.
+        # parts are 0.95 or 1.05 times the bound.  Above it the singular K has
+        # no factor proof, and the solution has gelsd's bytes.
         rng = np.random.default_rng(7)
         a, c = _skewed(_semidefinite(rng, 5, 1), ratio), _skewed(_semidefinite(rng, 4, 1), ratio)
         assert all((_symmetry_ratio(f) > 1.0) == (ratio > 1.0) for f in (a, c))
@@ -689,10 +623,8 @@ class TestSpectralRoute:
             assert _route(problem) == "spectral"
             assert tc._norm(result.min_norm_solution.data - x) <= 1e-12 * tc._norm(x)
             return
-        assert _route(problem) == "bordered"
-        B = _border(unfold_system(problem), a, c)
-        lu = np.linalg.solve(B, np.concatenate((problem.D.data, [0.0])))[:20]
-        assert result.min_norm_solution.data.tobytes() == lu.tobytes()
+        assert _route(problem) == "gelsd"
+        assert result.min_norm_solution.data.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize(
         "offset, route, rank",
@@ -714,19 +646,17 @@ class TestSpectralRoute:
         else:
             assert tc._norm(result.min_norm_solution.data - x) <= 1e-12 * tc._norm(x)
 
-    def test_nonsymmetric_semidefinite_pair_keeps_the_bordered_lu_bytes(self, rng):
+    def test_nonsymmetric_semidefinite_pair_takes_gelsd(self, rng):
         # Convected Laplacians: nonsymmetric factors whose symmetric parts are
         # semidefinite and whose null vectors, the constants, are shared by
-        # both sides.  The Gram certificate proves the bordered matrix, and the
-        # solution has the bytes of its LU solve.
+        # both sides.  K is singular, so gelsd decides, with its own bytes.
         a, c = _laplacian(12, skew=0.5), _laplacian(9, skew=0.25)
         problem = _lift(a, c, rng.uniform(-1.0, 1.0, (12, 9)))
-        assert _route(problem) == "bordered"
-        B = _border(unfold_system(problem), a, c)
-        assert len(B) == 109
+        assert _route(problem) == "gelsd"
         result = oracle_solve(problem)
-        lu = np.linalg.solve(B, np.concatenate((problem.D.data, [0.0])))[:108]
-        assert (result.min_norm_solution.data.tobytes(), result.numerical_rank) == (lu.tobytes(), 107)
+        _, rank, x = _lstsq_answer(problem)
+        assert (result.min_norm_solution.data.tobytes(), result.numerical_rank) == (x.tobytes(), rank)
+        assert rank == 107
 
     @pytest.mark.parametrize("consistent", [True, False], ids=["consistent", "inconsistent"])
     def test_symmetric_factors_above_the_size_cap(self, consistent):
