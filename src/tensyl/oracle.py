@@ -6,14 +6,23 @@ lift is K x = d with K = I_n (x) psi(A) + psi(C)^T (x) I_m and d the
 column-major vectorization of psi(D), which is ``D.data`` itself.  Its
 minimum-norm least-squares solution takes one of three routes through
 numpy, none sharing code with the iterative solver, and one call,
-``min_norm_lstsq(problem)``, picks the route from the factors:
+``min_norm_lstsq(problem)``, picks the route from one spectrum of the
+factors (below):
 
 - the spectral route, tried first, which needs no lift, for factors that
-  are both symmetric up to rounding (below);
+  are both symmetric up to rounding;
 - an LU solve (``numpy.linalg.solve``) of K x = d, with rank mn, when the
-  factor proof (below) shows K nonsingular;
+  factor proof shows K nonsingular;
 - otherwise SVD-based least squares on K (``numpy.linalg.lstsq``, LAPACK
   gelsd).
+
+One spectrum.  ``_spectrum`` scales psi(A) and psi(C) by one power of two,
+runs the symmetry test and decomposes the symmetric part S of each factor
+once, by ``eigh`` for a symmetric pair, whose bases the spectral route
+needs, and by ``eigvalsh`` otherwise, at O(m^3 + n^3).  Both routes read
+the eigenvalue sums lambda_i(S_a) + mu_j(S_c) and their rounding allowance
+from it: the eigensolver's error, (m + n) u (||S_a||_F + ||S_c||_F), and
+the rounding of K's diagonal sums a_kk + c_ll, u max |K_ii|.
 
 The spectral route.  For symmetric psi(A) = Q Lambda Q^T and psi(C) = P M
 P^T, K = (P (x) Q)(I (x) Lambda + M (x) I)(P (x) Q)^T, so K's singular
@@ -22,43 +31,46 @@ with Y_ij = (Q^T psi(D) P)_ij / (lambda_i + mu_j) where |lambda_i + mu_j|
 exceeds gelsd's cut, ``DEFAULT_RANK_TOL`` times the largest, and Y_ij = 0
 elsewhere; the rank is the number of sums kept (Golub, Nash & Van Loan,
 IEEE Trans. Autom. Control 24(6), 1979; Simoncini, SIAM Review 58(3), 2016,
-section 4).  It costs two ``eigh`` calls, O(m^3 + n^3), and the size cap
-``DEFAULT_SIZE_CAP``, a cap on the lift, binds only the dense routes.  It is
-taken when ||f - f^T||_F <= ``SYMMETRY_TOL`` u ||f||_F for both factors f,
-u the unit roundoff, and solves with their symmetric parts.  Dropping the
-skew parts moves K by E = I (x) skew(psi(A)) + skew(psi(C))^T (x) I, with
-||E||_F <= 8 u U for U = sqrt(n) ||psi(A)||_F + sqrt(m) ||psi(C)||_F.  As
-||K||_F^2 = n ||psi(A)||_F^2 + m ||psi(C)||_F^2 + 2 tr psi(A) tr psi(C),
-that is at most 8 sqrt(2) u ||K||_F when the traces do not cancel, as for
-semidefinite pairs: far inside gelsd's own backward error, a gamma_{cN^2}
-multiple of ||K||_F for Householder-based least squares (Higham, Accuracy
-and Stability of Numerical Algorithms, Thm 20.3), and of the order of the
-``eigh`` backward error the route pays anyway.  SYMMETRY_TOL = 16 admits
-the factors built as Q diag(d) Q^T, which read 0.5-1.1 u at orders 9-16
-and 2.2 u at order 1024, and refuses I + G, G a scaled Gaussian, which
-reads 0.4-0.7 (not times u), by 14 decades.  A sum whose distance from the
-cut is below its rounding allowance, the ``eigh`` error, the skew parts and
-the rounding of K's diagonal sums, could be counted otherwise by gelsd, so
-it sends the problem to the dense routes.
+section 4).  The size cap ``DEFAULT_SIZE_CAP``, a cap on the lift, binds
+only the dense routes.  The route is taken when ||f - f^T||_F <=
+``SYMMETRY_TOL`` u ||f||_F for both factors f, u the unit roundoff, and
+solves with their symmetric parts.  Dropping the skew parts moves K by E = I (x) skew(psi(A))
++ skew(psi(C))^T (x) I, with ||E||_F <= 8 u U for U = sqrt(n) ||psi(A)||_F +
+sqrt(m) ||psi(C)||_F.  As ||K||_F^2 = n ||psi(A)||_F^2 + m ||psi(C)||_F^2 + 2
+tr psi(A) tr psi(C), that is at most 8 sqrt(2) u ||K||_F when the traces do
+not cancel, as for semidefinite pairs: far inside gelsd's own backward
+error, a gamma_{cN^2} multiple of ||K||_F for Householder-based least
+squares (Higham, Accuracy and Stability of Numerical Algorithms, Thm 20.3),
+and of the order of the ``eigh`` backward error the route pays anyway.
+SYMMETRY_TOL = 16 admits the factors built as Q diag(d) Q^T, which read
+0.5-1.1 u at orders 9-16 and 2.2 u at order 1024, and refuses I + G, G a
+scaled Gaussian, which reads 0.4-0.7 (not times u), by 14 decades.  A sum
+whose distance from the cut is below its allowance plus ||skew(psi(A))||_F
++ ||skew(psi(C))||_F, which bounds how far K's singular values lie from the
+sums, could be counted otherwise by gelsd, so it sends the problem to the
+dense routes.
 
-The factor proof.  K's symmetric part H = I (x) S_a + S_c (x) I (S the
-symmetric part of a factor) has the sums lambda_i(S_a) + mu_j(S_c) as its
-eigenvalues.  Let low be the smallest sum, or minus the largest, less a
-rounding allowance.  Then |x^T K x| = |x^T H x| >= low ||x||^2, so
+The factor proof.  K's symmetric part H = I (x) S_a + S_c (x) I has the
+sums as its eigenvalues.  Let low be the smallest sum, or minus the
+largest, less the allowance.  Then |x^T K x| = |x^T H x| >= low ||x||^2, so
 sigma_min(K) >= low (Horn & Johnson, Topics in Matrix Analysis, 1991,
-sections 1.2 and 4.4), from two ``eigvalsh`` calls at O(m^3 + n^3).  The
-proof holds when low exceeds t U, t = ``FACTOR_PROOF_TOL`` and U =
-sqrt(n) ||psi(A)||_F + sqrt(m) ||psi(C)||_F >= ||K||_F, so that
-sigma_min(K) > t ||K||_F >= t sigma_1(K).  At t = 2e-4 that is six decades
-above gelsd's cut, ``DEFAULT_RANK_TOL`` sigma_1(K), and gelsd's backward
-error, a gamma_{cN^2} multiple of ||K||_F (Higham, Thm 20.3), moves
-sigma_min(K) by far less than t ||K||_F up to the size cap: gelsd would
-count rank mn, and the min-norm solution is K^-1 d, which one LU solve
-gives (Golub & Van Loan, Matrix Computations, 4th ed., section 5.5).
+sections 1.2 and 4.4).  The proof holds when low exceeds t U, t =
+``FACTOR_PROOF_TOL`` and U >= ||K||_F, so that sigma_min(K) > t ||K||_F >= t
+sigma_1(K).  At t = 2e-4 that is six decades above gelsd's cut,
+``DEFAULT_RANK_TOL`` sigma_1(K), and gelsd's backward error, a
+gamma_{cN^2} multiple of ||K||_F (Higham, Thm 20.3), moves sigma_min(K) by
+far less than t ||K||_F up to the size cap: gelsd would count rank mn, and
+the min-norm solution is K^-1 d, which one LU solve gives (Golub & Van
+Loan, Matrix Computations, 4th ed., section 5.5).  A symmetric pair that
+the spectral route sends on has its sums from ``eigh``, not ``eigvalsh``,
+and never passes the proof: a sum s within its allowance plus the skew
+term of the cut puts low below |s| less the allowance, so below the cut
+plus ||skew(psi(A))||_F + ||skew(psi(C))||_F <= (1e-10 + 8 u) U, far below t
+U, as the cut is at most 1e-10 (||S_a||_2 + ||S_c||_2) <= 1e-10 U.
 
 Its norms are ``tensor._norm``, whose squares neither overflow nor underflow,
-the spectral route and the factor bound scale the factors by the power of
-two of ``tensor._exponent``, and the lift, the solution and the residual run
+``_spectrum`` scales the factors by the power of two of ``tensor._exponent``
+of their entries together, and the lift, the solution and the residual run
 through ``tensor._checked``.
 """
 
@@ -112,93 +124,65 @@ def unfold_system(problem):
     return K
 
 
-def _scaled(a, c):
-    """a and c times one 2^-f, f the ``tensor._exponent`` of their entries
-    together, their symmetric parts S_a and S_c, and f: what is computed
-    from them does not depend on the scale of (A, C), and the larger factor
-    keeps an entry of at least 1/2, even next to a zero one."""
+def _spectrum(a, c):
+    """(sums, keep, bases, bound, f), the one spectrum of a = psi(A) and c =
+    psi(C) that both routes read (module docstring).  a and c are scaled by
+    2^-f, f the ``tensor._exponent`` of their entries together, so that
+    nothing here depends on the scale of (A, C) and the larger factor keeps
+    an entry of at least 1/2, even next to a zero one.  keep marks the sums
+    above the cut.  bases is (Q, P) for the spectral route, or None when the
+    pair is not symmetric or a sum lies within its allowance plus the skew
+    term of the cut.  bound is low / U, which proves sigma_min(K) > 2e-4
+    sigma_1(K) when it exceeds ``FACTOR_PROOF_TOL``."""
     f = tc._exponent(np.concatenate((a, c), axis=None))
     a, c = np.ldexp(a, -f), np.ldexp(c, -f)
-    return a, c, 0.5 * (a + a.T), 0.5 * (c + c.T), f
-
-
-def _allowance(a, c, sym_a, sym_c):
-    """The rounding allowance of an eigenvalue sum of S_a and S_c, the
-    symmetric parts of a and c, as an eigenvalue of K's symmetric part:
-    eigh's backward error, (m + n) u (||S_a||_F + ||S_c||_F), and the
-    rounding of K's diagonal sums a_kk + c_ll, u max |K_ii|."""
+    sym_a, sym_c = 0.5 * (a + a.T), 0.5 * (c + c.T)
+    norms, skew = (np.linalg.norm(a), np.linalg.norm(c)), (np.linalg.norm(a - a.T), np.linalg.norm(c - c.T))
     u = np.finfo(np.float64).eps / 2
-    return u * ((len(a) + len(c)) * (np.linalg.norm(sym_a) + np.linalg.norm(sym_c))
-                + np.abs(a.diagonal()).max() + np.abs(c.diagonal()).max())
-
-
-def _spectral(a, c, d):
-    """(X, rank), the min-norm solution of a X + X c = d and its rank from
-    the eigendecompositions of the symmetric parts of a = psi(A) and c =
-    psi(C) (module docstring), or None when a factor f has ||f - f^T||_F >
-    ``SYMMETRY_TOL`` u ||f||_F, or when a sum lies within its allowance of
-    the cut: ``_allowance`` plus ||skew(a)||_2 + ||skew(c)||_2, which
-    bounds how far K's singular values lie from the sums.  d is scaled by
-    2^-e, e = ``tensor._exponent(d)``, like the factors, so that only an
-    X beyond the double range overflows, as an ArithmeticError."""
-    a, c, sym_a, sym_c, f = _scaled(a, c)
-    skew = np.linalg.norm(a - a.T), np.linalg.norm(c - c.T)
-    u = np.finfo(np.float64).eps / 2
-    if any(s > SYMMETRY_TOL * u * np.linalg.norm(g) for s, g in zip(skew, (a, c))):
-        return None
-    (lam, q), (mu, p) = np.linalg.eigh(sym_a), np.linalg.eigh(sym_c)
+    symmetric = all(s <= SYMMETRY_TOL * u * g for s, g in zip(skew, norms))
+    (lam, q), (mu, p) = (np.linalg.eigh(s) if symmetric else (np.linalg.eigvalsh(s), None) for s in (sym_a, sym_c))
     sums = np.add.outer(lam, mu)
     cut = DEFAULT_RANK_TOL * np.abs(sums).max()
-    if (np.abs(np.abs(sums) - cut) < _allowance(a, c, sym_a, sym_c) + 0.5 * sum(skew)).any():
-        return None
-    keep = np.abs(sums) > cut
-    e = tc._exponent(d)
-    x = tc._checked("least-squares solution", lambda: np.ldexp(
-        q @ np.divide(q.T @ np.ldexp(d, -e) @ p, sums, out=np.zeros_like(sums), where=keep) @ p.T, e - f))
-    return x, int(np.count_nonzero(keep))
-
-
-def _factor_bound(a, c):
-    """A lower bound on sigma_min(K) / U, U = sqrt(n) ||a||_F + sqrt(m)
-    ||c||_F >= ||K||_F, from two symmetric eigenproblems of orders m and n on
-    the factors a = psi(A) and c = psi(C) of K, scaled by ``_scaled``.  K's
-    symmetric part has the sums of the eigenvalues of S_a = (a + a^T) / 2
-    and S_c = (c + c^T) / 2 as its own, and low, the smallest sum or minus
-    the largest, whichever is larger, less ``_allowance``, bounds
-    sigma_min(K) (module docstring).  The bound is low / U, and it does not
-    depend on the scale of (A, C).  Above ``FACTOR_PROOF_TOL`` it proves
-    sigma_min(K) > 2e-4 sigma_1(K), so that gelsd would count rank mn."""
-    a, c, sym_a, sym_c, _ = _scaled(a, c)
-    sums = np.add.outer(np.linalg.eigvalsh(sym_a), np.linalg.eigvalsh(sym_c))
-    low = max(sums.min(), -sums.max()) - _allowance(a, c, sym_a, sym_c)
-    return low / (np.sqrt(len(c)) * np.linalg.norm(a) + np.sqrt(len(a)) * np.linalg.norm(c))
+    allowance = u * ((len(a) + len(c)) * (np.linalg.norm(sym_a) + np.linalg.norm(sym_c))
+                     + np.abs(a.diagonal()).max() + np.abs(c.diagonal()).max())
+    near = (np.abs(np.abs(sums) - cut) < allowance + 0.5 * sum(skew)).any()
+    low = max(sums.min(), -sums.max()) - allowance
+    U = np.sqrt(len(c)) * norms[0] + np.sqrt(len(a)) * norms[1]  # 0 only when K = 0, whose bound is 0
+    bases = (q, p) if symmetric and not near else None
+    return sums, np.abs(sums) > cut, bases, low / U if U else 0.0, f
 
 
 def min_norm_lstsq(problem):
     """Minimum-2-norm solution x of min ||K x - D.data|| for the lift K of
     ``problem``; returns (x, residual, rank).
 
-    This is where the route is picked (module docstring).  The factors
-    psi(A) and psi(C) are read from the problem.  When both are symmetric up
-    to rounding and no eigenvalue sum lies too close to the cut,
-    ``_spectral`` gives x and its rank with no lift, at any size, and the
-    residual is ||psi(A) X + X psi(C) - psi(D)||.  Every other problem is
-    lifted to K, which ``unfold_system`` refuses above the size cap.  A K
-    proven nonsingular by ``_factor_bound``, when it exceeds
-    ``FACTOR_PROOF_TOL``, gives x by one LU solve of K x = D.data, with rank
-    mn.  Every other K goes to LAPACK's SVD-based least squares (gelsd): the
-    numerical rank counts the singular values above ``DEFAULT_RANK_TOL``
-    times the largest, and the smaller ones are treated as zero.  An
-    overflowed solution or residual is an ArithmeticError naming it.
+    This is where the route is picked (module docstring), from one
+    ``_spectrum`` of the factors psi(A) and psi(C), read from the problem:
+    one scaling and one eigendecomposition per factor serve every route.
+    When both are symmetric up to rounding and no eigenvalue sum lies too
+    close to the cut, the spectral route gives X = Q Y P^T and its rank, the
+    number of sums kept, with no lift, at any size; D is scaled by 2^-e, e =
+    ``tensor._exponent(D)``, like the factors, so that only an X beyond the
+    double range overflows.  Its residual is ||psi(A) X + X psi(C) -
+    psi(D)||.  Every other problem is lifted to K, which ``unfold_system``
+    refuses above the size cap.  A K whose factor bound exceeds
+    ``FACTOR_PROOF_TOL`` gives x by one LU solve of K x = D.data, with rank
+    mn; a symmetric pair sent on by the spectral route never does.  Every
+    other K goes to LAPACK's SVD-based least squares (gelsd): the numerical
+    rank counts the singular values above ``DEFAULT_RANK_TOL`` times the
+    largest, and the smaller ones are treated as zero.  An overflowed
+    solution or residual is an ArithmeticError naming it.
     """
     a, c, d = tc.psi(problem.A), tc.psi(problem.C), tc.psi(problem.D)
-    spectral = _spectral(a, c, d)
-    if spectral is not None:
-        x, rank = spectral
+    sums, keep, bases, bound, f = _spectrum(a, c)
+    if bases is not None:
+        (q, p), e = bases, tc._exponent(d)
+        x = tc._checked("least-squares solution", lambda: np.ldexp(
+            q @ np.divide(q.T @ np.ldexp(d, -e) @ p, sums, out=np.zeros_like(sums), where=keep) @ p.T, e - f))
         residual = tc._checked("least-squares residual", lambda: a @ x + x @ c - d)
-        return x.ravel(order="F"), tc._norm(residual), rank
+        return x.ravel(order="F"), tc._norm(residual), int(np.count_nonzero(keep))
     K, rhs = unfold_system(problem), problem.D.data
-    if _factor_bound(a, c) > FACTOR_PROOF_TOL:
+    if bound > FACTOR_PROOF_TOL:
         x, rank = np.linalg.solve(K, rhs), len(K)
     else:
         x, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=DEFAULT_RANK_TOL)

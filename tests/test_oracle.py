@@ -12,7 +12,7 @@ from tensyl.oracle import (
     FACTOR_PROOF_TOL,
     SYMMETRY_TOL,
     SizeCapError,
-    _factor_bound,
+    _spectrum,
     min_norm_lstsq,
     oracle_solve,
     unfold_system,
@@ -134,11 +134,12 @@ class TestRoutes:
 
 
 def _route(problem):
-    """The route ``oracle_solve`` takes: "spectral" when both factors are
-    symmetric and no eigenvalue sum lies near the cut; else "factors" when
-    the factors prove K nonsingular; else "gelsd"."""
+    """The route ``oracle_solve`` takes, read from ``oracle._spectrum``:
+    "spectral" when it returns eigenbases (both factors symmetric and no
+    eigenvalue sum near the cut); else "factors" when the factors prove K
+    nonsingular; else "gelsd"."""
     a, c = tc.psi(problem.A), tc.psi(problem.C)
-    if oracle._spectral(a, c, tc.psi(problem.D)) is not None:
+    if _spectrum(a, c)[2] is not None:
         return "spectral"
     return "factors" if _factor_proof(a, c) else "gelsd"
 
@@ -207,7 +208,7 @@ class TestBorderedRoute:
     generators and convected Neumann Laplacians among them, and other
     singular K off the spectral route: gelsd decides them, with its bytes."""
 
-    def test_matches_gelsd_wherever_certified(self):
+    def test_factor_singular_problems_take_gelsd_bytes(self):
         # No factor proof can hold on a singular K, and the planted factors are not symmetric.
         for problem in _factor_singular_problems():
             assert _route(problem) == "gelsd"
@@ -249,7 +250,7 @@ class TestBorderedRoute:
                 assert 0 < np.count_nonzero(sums < 0) < sums.size
             assert _route(problem) == "gelsd", name
 
-    def test_uncertified_border_keeps_gelsd_bytes(self):
+    def test_singular_4x4_factors_take_gelsd_bytes(self):
         # Both factors singular, sigma_{mn-1} / ||K||_F = 7.5e-5.
         problem, _ = random_inconsistent(np.random.default_rng(0), (4, 4), (4, 4))
         assert _route(problem) == "gelsd"
@@ -265,9 +266,9 @@ class TestBorderedRoute:
             # Both factors have a null space by the 1e-10 rule, and the sum 1.8e-10 is below K's cut 2e-10.
             ([1.0, 9.0e-11], [1.0, 9.0e-11]),
         ],
-        ids=["regular-factors", "border-refused"],
+        ids=["regular-factors", "singular-factors"],
     )
-    def test_unbordered_singular_k_keeps_gelsd_bytes(self, a_diag, c_diag):
+    def test_singular_k_takes_gelsd_bytes(self, a_diag, c_diag):
         # Upper-triangular factors with these diagonals, off the spectral route.
         a = tc.psi_inverse(np.diag(a_diag) + np.eye(2, 2, 1) * 1.0e-11, (2,), (2,))
         c = tc.psi_inverse(np.diag(c_diag) + np.eye(2, 2, 1) * 1.0e-11, (2,), (2,))
@@ -327,6 +328,11 @@ def _lift(a, c, d=None):
     m, n = len(a), len(c)
     d = np.zeros((m, n)) if d is None else d
     return SylvesterProblem(tc.psi_inverse(a, (m,), (m,)), tc.psi_inverse(c, (n,), (n,)), tc.psi_inverse(d, (m,), (n,)))
+
+
+def _factor_bound(a, c):
+    """The factor bound of ``oracle._spectrum``, a lower bound on sigma_min(K) / U."""
+    return _spectrum(a, c)[3]
 
 
 def _factor_proof(a, c):
@@ -525,6 +531,29 @@ class TestOracleSolve:
         oracle_solve(problem)
         assert calls == [problem]
 
+    @pytest.mark.parametrize(
+        "route, decomposition, make",
+        [
+            ("spectral", "eigh", lambda rng: _laplacian_problem(rng, 12, 9, False)),
+            ("gelsd", "eigh", lambda rng: _near_cut_problem(-1.0e-7)),
+            ("gelsd", "eigh", lambda rng: _near_cut_problem(1.0e-7)),
+            ("factors", "eigvalsh", lambda rng: random_consistent(rng, (2, 2), (3,), shift=4.0)[0]),
+            ("gelsd", "eigvalsh", lambda rng: load_reference_problem().problem),
+        ],
+        ids=["spectral", "near-cut-below", "near-cut-above", "factor-proof", "gelsd"],
+    )
+    def test_one_eigendecomposition_per_factor_on_every_route(self, monkeypatch, route, decomposition, make):
+        # One scaled spectrum serves both routes: eigh on each factor of a symmetric pair, also
+        # when a sum near the cut sends it on to the dense routes, and eigvalsh on each of any other.
+        problem = make(np.random.default_rng(0))
+        assert _route(problem) == route
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            eig = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda f, name=name, eig=eig: calls.append(name) or eig(f))
+        min_norm_lstsq(problem)
+        assert calls == [decomposition] * 2
+
     def test_reference_and_planted_problems_take_gelsd_bytes(self):
         # Indefinite symmetric parts and nonsymmetric factors: no factor proof
         # and no spectral route, so every output byte is gelsd's.
@@ -571,6 +600,15 @@ def _skewed(f, ratio):
 
 def _symmetry_ratio(f):
     return np.linalg.norm(f - f.T) / (SYMMETRY_TOL * np.finfo(float).eps / 2 * np.linalg.norm(f))
+
+
+def _near_cut_problem(offset, skew=0.0):
+    """psi(A) = diag(1, t) plus ``skew`` at (0, 1) and minus it at (1, 0),
+    psi(C) = diag(1, 0) and D = [[1, 2], [3, 4]]: the sums are 2, 1 + t, 1
+    and t, exact from eigh, the cut is 1e-10 * 2, and t = (1 + offset) * cut."""
+    t = (1.0 + offset) * DEFAULT_RANK_TOL * 2.0
+    a = np.array([[1.0, skew], [-skew, t]])
+    return _lift(a, np.diag([1.0, 0.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 class TestSpectralRoute:
@@ -627,16 +665,16 @@ class TestSpectralRoute:
         assert result.min_norm_solution.data.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize(
-        "offset, route, rank",
-        [(-1.0e-3, "spectral", 3), (-1.0e-7, "gelsd", 3), (1.0e-7, "gelsd", 4), (1.0e-3, "spectral", 4)],
+        "offset, ulps, route, rank",
+        [(-1.0e-3, 0, "spectral", 3), (-1.0e-7, 0, "gelsd", 3), (1.0e-7, 0, "gelsd", 4), (1.0e-3, 0, "spectral", 4),
+         (-7.0e-6, 0, "spectral", 3), (7.0e-6, 0, "spectral", 4), (-7.0e-6, 4, "gelsd", 3), (7.0e-6, 4, "gelsd", 4)],
     )
-    def test_a_sum_within_its_allowance_of_the_cut_takes_the_dense_routes(self, offset, route, rank):
-        # psi(A) = diag(1, t), psi(C) = diag(1, 0): the sums are 2, 1 + t, 1 and t,
-        # exact from eigh, and the cut is 1e-10 * 2.  t = (1 + offset) * cut lies
-        # 1e-7 or 1e-3 of the cut away from it, inside or outside the allowance,
-        # about 5.6e-6 of it.  Inside, gelsd decides, with its own bytes.
-        t = (1.0 + offset) * DEFAULT_RANK_TOL * 2.0
-        problem = _lift(np.diag([1.0, t]), np.diag([1.0, 0.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    def test_a_sum_within_its_allowance_of_the_cut_takes_the_dense_routes(self, offset, ulps, route, rank):
+        # t = (1 + offset) * cut lies 1e-7, 7e-6 or 1e-3 of the cut away from it, inside
+        # or outside the allowance, about 5.6e-6 of it.  Skew entries of 4u, 0.7 times
+        # the symmetry bound, keep the sums exact and widen the allowance by
+        # ||skew(psi(A))||_F, about 3.1e-6 of the cut.  Inside, gelsd decides, with its own bytes.
+        problem = _near_cut_problem(offset, ulps * np.finfo(float).eps / 2)
         assert _route(problem) == route
         result = oracle_solve(problem)
         consistent, want_rank, x = _lstsq_answer(problem)
