@@ -192,17 +192,32 @@ class TestOracleAndVerify:
         assert capsys.readouterr().out.startswith("agree")
 
     def test_verify_names_tolerance_and_result(self, tmp_path, capsys):
-        # The verdicts agree, but the solutions are farther apart than --tol.
+        # The verdicts agree, but a loose --epsilon stops the solver farther
+        # from the oracle's solution than cli.VERIFY_TOL allows.
         path = tmp_path / "p.json"
         assert main(["gen", "--I", "2,2", "--J", "3", "--seed", "7", "--out", str(path), "--quiet"]) == 0
-        code = main(["verify", str(path), "--tol", "1e-20"])
+        code = main(["verify", str(path), "--epsilon", "1e-2"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
         assert "verdict agreement: True" in lines
         assert "(tolerance " in lines[2]
         assert lines[-1] == "result: disagree"
-        assert main(["verify", str(path), "--tol", "1e-20", "--quiet"]) == 1
+        assert main(["verify", str(path), "--epsilon", "1e-2", "--quiet"]) == 1
         assert capsys.readouterr().out.startswith("disagree ")
+
+    def test_verify_compares_no_solutions_when_both_are_inconsistent(self, tmp_path, capsys):
+        # The solver stops Inconsistent on a diverged iterate (5.35e7 from the
+        # oracle's least-squares solution), which is no solution to compare.
+        path = tmp_path / "p.json"
+        gen = ["gen", "--I", "5,4", "--J", "4,5", "--seed", "0", "--inconsistent", "--out", str(path), "--quiet"]
+        assert main(gen) == 0
+        assert main(["verify", str(path), "--quiet"]) == 0
+        assert capsys.readouterr().out == "agree n/a\n"
+        assert main(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("solver: Inconsistent (")
+        assert lines[2:] == ["Frobenius distance between solutions: n/a", "verdict agreement: True",
+                             "result: agree"]
 
     @pytest.mark.parametrize(
         "gen_args",
@@ -237,12 +252,12 @@ class TestOracleAndVerify:
         assert captured.out == ""
         assert captured.err == "error: unfolded system of size 4160 exceeds the dense cap 4096\n"
 
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-    def test_verify_rejects_bad_tolerance(self, consistent_file, tol, capsys):
-        assert main(["verify", str(consistent_file), f"--tol={tol}"]) == 1
+    def test_verify_tol_flag_refused(self, consistent_file, capsys):
+        # The agreement tolerance is the constant cli.VERIFY_TOL, not a flag.
+        assert main(["verify", str(consistent_file), "--tol", "1e-6"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --tol ") and captured.err.count("\n") == 1
+        assert "unrecognized arguments: --tol 1e-6" in captured.err
 
 
 class TestGen:
@@ -370,8 +385,7 @@ class TestArgumentSet:
         (["nearness", "p.json"], {"command": "nearness", "problem": "p.json", **SOLVER_FLAGS,
                                   "out": None, "csv": None, "quiet": False}),
         (["oracle", "p.json"], {"command": "oracle", "problem": "p.json", "out": None, "quiet": False}),
-        (["verify", "p.json"], {"command": "verify", "problem": "p.json", **SOLVER_FLAGS, "tol": 1.0e-6,
-                                "quiet": False}),
+        (["verify", "p.json"], {"command": "verify", "problem": "p.json", **SOLVER_FLAGS, "quiet": False}),
         (["gen", "--I", "2", "--J", "3", "--seed", "1", "--out", "o.json"],
          {"command": "gen", "I": "2", "J": "3", "seed": 1, "inconsistent": False, "out": "o.json",
           "quiet": False}),

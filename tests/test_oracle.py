@@ -203,7 +203,7 @@ def _factor_singular_problems():
     return problems
 
 
-class TestBorderedRoute:
+class TestGelsdRoute:
     """Singular operators whose factors share null spaces, the planted
     generators and convected Neumann Laplacians among them, and other
     singular K off the spectral route: gelsd decides them, with its bytes."""
