@@ -252,12 +252,14 @@ class TestOracleAndVerify:
         assert captured.out == ""
         assert captured.err == "error: unfolded system of size 4160 exceeds the dense cap 4096\n"
 
-    def test_verify_tol_flag_refused(self, consistent_file, capsys):
-        # The agreement tolerance is the constant cli.VERIFY_TOL, not a flag.
-        assert main(["verify", str(consistent_file), "--tol", "1e-6"]) == 1
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "1e-6"])
+    def test_verify_rejects_bad_tolerance(self, consistent_file, tol, capsys):
+        # The agreement tolerance is the constant cli.VERIFY_TOL, not a flag, so
+        # every --tol is refused, the old default 1e-6 as well as a bad value.
+        assert main(["verify", str(consistent_file), "--tol", tol]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: --tol 1e-6" in captured.err
+        assert f"unrecognized arguments: --tol {tol}" in captured.err
 
 
 class TestGen:
