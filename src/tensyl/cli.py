@@ -6,6 +6,7 @@ Exit codes: 0 success or agreement, 1 usage or I/O error or disagreement,
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -41,18 +42,23 @@ def _merge_options(file_options, args):
     return replace(file_options or DEFAULT_OPTIONS, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _initial_iterate(init_spec):
-    """The start tensor of ``--init``, or None for the solver's own zero start."""
-    if init_spec == "zero":
-        return None
-    if init_spec.startswith("file:"):
-        return fileio.read_tensor(init_spec[len("file:") :])
-    raise ValueError(f"bad --init value {init_spec!r}; expected 'zero' or 'file:<path>'")
-
-
 def _default_path(input_path, suffix):
     p = Path(input_path)
     return str(p.with_name(p.stem + suffix))
+
+
+def _output_paths(args, *outputs):
+    """The path of each (flag, default suffix) output, refused if it is the problem's or another's."""
+    named = [("the problem file", args.problem)]
+    for flag, suffix in outputs:
+        named.append((f"--{flag}", getattr(args, flag) or _default_path(args.problem, suffix)))
+    seen = {}
+    for label, path in named:
+        key = os.path.realpath(path)
+        if key in seen:
+            raise ValueError(f"{seen[key]} and {label} are both {path}")
+        seen[key] = label
+    return [path for _, path in named[1:]]
 
 
 def _report(quiet, machine_line, human_lines):
@@ -63,10 +69,8 @@ def _report(quiet, machine_line, human_lines):
             print(line)
 
 
-def _finish_run(args, outcome, tensor, suffix, what, measure, value):
+def _finish_run(args, outcome, tensor, out_path, csv_path, what, measure, value):
     """Write ``tensor`` and the residual CSV, report, and map the status to an exit code."""
-    out_path = args.out or _default_path(args.problem, suffix)
-    csv_path = args.csv or _default_path(args.problem, "_residuals.csv")
     fileio.write_tensor(tensor, out_path)
     fileio.write_residual_csv(outcome.residual_history, csv_path)
     _report(
@@ -84,28 +88,30 @@ def _finish_run(args, outcome, tensor, suffix, what, measure, value):
 
 
 def _cmd_solve(args):
+    paths = _output_paths(args, ("out", "_solution.json"), ("csv", "_residuals.csv"))
     loaded = fileio.read_problem(args.problem)
     opts = _merge_options(loaded.options, args)
-    x1 = _initial_iterate(args.init)
+    x1 = None if args.init is None else fileio.read_tensor(args.init)
     outcome = solve(loaded.problem, x1, opts)
-    return _finish_run(args, outcome, outcome.solution, "_solution.json", "solution",
+    return _finish_run(args, outcome, outcome.solution, *paths, "solution",
                        "final residual", f"{outcome.final_residual:.6e}")
 
 
 def _cmd_nearness(args):
+    paths = _output_paths(args, ("out", "_nearest.json"), ("csv", "_residuals.csv"))
     loaded = fileio.read_problem(args.problem)
     if loaded.x0 is None:
         return _fail(f"{args.problem}: nearness requires an X0 field")
     opts = _merge_options(loaded.options, args)
     x_hat, distance, outcome = solve_nearness(loaded.problem, loaded.x0, opts)
-    return _finish_run(args, outcome, x_hat, "_nearest.json", "nearest solution",
+    return _finish_run(args, outcome, x_hat, *paths, "nearest solution",
                        "distance ||X_hat - X0||", f"{distance:.6f}")
 
 
 def _cmd_oracle(args):
+    (out_path,) = _output_paths(args, ("out", "_oracle_solution.json"))
     loaded = fileio.read_problem(args.problem)
     result = oracle_solve(loaded.problem)
-    out_path = args.out or _default_path(args.problem, "_oracle_solution.json")
     fileio.write_tensor(result.min_norm_solution, out_path)
     verdict = "consistent" if result.consistent else "inconsistent"
     _report(
@@ -197,38 +203,29 @@ def _cmd_repro(args):
     near = reference_problems.load_nearness_problem()
     x_hat, distance, near_outcome = solve_nearness(near.problem, near.x0)
     implied = reference_problems.nearness_reference_distance()
-    band, entry_tol, distance_tol = (reference_problems.ITERATION_BAND, reference_problems.ENTRY_TOL,
-                                     reference_problems.DISTANCE_TOL)
-
-    def iterations_check(outcome, published):
-        return f"iterations within {published} +/- {band}", abs(outcome.iterations - published) <= band
-
-    runs = [  # label, file stem, outcome, solution, published solution, own checks
+    runs = [  # label, file stem, outcome, solution, published solution, published iterations, own check
         ("reference problem", "reference", ref_outcome, ref_outcome.solution,
-         reference_problems.min_norm_reference(), [
-             ("final residual < 1e-10", ref_outcome.final_residual < 1.0e-10),
-             iterations_check(ref_outcome, reference_problems.REFERENCE_ITERATIONS),
-         ]),
+         reference_problems.min_norm_reference(), reference_problems.REFERENCE_ITERATIONS,
+         ("final residual < 1e-10", ref_outcome.final_residual < 1.0e-10)),
         ("nearness problem", "nearness", near_outcome, x_hat,
-         reference_problems.nearness_reference(), [
-             (f"distance {distance:.4f} within {_short(distance_tol)} of {implied:.4f} implied by the "
-              f"printed blocks (published figure "
-              f"{reference_problems.NEARNESS_DISTANCE} contradicts them)",
-              abs(distance - implied) <= distance_tol),
-             iterations_check(near_outcome, reference_problems.NEARNESS_ITERATIONS),
-         ]),
+         reference_problems.nearness_reference(), reference_problems.NEARNESS_ITERATIONS,
+         (f"distance {distance:.4f} within {_short(reference_problems.DISTANCE_TOL)} of {implied:.4f} "
+          f"implied by the printed blocks (published figure {reference_problems.NEARNESS_DISTANCE} "
+          f"contradicts them)", abs(distance - implied) <= reference_problems.DISTANCE_TOL)),
     ]
     failures, lines = [], []
-    for label, stem, outcome, solution, published, own_checks in runs:
+    for label, stem, outcome, solution, published, iterations, own_check in runs:
         fileio.write_residual_csv(outcome.residual_history, outdir / f"{stem}_residuals.csv")
         fileio.write_tensor(solution, outdir / f"{stem}_solution.json")
         max_dev = float(np.max(np.abs(solution.data - published.data)))
-        checks = [
+        for name, ok in [
             ("status Converged", outcome.status == Status.CONVERGED),
-            *own_checks,
-            (f"solution matches published entries to {_short(entry_tol)}", max_dev <= entry_tol),
-        ]
-        for name, ok in checks:
+            own_check,
+            (f"iterations within {iterations} +/- {reference_problems.ITERATION_BAND}",
+             abs(outcome.iterations - iterations) <= reference_problems.ITERATION_BAND),
+            (f"solution matches published entries to {_short(reference_problems.ENTRY_TOL)}",
+             max_dev <= reference_problems.ENTRY_TOL),
+        ]:
             if not ok:
                 failures.append(f"{label}: {name}")
             lines.append(f"[{'ok' if ok else 'FAIL'}] {label}: {name}")
@@ -266,7 +263,7 @@ def build_parser():
 
     p = sub.add_parser("solve", parents=[problem, solver_flags, out, csv, quiet],
                        help="run the iterative solver on a problem file")
-    p.add_argument("--init", default="zero", help="zero or file:<path>")
+    p.add_argument("--init", metavar="PATH", help="start tensor file (default: the zero tensor)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("nearness", parents=[problem, solver_flags, out, csv, quiet],

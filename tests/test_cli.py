@@ -92,22 +92,31 @@ class TestSolve:
         x_star = fileio.read_problem(consistent_file).x_star
         warm = tmp_path / "warm.json"
         fileio.write_tensor(x_star, warm)
-        code = main(["solve", str(consistent_file), "--init", f"file:{warm}", "--quiet"])
+        code = main(["solve", str(consistent_file), "--init", str(warm), "--quiet"])
         assert code == 0
         csv = (tmp_path / "problem_residuals.csv").read_text()
         assert len(csv.strip().split("\n")) == 2  # header plus the initial residual
-
-    def test_init_bad_spec(self, consistent_file, capsys):
-        assert main(["solve", str(consistent_file), "--init", "ones"]) == 1
-        assert capsys.readouterr().err == "error: bad --init value 'ones'; expected 'zero' or 'file:<path>'\n"
 
     def test_init_bad_split(self, consistent_file, tmp_path, capsys):
         rng = np.random.default_rng(0)
         wrong = tmp_path / "wrong.json"
         fileio.write_tensor(random_tensor(rng, (3,), (2, 2)), wrong)
-        code = main(["solve", str(consistent_file), "--init", f"file:{wrong}"])
+        code = main(["solve", str(consistent_file), "--init", str(wrong)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start", ["missing", "problem"])
+    def test_init_bad_path(self, consistent_file, tmp_path, capsys, start):
+        if start == "missing":
+            init = tmp_path / "nope.json"
+            error = f"error: [Errno 2] No such file or directory: {str(init)!r}\n"
+        else:  # a problem file is not a tensor file
+            init = consistent_file
+            error = f"error: {init}: missing field 'row_extents'\n"
+        assert main(["solve", str(consistent_file), "--init", str(init)]) == 1
+        assert capsys.readouterr() == ("", error)
+        assert not (tmp_path / "problem_solution.json").exists()
+        assert not (tmp_path / "problem_residuals.csv").exists()
 
     def test_inconsistent_exit_code(self, inconsistent_file, capsys):
         code = main(["solve", str(inconsistent_file), "--quiet"])
@@ -318,22 +327,31 @@ class TestGen:
 
 class TestRepro:
     def test_runs_and_reports(self, tmp_path, capsys):
-        code = main(["repro", "--outdir", str(tmp_path / "repro")])
-        out = capsys.readouterr().out
+        outdir = tmp_path / "repro"
+        code = main(["repro", "--outdir", str(outdir)])
         # the distance is checked against the value the printed blocks imply;
         # the contradicting published figure is still named
         assert code == 0
-        assert "[ok] nearness problem: distance " in out
-        assert "within 1e-3 of 603.3520 implied by the printed blocks" in out
-        assert "published figure 640.2422" in out
-        assert "[ok] reference problem: final residual < 1e-10" in out
-        assert "[ok] nearness problem: solution matches published entries to 5e-4" in out
-        assert (tmp_path / "repro" / "reference_residuals.csv").exists()
-        assert (tmp_path / "repro" / "nearness_solution.json").exists()
+        assert capsys.readouterr() == ("\n".join([
+            "[ok] reference problem: status Converged",
+            "[ok] reference problem: final residual < 1e-10",
+            "[ok] reference problem: iterations within 86 +/- 15",
+            "[ok] reference problem: solution matches published entries to 5e-4",
+            "[ok] nearness problem: status Converged",
+            "[ok] nearness problem: distance 603.3520 within 1e-3 of 603.3520 implied by the printed blocks "
+            "(published figure 640.2422 contradicts them)",
+            "[ok] nearness problem: iterations within 79 +/- 15",
+            "[ok] nearness problem: solution matches published entries to 5e-4",
+            f"all reproduction checks passed; outputs in {outdir}",
+        ]) + "\n", "")
+        assert sorted(f.name for f in outdir.iterdir()) == [
+            "nearness_residuals.csv", "nearness_solution.json",
+            "reference_residuals.csv", "reference_solution.json",
+        ]
 
     def test_quiet_pass_prints_ok(self, tmp_path, capsys):
         assert main(["repro", "--outdir", str(tmp_path), "--quiet"]) == 0
-        assert capsys.readouterr().out == "ok\n"
+        assert capsys.readouterr() == ("ok\n", "")
 
     def test_failed_check(self, tmp_path, monkeypatch, capsys):
         published = reference_problems.min_norm_reference()
@@ -362,6 +380,36 @@ class TestRepro:
         assert "Traceback" not in captured.err
 
 
+# Flags after the problem path that would overwrite the problem or another output, each
+# with its clash; {dir} is the problem's directory, which is also the working directory.
+OUTPUT_CLASHES = {
+    "out-is-problem": (["--out", "p.json"], "the problem file and --out are both p.json"),
+    "csv-is-problem": (["--csv", "./p.json"], "the problem file and --csv are both ./p.json"),
+    "out-is-csv": (["--out", "x.json", "--csv", "{dir}/x.json"], "--out and --csv are both {dir}/x.json"),
+}
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("argv, clash", [
+        *(pytest.param([command, *flags], clash, id=f"{command}-{name}")
+          for command in ("solve", "nearness") for name, (flags, clash) in OUTPUT_CLASHES.items()),
+        pytest.param(["oracle", "--out", "p.json"], "the problem file and --out are both p.json",
+                     id="oracle-out-is-problem"),
+    ])
+    def test_no_output_overwrites_the_problem_or_another(self, tmp_path, monkeypatch, capsys, argv, clash):
+        rng = np.random.default_rng(3)
+        problem, _ = random_consistent(rng, (2,), (2, 2), shift=2.0)
+        path = tmp_path / "p.json"
+        fileio.write_problem(path, problem, x0=random_tensor(rng, (2,), (2, 2)))
+        written = path.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        argv = [argv[0], str(path), *(arg.format(dir=tmp_path) for arg in argv[1:])]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {clash.format(dir=tmp_path)}\n")
+        assert path.read_bytes() == written
+        assert [f.name for f in tmp_path.iterdir()] == ["p.json"]
+
+
 class TestUsageErrors:
     def test_unknown_command_maps_to_one(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -382,7 +430,7 @@ SOLVER_FLAGS = {"epsilon": None, "k_max": None}
 
 class TestArgumentSet:
     @pytest.mark.parametrize("argv, want", [
-        (["solve", "p.json"], {"command": "solve", "problem": "p.json", "init": "zero", **SOLVER_FLAGS,
+        (["solve", "p.json"], {"command": "solve", "problem": "p.json", "init": None, **SOLVER_FLAGS,
                                "out": None, "csv": None, "quiet": False}),
         (["nearness", "p.json"], {"command": "nearness", "problem": "p.json", **SOLVER_FLAGS,
                                   "out": None, "csv": None, "quiet": False}),
