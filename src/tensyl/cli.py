@@ -21,7 +21,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONSISTENT = 2
 EXIT_ITERATION_LIMIT = 3
-# verify agrees when ||X - X_oracle||_F <= VERIFY_TOL * max(1, ||X_oracle||_F).
+# verify agrees when ||X - X_oracle||_F <= VERIFY_TOL * ||X_oracle||_F, a relative test.
 VERIFY_TOL = 1.0e-6
 
 _STATUS_EXIT = {
@@ -140,7 +140,7 @@ def _cmd_verify(args):
         word, code, distance, tolerance = "agree", EXIT_OK, "n/a", ""
     else:
         gap = tc.fro_norm(tc.subtract(outcome.solution, result.min_norm_solution))
-        tol = VERIFY_TOL * max(1.0, tc.fro_norm(result.min_norm_solution))
+        tol = VERIFY_TOL * tc.fro_norm(result.min_norm_solution)
         distance, tolerance = f"{gap:.6e}", f" (tolerance {tol:.6e})"
         if outcome.status == Status.ITERATION_LIMIT:
             word, code = "undecided", EXIT_ITERATION_LIMIT

@@ -68,6 +68,21 @@ term of the cut puts low below |s| less the allowance, so below the cut
 plus ||skew(psi(A))||_F + ||skew(psi(C))||_F <= (1e-10 + 8 u) U, far below t
 U, as the cut is at most 1e-10 (||S_a||_2 + ||S_c||_2) <= 1e-10 U.
 
+The verdict.  ``oracle_solve`` calls the problem consistent when the
+normwise backward error of its own x, eta = ||r|| / ((||psi(A)||_F +
+||psi(C)||_F) ||x|| + ||D||), r = K x - d, is at most tau =
+``DEFAULT_RANK_TOL``.  eta <= tau says that x solves exactly a system
+(K + dK) x = d + dd with ||dK||_2 <= tau (||psi(A)||_F + ||psi(C)||_F),
+which is at least tau ||K||_2, and ||dd|| <= tau ||D|| (Rigal & Gaches,
+J. ACM 14(3), 1967; Higham, Thm 7.1).  tau is the relative resolution at
+which the rank is already decided: gelsd, and the spectral route, treat
+the singular values below tau sigma_1(K) as zero, a change of K by up to
+tau ||K||_2, and the verdict allows x the same relative change of K and
+of D.  The rounding of r adds at most gamma_{m+n+1} ((||psi(A)||_F +
+||psi(C)||_F) ||x|| + ||D||) to ||r|| (Higham, section 3.5), far below
+tau for m + n below 10^5.  eta is exactly covariant under D -> s D and
+(A, C, D) -> s (A, C, D), and no factor of the size m n enters it.
+
 Its norms are ``tensor._norm``, whose squares neither overflow nor underflow,
 ``_spectrum`` scales the factors by the power of two of ``tensor._exponent``
 of their entries together, and the lift, the solution and the residual run
@@ -191,9 +206,10 @@ def min_norm_lstsq(problem):
 
 
 def oracle_solve(problem):
-    """Consistency verdict and min-norm solution from ``min_norm_lstsq``."""
-    D = problem.D
+    """Min-norm solution from ``min_norm_lstsq``, called consistent when its
+    normwise backward error is at most ``DEFAULT_RANK_TOL`` (module docstring)."""
+    A, C, D = problem.A, problem.C, problem.D
     x, residual, rank = min_norm_lstsq(problem)
-    tol = DEFAULT_RANK_TOL * tc._norm(D.data) * D.m * D.n
+    scale = (tc._norm(A.data) + tc._norm(C.data)) * tc._norm(x) + tc._norm(D.data)
     solution = DenseTensor(D.row_extents, D.col_extents, x)
-    return OracleResult(residual <= tol, solution, residual, rank)
+    return OracleResult(residual <= DEFAULT_RANK_TOL * scale, solution, residual, rank)

@@ -4,10 +4,11 @@ Each sweep takes a gradient-type step X <- X + alpha * P with
 alpha = ||R||^2 / ||P||^2, recomputes the residual from its defining
 formula, and conjugates the next direction with beta = ||R_new||^2 / ||R||^2.
 For a consistent equation the iterates reach a solution in finitely many
-steps in exact arithmetic.  Two tests certify that no solution exists: a
-nonzero residual paired with a direction vanishing by DIRECTION_TOL, and
-a residual grown past DIVERGENCE_FACTOR times the first one.  Starting
-from the zero tensor yields the least-Frobenius-norm solution.
+steps in exact arithmetic.  Two relative tests certify that no solution
+exists: a nonzero residual R_k whose direction is at most DIRECTION_TOL
+||P_1|| ||R_k|| / ||R_1||, and a residual grown past DIVERGENCE_FACTOR
+times the first one.  Starting from the zero tensor yields the
+least-Frobenius-norm solution.
 
 The loop, ``_iterate``, runs on F-order psi matrices in five buffers
 allocated once per solve: the iterate, the residual, the direction and two
@@ -38,7 +39,7 @@ from .tensor import DenseTensor, DimensionError
 
 # A residual this many times the first one certifies inconsistency (see _iterate).
 DIVERGENCE_FACTOR = 1.0e6
-# A direction at most this times max(1, ||P_1|| ||R_k|| / ||R_1||) certifies inconsistency (see _iterate).
+# A direction at most this times ||P_1|| ||R_k|| / ||R_1|| certifies inconsistency (see _iterate).
 DIRECTION_TOL = 1.0e-12
 
 
@@ -181,7 +182,7 @@ def _iterate(a, c, d, x, opts):
     computes, without its wrapper.
     """
     sqrt, isfinite, add, subtract, multiply = math.sqrt, math.isfinite, np.add, np.subtract, np.multiply
-    threshold, k_max, direction_tol = opts.epsilon, opts.k_max, DIRECTION_TOL
+    threshold, k_max = opts.epsilon, opts.k_max
 
     r, p, s1, s2 = (np.empty_like(x) for _ in range(4))
     operator = _bind_sylvester(a, c, x, s1, s2)  # A X + X C into s1
@@ -196,21 +197,20 @@ def _iterate(a, c, d, x, opts):
         return Status.CONVERGED, history
 
     np.copyto(p, adjoint())
-    p_first = sqrt(pdot(pf))
-    res_first = res
-    res_limit = DIVERGENCE_FACTOR * res_first
+    # Dimensionless zero-direction test.  The direction shrinks in proportion
+    # to the residual on a consistent equation, so it is compared with the
+    # residual through the first ratio ||P_1|| / ||R_1||, at most ||L||, which
+    # cannot overflow where ||P_1|| ||R_k|| could; a direction far below it
+    # while the residual is still large certifies inconsistency.
+    ratio = DIRECTION_TOL * (sqrt(pdot(pf)) / res)
+    res_limit = DIVERGENCE_FACTOR * res
     scalar = np.empty(())  # holds alpha, then beta: multiply would make it from each float
     append = history.append
 
     status = Status.ITERATION_LIMIT
     for k in range(1, k_max + 1):
         p_norm = sqrt(pdot(pf))
-        # Dimensionless zero-direction test.  The direction shrinks in
-        # proportion to the residual on a consistent equation, so the floor
-        # tracks the current residual level; a direction far below it while
-        # the residual is still large certifies inconsistency.
-        dir_floor = direction_tol * max(1.0, p_first * (res / res_first))
-        if p_norm <= dir_floor:
+        if p_norm <= ratio * res:
             # Nonzero residual with vanishing direction: no solution exists.
             status = Status.INCONSISTENT
             break

@@ -75,12 +75,12 @@ def textbook_solve(problem, opts=None, states=None):
     if res < opts.epsilon:
         return Status.CONVERGED, X, 0, history
     P = apply_adjoint(A, C, R)
-    p_first, res_first = tc.fro_norm(P), res
+    ratio, res_first = DIRECTION_TOL * (tc.fro_norm(P) / res), res
     for k in range(1, opts.k_max + 1):
         p_norm = tc.fro_norm(P)
         if states is not None:
             states.append((X, R, P, res * res))
-        if p_norm <= DIRECTION_TOL * max(1.0, p_first * (res / res_first)):
+        if p_norm <= ratio * res:
             return Status.INCONSISTENT, X, k - 1, history
         X = tc.add(X, tc.scale(res * res / (p_norm * p_norm), P))
         R = tc.subtract(D, apply_operator(A, C, X))

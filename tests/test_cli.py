@@ -228,6 +228,23 @@ class TestOracleAndVerify:
         assert lines[2:] == ["Frobenius distance between solutions: n/a", "verdict agreement: True",
                              "result: agree"]
 
+    @pytest.mark.parametrize("k", [-30, -40])
+    def test_verify_disagrees_on_a_tiny_rhs(self, tmp_path, k, capsys):
+        # D * 2^k: the absolute epsilon stops the solver short of the
+        # oracle's solution (at X = 0 after 0 iterations for k = -40), which
+        # the relative tolerance VERIFY_TOL ||X_oracle||_F does not forgive.
+        path = tmp_path / "p.json"
+        assert main(["gen", "--I", "2,2", "--J", "3", "--seed", "3", "--out", str(path), "--quiet"]) == 0
+        problem = fileio.read_problem(path).problem
+        d = tc.DenseTensor(problem.D.row_extents, problem.D.col_extents, np.ldexp(problem.D.data, k))
+        fileio.write_problem(path, SylvesterProblem(problem.A, problem.C, d))
+        assert main(["verify", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("solver: Converged (")
+        assert lines[-2:] == ["verdict agreement: True", "result: disagree"]
+        assert main(["verify", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().out.startswith("disagree ")
+
     @pytest.mark.parametrize(
         "gen_args",
         [

@@ -146,11 +146,11 @@ def _route(problem):
 
 def _lstsq_answer(problem):
     """(consistent, rank, x) from numpy's gelsd on K, by the oracle's own verdict rule."""
-    D = problem.D
+    A, C, D = problem.A, problem.C, problem.D
     K = unfold_system(problem)
     x, _, rank, _ = np.linalg.lstsq(K, D.data, rcond=DEFAULT_RANK_TOL)
-    tol = DEFAULT_RANK_TOL * tc._norm(D.data) * D.m * D.n
-    return tc._norm(K @ x - D.data) <= tol, rank, x
+    scale = (tc._norm(A.data) + tc._norm(C.data)) * tc._norm(x) + tc._norm(D.data)
+    return tc._norm(K @ x - D.data) <= DEFAULT_RANK_TOL * scale, rank, x
 
 
 def _laplacian(k, skew=0.0):
@@ -711,6 +711,22 @@ class TestSpectralRoute:
         assert np.linalg.norm(result.min_norm_solution.data - want.ravel(order="F")) <= 1e-12 * np.linalg.norm(want)
         with pytest.raises(SizeCapError):
             oracle_solve(_lift(a + np.triu(np.ones((128, 128)), 1), c, d))
+
+    @pytest.mark.parametrize("m, n", [(12, 9), (128, 64)])
+    @pytest.mark.parametrize("rho", [0.0, 1.0e-8])
+    def test_verdict_does_not_depend_on_size(self, m, n, rho):
+        # Semidefinite factors with one null vector each, and D = L(X) plus a
+        # left-null component u v^T of rho ||L(X)||, which no X reaches.  A
+        # verdict rule scaled by m n called rho = 1e-8 consistent at both sizes.
+        rng = np.random.default_rng(0)
+        a, c = _semidefinite(rng, m, 1), _semidefinite(rng, n, 1)
+        u, v = np.linalg.eigh(a)[1][:, 0], np.linalg.eigh(c)[1][:, 0]
+        x = rng.standard_normal((m, n))
+        d = a @ x + x @ c
+        problem = _lift(a, c, d + rho * np.linalg.norm(d) * np.outer(u, v))
+        assert _route(problem) == "spectral"
+        result = oracle_solve(problem)
+        assert (result.consistent, result.numerical_rank) == (rho == 0.0, m * n - 1)
 
     def test_overflowed_solution_is_named(self):
         # psi(A) = diag(2^-1000, 0), psi(C) = 0: the solution 1e300 * 2^1000 overflows

@@ -30,7 +30,7 @@ from tensyl.solver import (
 )
 from tensyl.tensor import DimensionError
 
-from conftest import loop_sylvester_rhs, random_tensor, singular_consistent, textbook_solve
+from conftest import loop_sylvester_rhs, random_tensor, scaled_problem, singular_consistent, textbook_solve
 
 
 class TestProblemValidation:
@@ -210,6 +210,18 @@ class TestSolve:
         outcome = solve_min_norm(problem, SolveOptions(k_max=2))
         assert outcome.status == Status.ITERATION_LIMIT
         assert outcome.iterations == 2
+
+    @pytest.mark.parametrize("k", [-16, -20])
+    @pytest.mark.parametrize("rows, cols", [((3, 2), (2, 2)), ((2, 2), (3,)), ((4, 3), (3, 3)), ((4, 4), (4, 4))],
+                             ids=["(3,2)x(2,2)", "(2,2)x(3,)", "(4,3)x(3,3)", "(4,4)x(4,4)"])
+    def test_scaled_down_consistent_problem_converges(self, rows, cols, k):
+        # (A, C, D) * 2^k shrinks the direction with the residual, which the
+        # zero-direction test compares relatively: it must not call this
+        # consistent problem inconsistent, as an absolute floor would.
+        for seed in range(4):
+            problem, _ = random_consistent(np.random.default_rng(seed), rows, cols)
+            outcome = solve_min_norm(scaled_problem(problem, k), SolveOptions(k_max=20000))
+            assert outcome.status == Status.CONVERGED, seed
 
     def test_inconsistent_detection(self):
         rng = np.random.default_rng(42)
